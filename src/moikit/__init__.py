@@ -39,6 +39,7 @@ from .frechet import (
 from .moi import (
     MoiOperands,
     MoiSymbol,
+    moi_contract,
     moi_evaluate,
     moi_opnorm_bound_check,
     moi_perturbation,
@@ -56,6 +57,7 @@ from .scalar_functions import (
     WienerAtomic,
     builtin_function,
     divided_difference,
+    divided_difference_batch,
     divided_difference_product,
     divided_difference_quadrature,
     divided_difference_recursive,

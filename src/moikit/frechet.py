@@ -109,32 +109,23 @@ def power_map_derivative(power: int, base: np.ndarray, directions) -> np.ndarray
 def _moi_derivative(f, decomp: SpectralDecomposition, directions) -> np.ndarray:
     k = len(directions)
     symbol = MoiSymbol.from_function(f, k)
-    # the eigenvalue grid repeats across all k! permutations; memoize the symbol
-    cache: dict[tuple, complex] = {}
-    base_eval = symbol.evaluator
-
-    def cached(lam, _cache=cache, _eval=base_eval):
-        key = tuple(lam)
-        val = _cache.get(key)
-        if val is None:
-            val = complex(_eval(key))
-            _cache[key] = val
-        return val
-
-    cached_symbol = MoiSymbol(k + 1, cached, iptp_bound=symbol.iptp_bound)
     decomps = (decomp,) * (k + 1)
+    # every permutation shares the eigenvalue grid: tabulate f^[k] once
+    tensor = symbol.tensor([decomp.eigenvalues] * (k + 1))
     out = np.zeros((decomp.dimension, decomp.dimension), dtype=complex)
     for perm in itertools.permutations(range(k)):
         middles = tuple(directions[i] for i in perm)
-        out += moi_evaluate(cached_symbol, MoiOperands(decomps, middles))
+        out += moi_evaluate(symbol, MoiOperands(decomps, middles), tensor=tensor)
     return out
 
 
 def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
     """Evaluate a k-th Fréchet derivative by the requested strategy.
 
-    ``moi`` sums symbol-weighted projection sandwiches over all direction
-    permutations (symmetric in the directions by construction);
+    ``moi`` tabulates the divided difference ``f^[k]`` once on the base
+    point's eigenvalues and contracts it in the eigenbasis for every
+    permutation of the directions, summing the k! results (symmetric in the
+    directions by construction);
     ``power_closed_form`` expands a polynomial monomial by monomial;
     ``finite_difference`` defers to the stencil oracle.
     """

@@ -3,11 +3,13 @@
 An order-k multiple operator integral weights the spectral-projection
 sandwich ``P b_1 P b_2 ... b_k P`` by a symbol evaluated on tuples of
 eigenvalues, one from each of k+1 Hermitian matrices.  At matrix scale this
-is a finite sum over the product of the spectra, which is evaluated here
-directly (with suffix-product caching) or, for separated symbols, one
-functional-calculus factor per slot.  The eigenvalue-tuple sum runs in
-lexicographic cluster-index order with left-fold accumulation, so outputs
-are reproducible bit for bit.
+is the finite Daleckii-Krein sum, evaluated here by one engine: the symbol
+is tabulated once as a tensor over the cluster eigenvalues, expanded to
+the eigenvectors by cluster index, and contracted against the directions
+rotated into the eigenbases (``V_{j-1}* b_j V_j``).  The contraction runs
+on a fixed path and involves no randomness, so outputs are bit-stable run
+to run.  The separated, monomial and oscillatory-sum evaluations are kept
+as independent oracles.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .scalar_functions import (
     WienerAtomic,
     default_rule,
     divided_difference,
+    divided_difference_batch,
     wiener_iptp_bound,
 )
 from .spectral import SpectralDecomposition, functional_calculus, hermitian_eigendecompose
@@ -34,6 +37,7 @@ __all__ = [
     "MoiSymbol",
     "MoiOperands",
     "moi_evaluate",
+    "moi_contract",
     "moi_separated",
     "moi_polynomial",
     "moi_wiener",
@@ -67,14 +71,18 @@ class MoiSymbol:
     is checked on a deterministic sample grid at construction).
     ``iptp_bound``, when known, is a certified upper bound on the symbol's
     separated-decomposition cost, used by the Schatten-norm checks.
+    ``batch_evaluator``, when present, maps an ``(N, arity)`` node array to
+    the N symbol values at once and agrees with ``evaluator`` row by row.
     """
 
     def __init__(self, arity: int, evaluator, separated=None,
-                 iptp_bound: float | None = None, sample_radius: float = 1.0):
+                 iptp_bound: float | None = None, sample_radius: float = 1.0,
+                 batch_evaluator=None):
         if arity < 2:
             raise ArityMismatch("symbol arity must be at least 2 (order k >= 1)")
         self.arity = int(arity)
         self.evaluator = evaluator
+        self.batch_evaluator = batch_evaluator
         self.separated = None if separated is None else [
             (complex(w), tuple(factors)) for w, factors in separated]
         self.iptp_bound = None if iptp_bound is None else float(iptp_bound)
@@ -99,12 +107,30 @@ class MoiSymbol:
     def __call__(self, nodes) -> complex:
         return complex(self.evaluator(tuple(nodes)))
 
+    def tensor(self, eigenvalue_lists) -> np.ndarray:
+        """Symbol values on the product grid, ``T[i_0..i_k] = symbol(lam_0[i_0], ..)``.
+
+        Uses the batch evaluator when the symbol has one, else calls the
+        evaluator once per eigenvalue tuple.
+        """
+        lists = [np.asarray(lam, dtype=float) for lam in eigenvalue_lists]
+        if len(lists) != self.arity:
+            raise ArityMismatch(f"{len(lists)} eigenvalue lists for arity {self.arity}")
+        shape = tuple(lam.size for lam in lists)
+        if self.batch_evaluator is not None:
+            grid = np.stack(np.meshgrid(*lists, indexing="ij"), axis=-1)
+            values = self.batch_evaluator(grid.reshape(-1, self.arity))
+        else:
+            values = [complex(self.evaluator(lam)) for lam in itertools.product(*lists)]
+        return np.asarray(values, dtype=complex).reshape(shape)
+
     @classmethod
     def constant(cls, value, arity: int) -> "MoiSymbol":
         value = complex(value)
         ones = tuple(lambda x: 1.0 for _ in range(arity))
         return cls(arity, lambda lam: value,
-                   separated=[(value, ones)], iptp_bound=abs(value))
+                   separated=[(value, ones)], iptp_bound=abs(value),
+                   batch_evaluator=lambda grid: np.full(len(grid), value))
 
     @classmethod
     def from_function(cls, f, order: int, radius: float | None = None,
@@ -126,7 +152,11 @@ class MoiSymbol:
         def evaluator(lam):
             return divided_difference(f, lam, coincidence_tol)
 
-        return cls(order + 1, evaluator, iptp_bound=bound)
+        def batch_evaluator(grid):
+            return divided_difference_batch(f, grid, coincidence_tol)
+
+        return cls(order + 1, evaluator, iptp_bound=bound,
+                   batch_evaluator=batch_evaluator)
 
     def __repr__(self):
         sep = "separated" if self.separated is not None else "dense"
@@ -173,42 +203,59 @@ class MoiOperands:
                                                for b in middles))
 
 
-def moi_evaluate(symbol: MoiSymbol, operands: MoiOperands) -> np.ndarray:
-    """Direct spectral-sum evaluation of a multiple operator integral.
+def _eigenbasis(decomp: SpectralDecomposition):
+    """Eigenvector unitary and per-column cluster index of a decomposition."""
+    if decomp.vectors is not None:
+        return decomp.vectors, decomp.labels
+    # assembled from projections alone: an orthonormal basis of each range
+    columns, labels = [], []
+    for i, cluster in enumerate(decomp.clusters):
+        _, basis = np.linalg.eigh(cluster.projection)
+        columns.append(basis[:, basis.shape[1] - cluster.multiplicity:])
+        labels += [i] * cluster.multiplicity
+    return np.hstack(columns), np.array(labels)
 
-    Sums symbol-weighted projection sandwiches over all eigenvalue tuples,
-    lexicographically in cluster indices with left-fold accumulation.
-    Suffix products ``P_j b_j P_{j+1} b_{j+1} ...`` are cached and shared
-    across tuples that agree from slot j on.
+
+def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
+    """Contract a symbol tensor against the operands in their eigenbases.
+
+    ``tensor[i_0..i_k]`` is the symbol at the cluster eigenvalues of the
+    k+1 decompositions.  With ``A_j = V_j diag(lam_j) V_j*``, the integral is
+    ``V_0 X V_k*`` where ``X[a_0, a_k]`` sums ``T[a_0..a_k] * prod_j
+    (V_{j-1}* b_j V_j)[a_{j-1}, a_j]`` over the inner indices, ``T`` being
+    the tensor expanded from clusters to eigenvectors.  The chain is
+    contracted pairwise from the left on a fixed path.
+    """
+    k = operands.order
+    tensor = np.asarray(tensor, dtype=complex)
+    expected = tuple(len(d.clusters) for d in operands.decomps)
+    if tensor.shape != expected:
+        raise DimensionMismatch(f"tensor shape {tensor.shape} != cluster counts {expected}")
+    vectors, labels = zip(*(_eigenbasis(d) for d in operands.decomps))
+    rotated = [vectors[j].conj().T @ b @ vectors[j + 1]
+               for j, b in enumerate(operands.middles)]
+    # axes (a_0, a_j, .., a_k): fold in b_1, then sum a_j out against b_{j+1}
+    core = np.einsum("ab...,ab->ab...", tensor[np.ix_(*labels)], rotated[0])
+    for b in rotated[1:]:
+        core = np.einsum("abc...,bc->ac...", core, b)
+    return vectors[0] @ core @ vectors[k].conj().T
+
+
+def moi_evaluate(symbol: MoiSymbol, operands: MoiOperands,
+                 tensor: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate a multiple operator integral in the eigenbases of its slots.
+
+    Tabulates the symbol once on the cluster eigenvalues
+    (:meth:`MoiSymbol.tensor`) and contracts it with :func:`moi_contract`.
+    Calls that share the decompositions may pass the same precomputed
+    ``tensor`` to skip the tabulation.
     """
     k = operands.order
     if symbol.arity != k + 1:
         raise ArityMismatch(f"symbol arity {symbol.arity} != k+1 = {k + 1}")
-    n = operands.dimension
-    slots = [d.clusters for d in operands.decomps]
-    middles = operands.middles
-
-    # suffix[j] maps an index tuple (i_j..i_k) to P_{i_j} b_j (suffix at j+1)
-    suffix: dict[tuple[int, ...], np.ndarray] = {
-        (i,): c.projection for i, c in enumerate(slots[k])}
-    for j in range(k - 1, 0, -1):
-        nxt: dict[tuple[int, ...], np.ndarray] = {}
-        for i, c in enumerate(slots[j]):
-            head = c.projection @ middles[j]
-            for key, tail in suffix.items():
-                nxt[(i,) + key] = head @ tail
-        suffix = nxt
-
-    eigs = [np.array([c.eigenvalue for c in sl]) for sl in slots]
-    suffix_keys = sorted(suffix.keys())
-    out = np.zeros((n, n), dtype=complex)
-    for i0, c0 in enumerate(slots[0]):
-        weighted = np.zeros((n, n), dtype=complex)
-        for key in suffix_keys:
-            lam = (eigs[0][i0],) + tuple(eigs[j + 1][key[j]] for j in range(k))
-            weighted += complex(symbol.evaluator(lam)) * suffix[key]
-        out += c0.projection @ (middles[0] @ weighted)
-    return out
+    if tensor is None:
+        tensor = symbol.tensor([d.eigenvalues for d in operands.decomps])
+    return moi_contract(tensor, operands)
 
 
 def moi_separated(factors, weights, operands: MoiOperands) -> np.ndarray:
@@ -345,16 +392,15 @@ def moi_opnorm_bound_check(symbol: MoiSymbol, operands: MoiOperands,
     Maximizes ``||integral[B]||`` over random unit-operator-norm direction
     tuples (a lower estimate of the true multilinear norm) and requires it
     to stay below ``n^k * max |symbol|`` over the spectral grid, which the
-    spectral sum can never exceed.
+    spectral sum can never exceed.  The symbol is tabulated once and every
+    probe is contracted against that tensor.
     """
     if probes < 1:
         raise ValueError("at least one probe required")
     k = operands.order
     n = operands.dimension
-    grids = [d.eigenvalues for d in operands.decomps]
-    grid_max = max(abs(complex(symbol.evaluator(lam)))
-                   for lam in itertools.product(*grids))
-    bound = n ** k * grid_max
+    tensor = symbol.tensor([d.eigenvalues for d in operands.decomps])
+    bound = n ** k * float(np.abs(tensor).max())
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     estimate = 0.0
@@ -364,7 +410,7 @@ def moi_opnorm_bound_check(symbol: MoiSymbol, operands: MoiOperands,
             G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             norm = _power_iteration_opnorm(G, rng)
             dirs.append(G / norm if norm > 0 else G)
-        val = moi_evaluate(symbol, operands.with_middles(dirs))
+        val = moi_evaluate(symbol, operands.with_middles(dirs), tensor=tensor)
         estimate = max(estimate, _power_iteration_opnorm(val, rng))
 
     report = VerificationReport("spectral-sum-norm-bound")

@@ -11,6 +11,10 @@ provided:
 * quadrature of the k-th derivative over the standard simplex, and
 * the Fourier-side formula for finite atomic oscillatory sums.
 
+:func:`divided_difference` picks one of them per node tuple;
+:func:`divided_difference_batch` routes every row of a node array the same
+way, with array-wide arithmetic in place of per-tuple calls.
+
 The module also exposes the computable upper bounds attached to these
 representations: the ``sup |f^(k)| / k!`` bound, moment-based bounds for
 atomic Fourier sums, and the coefficient bound for multivariate
@@ -43,6 +47,7 @@ __all__ = [
     "divided_difference_quadrature",
     "wiener_divided_difference",
     "divided_difference",
+    "divided_difference_batch",
     "divided_difference_product",
     "divided_difference_sup_bound",
     "wiener_moment",
@@ -316,18 +321,34 @@ def default_rule(dimension: int, points_per_axis: int = 16) -> SimplexQuadrature
 # divided difference strategies
 # ---------------------------------------------------------------------------
 
+# route thresholds shared by the scalar and the batched dispatcher: nodes
+# within COINCIDENCE_TOL_FACTOR * (1 + max|x|) are confluent for the
+# recursion, and atomic sums leave the recursion for quadrature once a gap
+# falls below WIENER_QUADRATURE_GAP * (1 + max|x|)
+COINCIDENCE_TOL_FACTOR = 1e-8
+WIENER_QUADRATURE_GAP = 1e-2
+
+
 def _homogeneous_sums(nodes, max_degree):
     """Complete homogeneous symmetric sums h_0..h_max over the given nodes.
 
     Built by the two-term recurrence in (number of variables) x (degree);
-    enumeration of the multi-indices would be binomially large.
+    enumeration of the multi-indices would be binomially large.  ``nodes``
+    is one tuple, or an ``(k+1, N)`` array whose columns are N tuples, in
+    which case each ``h[m]`` has length N.
     """
-    h = np.zeros(max_degree + 1, dtype=complex)
+    nodes = np.asarray(nodes, dtype=float)
+    h = np.zeros((max_degree + 1,) + nodes.shape[1:], dtype=complex)
     h[0] = 1.0
     for x in nodes:
         for m in range(1, max_degree + 1):
             h[m] = h[m] + x * h[m - 1]
     return h
+
+
+def _poly_closed_form(p: Polynomial, nodes, k: int):
+    h = _homogeneous_sums(nodes, p.degree - k)
+    return sum(p.coeffs[n] * h[n - k] for n in range(k, p.degree + 1))
 
 
 def poly_divided_difference(p: Polynomial, nodes) -> complex:
@@ -337,16 +358,13 @@ def poly_divided_difference(p: Polynomial, nodes) -> complex:
     degree (empty sum).
     """
     nodes = _as_nodes(nodes)
-    k = nodes.order
-    d = p.degree
-    if k > d:
+    if nodes.order > p.degree:
         return 0j
-    h = _homogeneous_sums(nodes.nodes, d - k)
-    return complex(sum(p.coeffs[n] * h[n - k] for n in range(k, d + 1)))
+    return complex(_poly_closed_form(p, nodes.nodes, nodes.order))
 
 
 def _default_coincidence_tol(nodes) -> float:
-    return 1e-8 * (1.0 + max(abs(x) for x in nodes))
+    return COINCIDENCE_TOL_FACTOR * (1.0 + max(abs(x) for x in nodes))
 
 
 def divided_difference_recursive(f, nodes, coincidence_tol: float | None = None) -> complex:
@@ -408,7 +426,7 @@ def _vector_eval(func, points):
             return vals
     except (TypeError, ValueError):
         pass
-    return np.array([complex(func(float(x))) for x in points])
+    return np.array([complex(func(float(x))) for x in points.ravel()]).reshape(points.shape)
 
 
 def divided_difference_quadrature(f, nodes, rule: SimplexQuadratureRule | None = None) -> complex:
@@ -461,14 +479,17 @@ _PHASE_POINTS = ((20.0, 16), (40.0, 24), (64.0, 32), (math.inf, 48))
 _MAX_POINTS_BY_ORDER = {4: 24}
 
 
+def _wiener_points(f: WienerAtomic, order: int, span):
+    """Points per axis of the atomic-sum rule for node spans ``span``."""
+    limits = [limit for limit, _ in _PHASE_POINTS]
+    points = np.array([points for _, points in _PHASE_POINTS])
+    chosen = points[np.searchsorted(limits, f.max_frequency * np.asarray(span))]
+    return np.minimum(chosen, _MAX_POINTS_BY_ORDER.get(order, 48))
+
+
 def _wiener_rule_for(f: WienerAtomic, nodes: NodeTuple) -> SimplexQuadratureRule:
     span = max(nodes) - min(nodes)
-    phase = f.max_frequency * span
-    for limit, points in _PHASE_POINTS:
-        if phase <= limit:
-            break
-    points = min(points, _MAX_POINTS_BY_ORDER.get(nodes.order, 48))
-    return default_rule(nodes.order, points)
+    return default_rule(nodes.order, int(_wiener_points(f, nodes.order, span)))
 
 
 def divided_difference(f, nodes, coincidence_tol: float | None = None) -> complex:
@@ -485,12 +506,103 @@ def divided_difference(f, nodes, coincidence_tol: float | None = None) -> comple
     if isinstance(f, Polynomial):
         return poly_divided_difference(f, nodes)
     if isinstance(f, WienerAtomic) and nodes.order > 0:
-        if nodes.min_gap < 1e-2 * (1.0 + max(abs(x) for x in nodes)):
+        if nodes.min_gap < WIENER_QUADRATURE_GAP * (1.0 + max(abs(x) for x in nodes)):
             return wiener_divided_difference(f, nodes, _wiener_rule_for(f, nodes))
         return divided_difference_recursive(f, nodes, coincidence_tol)
     if isinstance(f, CallableFunction) and f.max_order >= nodes.order > 0:
         return divided_difference_quadrature(f, nodes)
     return divided_difference_recursive(f, nodes, coincidence_tol)
+
+
+# batched quadrature works in blocks of at most this many (row x point)
+# entries, so peak memory stays that of a single large rule
+QUADRATURE_BLOCK = 2 ** 15
+
+
+def _quadrature_rows(dk, rows, rule: SimplexQuadratureRule) -> np.ndarray:
+    """``sum_q w_q dk(t_q . row)`` for every row, block by block."""
+    out = np.empty(len(rows), dtype=complex)
+    step = max(1, QUADRATURE_BLOCK // rule.weights.size)
+    for start in range(0, len(rows), step):
+        points = rows[start:start + step] @ rule.nodes.T
+        out[start:start + step] = _vector_eval(dk, points) @ rule.weights
+    return out
+
+
+def _wiener_quadrature_rows(f: WienerAtomic, rows) -> np.ndarray:
+    """Frequency-sized simplex quadrature, one rule size at a time."""
+    k = rows.shape[1] - 1
+    dk = f.derivative(k)
+    out = np.empty(len(rows), dtype=complex)
+    points = _wiener_points(f, k, rows[:, -1] - rows[:, 0])
+    for size in np.unique(points):
+        group = points == size
+        out[group] = _quadrature_rows(dk, rows[group], default_rule(k, int(size)))
+    return out
+
+
+def _recursion_rows(f, rows, coincidence_tol) -> np.ndarray:
+    """Difference-quotient table on sorted rows; confluent rows go one by one."""
+    if coincidence_tol is None:
+        tol = COINCIDENCE_TOL_FACTOR * (1.0 + np.abs(rows).max(axis=1))
+    else:
+        tol = np.full(len(rows), float(coincidence_tol))
+    confluent = (np.diff(rows, axis=1) <= tol[:, None]).any(axis=1)
+    out = np.empty(len(rows), dtype=complex)
+    out[confluent] = [divided_difference_recursive(f, row, coincidence_tol)
+                      for row in rows[confluent]]
+    distinct = rows[~confluent]
+    table = _vector_eval(f, distinct)
+    for j in range(1, rows.shape[1]):
+        table = (table[:, 1:] - table[:, :-1]) / (distinct[:, j:] - distinct[:, :-j])
+    out[~confluent] = table[:, 0]
+    return out
+
+
+def _batch_routes(f, rows, coincidence_tol) -> np.ndarray:
+    k = rows.shape[1] - 1
+    if isinstance(f, Polynomial):
+        if k > f.degree:
+            return np.zeros(len(rows), dtype=complex)
+        return np.asarray(_poly_closed_form(f, rows.T, k), dtype=complex)
+    if k == 0:
+        return _vector_eval(f, rows[:, 0])
+    if isinstance(f, WienerAtomic):
+        scale = 1.0 + np.abs(rows).max(axis=1)
+        near = np.diff(rows, axis=1).min(axis=1) < WIENER_QUADRATURE_GAP * scale
+        out = np.empty(len(rows), dtype=complex)
+        out[near] = _wiener_quadrature_rows(f, rows[near])
+        out[~near] = _recursion_rows(f, rows[~near], coincidence_tol)
+        return out
+    if isinstance(f, CallableFunction) and f.max_order >= k:
+        return _quadrature_rows(f.derivative(k), rows, default_rule(k))
+    return np.array([divided_difference(f, row, coincidence_tol) for row in rows],
+                    dtype=complex)
+
+
+def divided_difference_batch(f, nodes, coincidence_tol: float | None = None) -> np.ndarray:
+    """``f^[k]`` on every row of an ``(N, k+1)`` node array.
+
+    Each row takes the route :func:`divided_difference` would pick for it
+    (same thresholds, same rule sizes), evaluated array-wide: closed-form
+    homogeneous sums for polynomials, the difference-quotient table or
+    frequency-sized simplex quadrature for atomic sums, simplex quadrature
+    for functions with k declared derivatives, and a per-row scalar call
+    otherwise.  Divided differences are symmetric in their nodes, so each
+    distinct sorted row is evaluated once and scattered back.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] < 1:
+        raise ValueError(f"expected an (N, k+1) node array, got shape {nodes.shape}")
+    # distinct sorted rows: lexicographic order, then a break at every change
+    nodes = np.sort(nodes, axis=1)
+    order = np.lexsort(nodes.T[::-1])
+    ordered = nodes[order]
+    starts = np.ones(len(nodes), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(nodes), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return _batch_routes(f, ordered[starts], coincidence_tol)[inverse]
 
 
 def divided_difference_product(f, g, nodes) -> complex:

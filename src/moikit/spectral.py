@@ -6,6 +6,8 @@ downstream spectral-projection sums need.  Eigenvalues within
 ``cluster_tol`` are merged into one cluster whose projection is the sum of
 the constituent rank-1 projectors; a scalar function of the matrix is then
 the projection-weighted sum of its values on the distinct eigenvalues.
+Each decomposition also keeps its eigenvectors and the cluster index of
+each one, so operator integrals can be contracted in the eigenbasis.
 
 Decompositions are frozen after construction and safe to share across
 threads; the solver itself runs single-threaded per matrix.
@@ -135,13 +137,18 @@ class SpectralDecomposition:
 
     ``source`` is the decomposed matrix itself (kept so the decomposition
     can be re-validated and so polynomial routes can reuse matrix powers);
-    ``source_norm`` is its operator norm (spectral radius).
+    ``source_norm`` is its operator norm (spectral radius).  ``vectors``
+    holds the unitary of eigenvectors in ascending eigenvalue order and
+    ``labels`` the cluster index of each of its columns; both are ``None``
+    on a decomposition assembled from projections alone.
     """
 
     source: np.ndarray
     source_norm: float
     clusters: tuple[SpectralCluster, ...]
     cluster_tol: float
+    vectors: np.ndarray | None = None
+    labels: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -190,6 +197,8 @@ def hermitian_eigendecompose(A: np.ndarray, cluster_tol: float | None = None,
         source_norm=float(np.max(np.abs(lam))) if n else 0.0,
         clusters=tuple(clusters),
         cluster_tol=float(cluster_tol),
+        vectors=V,
+        labels=np.repeat(np.arange(len(clusters)), [c.multiplicity for c in clusters]),
     )
 
 
