@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Functional calculus through clustered spectral projections.
+"""Functional calculus through clustered eigenvectors.
 
-A Hermitian matrix decomposes into eigenvalue clusters with orthogonal
-projections; a scalar function of the matrix is the projection-weighted
-sum of its values on the distinct eigenvalues.
+A Hermitian matrix decomposes into eigenvectors, each labelled with the
+eigenvalue cluster it belongs to.  The orthogonal projection of a cluster
+is derived from its eigenvectors on demand, and a scalar function of the
+matrix is ``V diag(f(lam)) V*`` with one function value per cluster: the
+projection-weighted sum of its values on the distinct eigenvalues.
 """
 
 import numpy as np
@@ -21,18 +23,20 @@ from moikit.verify import random_hermitian, suite_rng
 flip = np.array([[0.0, 1.0], [1.0, 0.0]])
 decomp = hermitian_eigendecompose(flip)
 print("flip matrix [[0,1],[1,0]]:")
+print(f"  cluster label of each eigenvector: {decomp.labels.tolist()}")
 for cluster in decomp.clusters:
-    print(f"  eigenvalue {cluster.eigenvalue:+.1f}, projection:")
-    print(np.array_str(cluster.projection.real, precision=3))
+    print(f"  eigenvalue {cluster.eigenvalue:+.1f}, projection from its eigenvectors:")
+    print(np.array_str(cluster.projection.real, precision=3, suppress_small=True))
 
 square = functional_calculus(Polynomial([0, 0, 1]), decomp)
 print("flip squared (an involution, so the identity):")
-print(np.array_str(square.real, precision=3))
+print(np.array_str(square.real, precision=3, suppress_small=True))
 
 # --- a degenerate spectrum merges into one cluster -------------------------
 decomp_eye = hermitian_eigendecompose(np.eye(3) * 2.0)
 print(f"\n2*I_3 decomposes into {len(decomp_eye.clusters)} cluster "
-      f"of multiplicity {decomp_eye.clusters[0].multiplicity}")
+      f"of multiplicity {decomp_eye.clusters[0].multiplicity} "
+      f"(labels {decomp_eye.labels.tolist()})")
 
 # --- structural invariants, re-checked numerically --------------------------
 rng = suite_rng(2024, 0)

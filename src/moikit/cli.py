@@ -42,7 +42,7 @@ from .spectral import (
     save_matrix,
     validate_decomposition,
 )
-from .verify import DEFAULT_TOLERANCES
+from .verify import DEFAULT_TOLERANCES, SUITES
 
 logger = logging.getLogger("moikit")
 
@@ -169,6 +169,9 @@ def _build_config(args) -> RunConfig:
                        else data.get("deterministic", True)),
         filter=pick("filter", "filter", None),
     )
+    if cfg.filter and not any(cfg.filter in name for name in SUITES):
+        raise ValueError(f"--filter {cfg.filter!r} matches no suite; "
+                         f"suites: {', '.join(SUITES)}")
     if cfg.command in ("derivative", "remainder") and cfg.order < 1:
         raise ValueError(f"{cfg.command} requires order >= 1, got {cfg.order}")
     for path in ([cfg.function] if cfg.function else []) + cfg.matrices:
@@ -280,7 +283,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _run_suites(cfg: RunConfig, timings: dict):
-    from .verify import SUITES
     for name, suite in SUITES.items():
         if cfg.filter and cfg.filter not in name:
             continue

@@ -22,7 +22,6 @@ from .moi import MoiOperands, MoiSymbol, compositions, moi_evaluate
 from .report import VerificationReport, inequality_check
 from .scalar_functions import Polynomial, WienerAtomic, wiener_iptp_bound
 from .spectral import (
-    SpectralDecomposition,
     functional_calculus,
     hermitian_eigendecompose,
     jacobi_eigh,
@@ -106,19 +105,6 @@ def power_map_derivative(power: int, base: np.ndarray, directions) -> np.ndarray
     return out
 
 
-def _moi_derivative(f, decomp: SpectralDecomposition, directions) -> np.ndarray:
-    k = len(directions)
-    symbol = MoiSymbol.from_function(f, k)
-    decomps = (decomp,) * (k + 1)
-    # every permutation shares the eigenvalue grid: tabulate f^[k] once
-    tensor = symbol.tensor([decomp.eigenvalues] * (k + 1))
-    out = np.zeros((decomp.dimension, decomp.dimension), dtype=complex)
-    for perm in itertools.permutations(range(k)):
-        middles = tuple(directions[i] for i in perm)
-        out += moi_evaluate(symbol, MoiOperands(decomps, middles), tensor=tensor)
-    return out
-
-
 def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
     """Evaluate a k-th Fréchet derivative by the requested strategy.
 
@@ -132,7 +118,14 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
     f, k = request.f, request.order
     if request.strategy == "moi":
         decomp = hermitian_eigendecompose(request.base)
-        return _moi_derivative(f, decomp, request.directions)
+        symbol = MoiSymbol.from_function(f, k)
+        decomps = (decomp,) * (k + 1)
+        # every permutation shares the eigenvalue grid: tabulate f^[k] once
+        tensor = symbol.tensor([decomp.eigenvalues] * (k + 1))
+        out = np.zeros((decomp.dimension, decomp.dimension), dtype=complex)
+        for middles in itertools.permutations(request.directions):
+            out += moi_evaluate(symbol, MoiOperands(decomps, middles), tensor=tensor)
+        return out
     if request.strategy == "power_closed_form":
         if not isinstance(f, Polynomial):
             raise ValueError("power_closed_form requires a polynomial")
@@ -262,8 +255,10 @@ def symmetrize(evaluations) -> np.ndarray:
 def taylor_remainder_direct(f, order: int, base, perturbation) -> np.ndarray:
     """Remainder by definition: subtract the Taylor polynomial of the map.
 
-    ``f(a + b) - f(a) - sum_{j<order} (1/j!) D^j f(a)[b..b]`` with each
-    derivative taken through the spectral-sum formula.
+    ``f(a + b) - f(a) - sum_{j<order} (1/j!) D^j f(a)[b..b]``.  With all j
+    directions equal to ``b``, the j! direction orders of the derivative
+    coincide, so each Taylor term is the single operator integral of
+    ``f^[j]`` at ``a`` with every middle equal to ``b``.
     """
     a = require_hermitian(base)
     b = require_hermitian(perturbation)
@@ -271,7 +266,8 @@ def taylor_remainder_direct(f, order: int, base, perturbation) -> np.ndarray:
     Dab = hermitian_eigendecompose(a + b)
     out = functional_calculus(f, Dab) - functional_calculus(f, Da)
     for j in range(1, order):
-        out -= _moi_derivative(f, Da, (b,) * j) / math.factorial(j)
+        out -= moi_evaluate(MoiSymbol.from_function(f, j),
+                            MoiOperands((Da,) * (j + 1), (b,) * j))
     return out
 
 

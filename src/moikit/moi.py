@@ -203,19 +203,6 @@ class MoiOperands:
                                                for b in middles))
 
 
-def _eigenbasis(decomp: SpectralDecomposition):
-    """Eigenvector unitary and per-column cluster index of a decomposition."""
-    if decomp.vectors is not None:
-        return decomp.vectors, decomp.labels
-    # assembled from projections alone: an orthonormal basis of each range
-    columns, labels = [], []
-    for i, cluster in enumerate(decomp.clusters):
-        _, basis = np.linalg.eigh(cluster.projection)
-        columns.append(basis[:, basis.shape[1] - cluster.multiplicity:])
-        labels += [i] * cluster.multiplicity
-    return np.hstack(columns), np.array(labels)
-
-
 def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     """Contract a symbol tensor against the operands in their eigenbases.
 
@@ -228,10 +215,11 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     """
     k = operands.order
     tensor = np.asarray(tensor, dtype=complex)
-    expected = tuple(len(d.clusters) for d in operands.decomps)
+    expected = tuple(len(d.eigenvalues) for d in operands.decomps)
     if tensor.shape != expected:
         raise DimensionMismatch(f"tensor shape {tensor.shape} != cluster counts {expected}")
-    vectors, labels = zip(*(_eigenbasis(d) for d in operands.decomps))
+    vectors = [d.vectors for d in operands.decomps]
+    labels = [d.labels for d in operands.decomps]
     rotated = [vectors[j].conj().T @ b @ vectors[j + 1]
                for j, b in enumerate(operands.middles)]
     # axes (a_0, a_j, .., a_k): fold in b_1, then sum a_j out against b_{j+1}
@@ -327,13 +315,12 @@ def moi_wiener(f: WienerAtomic, operands: MoiOperands,
         return out
     Q = rule.weights.size
     for xi, c in f.atoms:
-        # slot_factors[j][q] = exp(i t_{q,j} xi A_j), built from the clusters
+        # factors[q] = exp(i t_{q,j} xi A_j) = V_j diag(phases[q, labels_j]) V_j*
         prod = None
         for j, decomp in enumerate(operands.decomps):
-            lam = np.array([cl.eigenvalue for cl in decomp.clusters])
-            projs = np.stack([cl.projection for cl in decomp.clusters])
-            phases = np.exp(1j * xi * np.outer(rule.nodes[:, j], lam))  # (Q, m)
-            factors = np.tensordot(phases, projs, axes=(1, 0))          # (Q, n, n)
+            V = decomp.vectors
+            phases = np.exp(1j * xi * np.outer(rule.nodes[:, j], decomp.eigenvalues))  # (Q, m)
+            factors = (V * phases[:, None, decomp.labels]) @ V.conj().T             # (Q, n, n)
             if prod is None:
                 prod = factors
             else:
@@ -371,29 +358,16 @@ def moi_perturbation(f, A: np.ndarray, B: np.ndarray,
     return report
 
 
-def _power_iteration_opnorm(M: np.ndarray, rng, iters: int = 50) -> float:
-    n = M.shape[0]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    H = M.conj().T @ M
-    for _ in range(iters):
-        w = H @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.sqrt(np.real(np.vdot(v, H @ v))))
-
-
 def moi_opnorm_bound_check(symbol: MoiSymbol, operands: MoiOperands,
                            probes: int = 20, seed: int = 0) -> VerificationReport:
     """Probe the integral's operator norm against the dimension-power bound.
 
-    Maximizes ``||integral[B]||`` over random unit-operator-norm direction
-    tuples (a lower estimate of the true multilinear norm) and requires it
-    to stay below ``n^k * max |symbol|`` over the spectral grid, which the
-    spectral sum can never exceed.  The symbol is tabulated once and every
-    probe is contracted against that tensor.
+    Maximizes the operator norm ``||integral[B]||`` over random direction
+    tuples, each direction scaled to unit operator norm (a lower estimate
+    of the true multilinear norm), and requires it to stay below
+    ``n^k * max |symbol|`` over the spectral grid, which the spectral sum
+    can never exceed.  The symbol is tabulated once and every probe is
+    contracted against that tensor.
     """
     if probes < 1:
         raise ValueError("at least one probe required")
@@ -408,10 +382,9 @@ def moi_opnorm_bound_check(symbol: MoiSymbol, operands: MoiOperands,
         dirs = []
         for _ in range(k):
             G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            norm = _power_iteration_opnorm(G, rng)
-            dirs.append(G / norm if norm > 0 else G)
+            dirs.append(G / np.linalg.norm(G, 2))
         val = moi_evaluate(symbol, operands.with_middles(dirs), tensor=tensor)
-        estimate = max(estimate, _power_iteration_opnorm(val, rng))
+        estimate = max(estimate, float(np.linalg.norm(val, 2)))
 
     report = VerificationReport("spectral-sum-norm-bound")
     report.add(inequality_check(

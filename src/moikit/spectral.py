@@ -2,12 +2,13 @@
 
 The eigensolver is a cyclic Jacobi iteration on the complex Hermitian
 matrix: rotations give uniformly accurate eigenvectors, which is what the
-downstream spectral-projection sums need.  Eigenvalues within
-``cluster_tol`` are merged into one cluster whose projection is the sum of
-the constituent rank-1 projectors; a scalar function of the matrix is then
-the projection-weighted sum of its values on the distinct eigenvalues.
-Each decomposition also keeps its eigenvectors and the cluster index of
-each one, so operator integrals can be contracted in the eigenbasis.
+downstream eigenbasis contractions need.  Eigenvalues within
+``cluster_tol`` of their neighbor are merged into one cluster.  A
+decomposition stores only the unitary of eigenvectors, the cluster index
+of each eigenvector and one eigenvalue per cluster; the orthogonal
+projection of a cluster, the sum of its members' rank-1 projectors, is
+derived on demand.  A scalar function of the matrix is ``V diag(f(lam)) V*``
+with one function value per cluster.
 
 Decompositions are frozen after construction and safe to share across
 threads; the solver itself runs single-threaded per matrix.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,30 +135,42 @@ class SpectralCluster:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered eigenvalues of a Hermitian matrix with orthogonal projections.
+    """Clustered eigenvalues of a Hermitian matrix and its eigenvectors.
 
     ``source`` is the decomposed matrix itself (kept so the decomposition
     can be re-validated and so polynomial routes can reuse matrix powers);
-    ``source_norm`` is its operator norm (spectral radius).  ``vectors``
-    holds the unitary of eigenvectors in ascending eigenvalue order and
-    ``labels`` the cluster index of each of its columns; both are ``None``
-    on a decomposition assembled from projections alone.
+    ``source_norm`` is its operator norm (spectral radius).
+    ``eigenvalues`` holds one value per cluster, the mean of its members,
+    in ascending order; ``vectors`` is the unitary of eigenvectors in
+    ascending eigenvalue order and ``labels`` the cluster index of each of
+    its columns.  ``clusters`` and ``projections`` are derived from
+    ``vectors[:, labels == i]`` on first access.
     """
 
     source: np.ndarray
     source_norm: float
-    clusters: tuple[SpectralCluster, ...]
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    labels: np.ndarray
     cluster_tol: float
-    vectors: np.ndarray | None = None
-    labels: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
         return self.source.shape[0]
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([c.eigenvalue for c in self.clusters])
+    @cached_property
+    def clusters(self) -> tuple[SpectralCluster, ...]:
+        """One cluster per eigenvalue, with the projection onto its eigenvectors."""
+        clusters = []
+        for i, eigenvalue in enumerate(self.eigenvalues):
+            members = self.vectors[:, self.labels == i]
+            proj = members @ members.conj().T
+            clusters.append(SpectralCluster(
+                eigenvalue=float(eigenvalue),
+                projection=0.5 * (proj + proj.conj().T),
+                multiplicity=members.shape[1],
+            ))
+        return tuple(clusters)
 
     @property
     def projections(self) -> list[np.ndarray]:
@@ -166,58 +180,51 @@ class SpectralDecomposition:
 def hermitian_eigendecompose(A: np.ndarray, cluster_tol: float | None = None,
                              hermiticity_tol: float | None = None,
                              max_sweeps: int = JACOBI_SWEEP_BUDGET) -> SpectralDecomposition:
-    """Decompose a Hermitian matrix into clustered spectral projections.
+    """Decompose a Hermitian matrix into eigenvectors labelled by cluster.
 
-    Eigenvalues within ``cluster_tol`` of their neighbor are merged; the
-    default tolerance ``1e-7 * (1 + ||A||_F)`` keeps near-degenerate gaps
-    out of downstream divided-difference quotients (the diagonal derivative
-    form takes over inside a cluster).
+    Consecutive eigenvalues at most ``cluster_tol`` apart share a cluster,
+    so a chain of small gaps merges into one; the default tolerance
+    ``1e-7 * (1 + ||A||_F)`` keeps near-degenerate gaps out of downstream
+    divided-difference quotients (the diagonal derivative form takes over
+    inside a cluster).  Each cluster's eigenvalue is the mean of its
+    members.
     """
     A = require_hermitian(A, hermiticity_tol)
     if cluster_tol is None:
         cluster_tol = 1e-7 * (1.0 + np.linalg.norm(A))
     lam, V = jacobi_eigh(A, max_sweeps=max_sweeps)
-    n = A.shape[0]
-    clusters = []
-    start = 0
-    for i in range(1, n + 1):
-        if i < n and lam[i] - lam[i - 1] <= cluster_tol:
-            continue
-        members = V[:, start:i]
-        proj = members @ members.conj().T
-        proj = 0.5 * (proj + proj.conj().T)
-        clusters.append(SpectralCluster(
-            eigenvalue=float(np.mean(lam[start:i])),
-            projection=proj,
-            multiplicity=i - start,
-        ))
-        start = i
+    labels = np.concatenate(([0], np.cumsum(np.diff(lam) > cluster_tol)))
     return SpectralDecomposition(
         source=A,
-        source_norm=float(np.max(np.abs(lam))) if n else 0.0,
-        clusters=tuple(clusters),
-        cluster_tol=float(cluster_tol),
+        source_norm=float(np.max(np.abs(lam))),
+        eigenvalues=np.bincount(labels, weights=lam) / np.bincount(labels),
         vectors=V,
-        labels=np.repeat(np.arange(len(clusters)), [c.multiplicity for c in clusters]),
+        labels=labels,
+        cluster_tol=float(cluster_tol),
     )
 
 
 def functional_calculus(f, decomposition: SpectralDecomposition) -> np.ndarray:
     """Apply a scalar function to a decomposed Hermitian matrix.
 
-    Returns the projection-weighted sum of the function's values on the
-    distinct eigenvalues; raises :class:`EvaluationDomain` when the
-    function is undefined (or non-finite) at one of them.
+    Evaluates the function once per cluster eigenvalue and returns
+    ``V diag(f(lam)) V*`` with each eigenvector weighted by the value at
+    its cluster; raises :class:`EvaluationDomain` when the function is
+    undefined (or non-finite) at one of the eigenvalues.
     """
-    n = decomposition.dimension
-    out = np.zeros((n, n), dtype=complex)
-    for cluster in decomposition.clusters:
-        out += evaluate_safely(f, cluster.eigenvalue) * cluster.projection
-    return out
+    D = decomposition
+    # Python floats, so that e.g. 1/0 raises instead of warning and returning inf
+    values = np.array([evaluate_safely(f, lam) for lam in D.eigenvalues.tolist()])
+    return (D.vectors * values[D.labels]) @ D.vectors.conj().T
 
 
 def validate_decomposition(decomposition: SpectralDecomposition) -> VerificationReport:
-    """Re-check every structural invariant of a spectral decomposition."""
+    """Re-check every structural invariant of a spectral decomposition.
+
+    The projections checked here are derived from the stored eigenvectors
+    and labels, so non-orthonormal vectors or a wrong labelling show up as
+    failed projection identities.
+    """
     D = decomposition
     n = D.dimension
     report = VerificationReport("spectral-decomposition")

@@ -212,6 +212,12 @@ class TestVerify:
     def test_unknown_tolerance_exits_3(self):
         assert main(["verify", "--tolerance", "nonsense=1"]) == 3
 
+    def test_filter_matching_no_suite_exits_3(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seed", "1", "--filter", "nosuchsuite",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_config_file(self, tmp_path):
         out = tmp_path / "report.json"
         cfg = write_json(tmp_path / "cfg.json",

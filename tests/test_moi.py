@@ -222,6 +222,13 @@ class TestNormBoundCheck:
         assert check.lhs == pytest.approx(1.0, abs=1e-6)  # identity map on B
         assert check.rhs == pytest.approx(4.0)
 
+    def test_probe_is_the_exact_operator_norm(self):
+        # a constant first-order symbol maps each unit-norm direction B to c B
+        ops = operands_for(suite_rng(22, 0), 6, 1)
+        c = -2.5 + 1.0j
+        check = moi_opnorm_bound_check(MoiSymbol.constant(c, 2), ops, probes=5).checks[0]
+        assert check.lhs == pytest.approx(abs(c), rel=1e-13)
+
     def test_square_symbol_on_two_point_spectrum(self):
         D = MoiOperands.from_matrices(
             [np.diag([1.0, 2.0])] * 2, [np.eye(2)])

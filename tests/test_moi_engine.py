@@ -7,7 +7,6 @@ monomial evaluations, on spectra with exact repeats, gaps at the clustering
 threshold, n = 1 and mixed bases.
 """
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -219,14 +218,6 @@ class TestEngineAgainstOracles:
             lam = [b[0, 0] for b in bases]
             expected = divided_difference(f, lam) * np.prod([b[0, 0] for b in middles])
             assert abs(value[0, 0] - expected) < 1e-13 * (1 + abs(expected))
-
-    def test_decomposition_without_eigenvectors(self):
-        # a decomposition assembled from projections alone still contracts
-        ops = mixed_operands(suite_rng(145, 0), 10, 2)
-        bare = MoiOperands(tuple(dataclasses.replace(d, vectors=None, labels=None)
-                                 for d in ops.decomps), ops.middles)
-        symbol = MoiSymbol.from_function(WIENER, 2)
-        assert rel(moi_evaluate(symbol, bare), moi_evaluate(symbol, ops)) < 1e-13
 
 
 class TestSymbolTensor:

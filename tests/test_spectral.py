@@ -11,7 +11,7 @@ from moikit import (
     validate_decomposition,
 )
 from moikit.errors import EvaluationDomain
-from moikit.spectral import SpectralCluster, SpectralDecomposition, jacobi_eigh
+from moikit.spectral import SpectralDecomposition, jacobi_eigh
 from moikit.verify import random_hermitian, suite_rng
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -55,6 +55,19 @@ class TestEigendecompose:
         A = np.diag([1.0, 1.0 + 1e-3, 2.0])
         assert len(hermitian_eigendecompose(A, cluster_tol=1e-6).clusters) == 3
         assert len(hermitian_eigendecompose(A, cluster_tol=1e-2).clusters) == 2
+
+    def test_gap_equal_to_cluster_tol_merges_and_chains(self):
+        decomp = hermitian_eigendecompose(np.diag([1.0, 1.5, 3.0]), cluster_tol=0.5)
+        np.testing.assert_array_equal(decomp.eigenvalues, [1.25, 3.0])
+        np.testing.assert_array_equal(decomp.labels, [0, 0, 1])
+        # two gaps at the tolerance chain into one cluster spanning 1.0
+        chained = hermitian_eigendecompose(np.diag([1.0, 1.5, 2.0]), cluster_tol=0.5)
+        np.testing.assert_array_equal(chained.eigenvalues, [1.5])
+        np.testing.assert_array_equal(chained.labels, [0, 0, 0])
+        np.testing.assert_allclose(chained.projections[0], np.eye(3), atol=1e-12)
+        split = hermitian_eigendecompose(np.diag([1.0, 1.5, 2.0]), cluster_tol=0.4999)
+        np.testing.assert_array_equal(split.eigenvalues, [1.0, 1.5, 2.0])
+        np.testing.assert_array_equal(split.labels, [0, 1, 2])
 
 
 class TestJacobi:
@@ -147,13 +160,14 @@ class TestValidation:
         assert validate_decomposition(hermitian_eigendecompose(A)).passed
 
     def test_deliberate_violation_fails(self):
+        # both eigenvectors are e1, so the two derived projections coincide
+        e1 = np.array([[1.0], [0.0]], dtype=complex)
         bogus = SpectralDecomposition(
             source=np.diag([1.0, 2.0]).astype(complex),
             source_norm=2.0,
-            clusters=(
-                SpectralCluster(1.0, np.eye(2, dtype=complex), 1),
-                SpectralCluster(2.0, np.eye(2, dtype=complex), 1),
-            ),
+            eigenvalues=np.array([1.0, 2.0]),
+            vectors=np.hstack([e1, e1]),
+            labels=np.array([0, 1]),
             cluster_tol=1e-8,
         )
         report = validate_decomposition(bogus)
