@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``eval`` (apply a function to a matrix), ``derivative``,
-``remainder``, ``verify`` (the seeded identity suites), and ``bench``
-(wall-clock timings of representative operations).  Inputs are JSON files
-(matrix and function-spec formats from the core modules); reports are JSON
-with a stable key order, with timings kept outside the deterministic body.
+``remainder`` and ``verify`` (the seeded identity suites).  Inputs are
+JSON files (matrix and function-spec formats from the core modules);
+reports are JSON with a stable key order, with timings kept outside the
+deterministic body.
 
 Exit codes: 0 success, 1 failed checks, 2 violated preconditions
 (e.g. non-Hermitian input), 3 unreadable inputs.
@@ -66,8 +66,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     seed: int = 42
     out: str | None = None
-    threads: int = 1
-    deterministic: bool = True
     filter: str | None = None
 
     def to_dict(self) -> dict:
@@ -81,8 +79,6 @@ class RunConfig:
             "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
             "seed": self.seed,
             "out": self.out,
-            "threads": self.threads,
-            "deterministic": self.deterministic,
             "filter": self.filter,
         }
 
@@ -164,9 +160,6 @@ def _build_config(args) -> RunConfig:
                     **_parse_tolerance(getattr(args, "tolerance", None))},
         seed=int(pick("seed", "seed", 42)),
         out=pick("out", "out", None),
-        threads=int(pick("threads", "threads", 1)),
-        deterministic=(args.deterministic if args.deterministic is not None
-                       else data.get("deterministic", True)),
         filter=pick("filter", "filter", None),
     )
     if cfg.filter and not any(cfg.filter in name for name in SUITES):
@@ -292,38 +285,11 @@ def _run_suites(cfg: RunConfig, timings: dict):
         yield report
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    from .verify import random_hermitian, suite_rng
-    rng = suite_rng(cfg.seed, 99)
-    timings = {}
-    A = random_hermitian(rng, 8)
-    t0 = time.perf_counter()
-    for _ in range(20):
-        hermitian_eigendecompose(A)
-    timings["eigendecompose_8x8_x20"] = time.perf_counter() - t0
-
-    f = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
-    a = random_hermitian(rng, 6, norm=0.8)
-    dirs = tuple(random_hermitian(rng, 6, norm=1.0) for _ in range(2))
-    t0 = time.perf_counter()
-    matrix_function_derivative(DerivativeRequest(f, a, dirs, 2, "moi"))
-    timings["derivative_k2_n6"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    taylor_remainder_integral(f, 2, a, dirs[0], steps=32)
-    timings["remainder_integral_k2_n6"] = time.perf_counter() - t0
-
-    doc = ReportDocument(cfg, timings=timings)
-    _write_report(doc, cfg.out)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "eval": cmd_eval,
     "derivative": cmd_derivative,
     "remainder": cmd_remainder,
     "verify": cmd_verify,
-    "bench": cmd_bench,
 }
 
 
@@ -340,11 +306,6 @@ def _add_common(sub):
                      help="override a named tolerance (repeatable)")
     sub.add_argument("--seed", type=int, help="seed for all randomized suites")
     sub.add_argument("--out", help="output path (matrix or report)")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads (current build computes sequentially)")
-    sub.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                     default=None,
-                     help="ordered reductions (always on in this build)")
     sub.add_argument("--filter", help="run only suites whose name contains this")
 
 

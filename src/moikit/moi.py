@@ -65,44 +65,21 @@ def compositions(total: int, parts: int):
 class MoiSymbol:
     """Symbol of a multiple operator integral.
 
-    ``evaluator`` maps a tuple of k+1 eigenvalues to a complex weight.  A
-    ``separated`` form, when present, is a list of ``(weight, factors)``
-    terms whose per-slot factors recombine to the evaluator pointwise (this
-    is checked on a deterministic sample grid at construction).
+    ``evaluator`` maps a tuple of k+1 eigenvalues to a complex weight.
     ``iptp_bound``, when known, is a certified upper bound on the symbol's
     separated-decomposition cost, used by the Schatten-norm checks.
     ``batch_evaluator``, when present, maps an ``(N, arity)`` node array to
     the N symbol values at once and agrees with ``evaluator`` row by row.
     """
 
-    def __init__(self, arity: int, evaluator, separated=None,
-                 iptp_bound: float | None = None, sample_radius: float = 1.0,
+    def __init__(self, arity: int, evaluator, iptp_bound: float | None = None,
                  batch_evaluator=None):
         if arity < 2:
             raise ArityMismatch("symbol arity must be at least 2 (order k >= 1)")
         self.arity = int(arity)
         self.evaluator = evaluator
         self.batch_evaluator = batch_evaluator
-        self.separated = None if separated is None else [
-            (complex(w), tuple(factors)) for w, factors in separated]
         self.iptp_bound = None if iptp_bound is None else float(iptp_bound)
-        if self.separated is not None:
-            self._check_separated(sample_radius)
-
-    def _check_separated(self, radius):
-        probe = np.linspace(-radius, radius, 3)
-        for lam in itertools.product(probe, repeat=self.arity):
-            direct = complex(self.evaluator(lam))
-            recombined = 0j
-            for w, factors in self.separated:
-                term = w
-                for slot, factor in enumerate(factors):
-                    term *= complex(factor(lam[slot]))
-                recombined += term
-            if abs(direct - recombined) > 1e-9 * (1.0 + abs(direct)):
-                raise ValueError(
-                    f"separated form disagrees with evaluator at {lam}: "
-                    f"{recombined} vs {direct}")
 
     def __call__(self, nodes) -> complex:
         return complex(self.evaluator(tuple(nodes)))
@@ -127,14 +104,11 @@ class MoiSymbol:
     @classmethod
     def constant(cls, value, arity: int) -> "MoiSymbol":
         value = complex(value)
-        ones = tuple(lambda x: 1.0 for _ in range(arity))
-        return cls(arity, lambda lam: value,
-                   separated=[(value, ones)], iptp_bound=abs(value),
+        return cls(arity, lambda lam: value, iptp_bound=abs(value),
                    batch_evaluator=lambda grid: np.full(len(grid), value))
 
     @classmethod
-    def from_function(cls, f, order: int, radius: float | None = None,
-                      coincidence_tol: float | None = None) -> "MoiSymbol":
+    def from_function(cls, f, order: int, radius: float | None = None) -> "MoiSymbol":
         """Divided-difference symbol of a scalar function.
 
         For atomic Fourier sums the certified bound ``moment(k)/k!`` is
@@ -149,18 +123,11 @@ class MoiSymbol:
                 abs(c) * math.comb(n, order) * radius ** (n - order)
                 for n, c in enumerate(f.coeffs) if n >= order)
 
-        def evaluator(lam):
-            return divided_difference(f, lam, coincidence_tol)
-
-        def batch_evaluator(grid):
-            return divided_difference_batch(f, grid, coincidence_tol)
-
-        return cls(order + 1, evaluator, iptp_bound=bound,
-                   batch_evaluator=batch_evaluator)
+        return cls(order + 1, lambda lam: divided_difference(f, lam), iptp_bound=bound,
+                   batch_evaluator=lambda grid: divided_difference_batch(f, grid))
 
     def __repr__(self):
-        sep = "separated" if self.separated is not None else "dense"
-        return f"MoiSymbol(arity={self.arity}, {sep})"
+        return f"MoiSymbol(arity={self.arity})"
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ provided:
 * quadrature of the k-th derivative over the standard simplex, and
 * the Fourier-side formula for finite atomic oscillatory sums.
 
-:func:`divided_difference` picks one of them per node tuple;
-:func:`divided_difference_batch` routes every row of a node array the same
-way, with array-wide arithmetic in place of per-tuple calls.
+:func:`divided_difference_batch` picks one of them per row of a node array
+and evaluates each route array-wide; :func:`divided_difference` is its
+one-tuple form.  The route functions stay callable on their own, as
+independent references for one another.
 
 The module also exposes the computable upper bounds attached to these
 representations: the ``sup |f^(k)| / k!`` bound, moment-based bounds for
@@ -220,13 +221,6 @@ class NodeTuple:
     def order(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def min_gap(self) -> float:
-        """Smallest pairwise distance; inf for a single node, 0 if coincident."""
-        s = sorted(self.nodes)
-        gaps = [abs(b - a) for a, b in zip(s, s[1:])]
-        return min(gaps) if gaps else math.inf
-
     def __iter__(self):
         return iter(self.nodes)
 
@@ -321,10 +315,9 @@ def default_rule(dimension: int, points_per_axis: int = 16) -> SimplexQuadrature
 # divided difference strategies
 # ---------------------------------------------------------------------------
 
-# route thresholds shared by the scalar and the batched dispatcher: nodes
-# within COINCIDENCE_TOL_FACTOR * (1 + max|x|) are confluent for the
-# recursion, and atomic sums leave the recursion for quadrature once a gap
-# falls below WIENER_QUADRATURE_GAP * (1 + max|x|)
+# route thresholds: nodes within COINCIDENCE_TOL_FACTOR * (1 + max|x|) are
+# confluent for the recursion, and atomic sums leave the recursion for
+# quadrature once a gap falls below WIENER_QUADRATURE_GAP * (1 + max|x|)
 COINCIDENCE_TOL_FACTOR = 1e-8
 WIENER_QUADRATURE_GAP = 1e-2
 
@@ -363,15 +356,12 @@ def poly_divided_difference(p: Polynomial, nodes) -> complex:
     return complex(_poly_closed_form(p, nodes.nodes, nodes.order))
 
 
-def _default_coincidence_tol(nodes) -> float:
-    return COINCIDENCE_TOL_FACTOR * (1.0 + max(abs(x) for x in nodes))
-
-
-def divided_difference_recursive(f, nodes, coincidence_tol: float | None = None) -> complex:
+def divided_difference_recursive(f, nodes) -> complex:
     """Difference-quotient recursion with confluent fallback.
 
-    Nodes are sorted and grouped within ``coincidence_tol``; each group is
-    snapped to its mean and the diagonal entries of the recursion table use
+    Nodes are sorted, and a node within ``COINCIDENCE_TOL_FACTOR * (1 +
+    max|x|)`` of its predecessor joins its group; each group is snapped to
+    its mean and the diagonal entries of the recursion table use
     ``f^(j)(x)/j!``, which requires ``f`` to supply derivatives up to one
     less than the largest multiplicity.  Raises :class:`CoincidentNodes`
     when those derivatives are unavailable.
@@ -380,7 +370,7 @@ def divided_difference_recursive(f, nodes, coincidence_tol: float | None = None)
     k = nodes.order
     if k == 0:
         return complex(f(nodes[0]))
-    tol = coincidence_tol if coincidence_tol is not None else _default_coincidence_tol(nodes)
+    tol = COINCIDENCE_TOL_FACTOR * (1.0 + max(abs(x) for x in nodes))
 
     z = sorted(nodes)
     groups: list[list[float]] = [[z[0]]]
@@ -487,33 +477,6 @@ def _wiener_points(f: WienerAtomic, order: int, span):
     return np.minimum(chosen, _MAX_POINTS_BY_ORDER.get(order, 48))
 
 
-def _wiener_rule_for(f: WienerAtomic, nodes: NodeTuple) -> SimplexQuadratureRule:
-    span = max(nodes) - min(nodes)
-    return default_rule(nodes.order, int(_wiener_points(f, nodes.order, span)))
-
-
-def divided_difference(f, nodes, coincidence_tol: float | None = None) -> complex:
-    """Evaluate ``f^[k]`` by the best strategy for the function's type.
-
-    Polynomials use the exact closed form (stable at any node spacing).
-    Atomic Fourier sums use the recursion on well-separated tuples and
-    switch to frequency-sized simplex quadrature when any gap is small:
-    the difference-quotient table loses a digit per order of gap shrinkage
-    while the quadrature error is gap-independent.  Black-box functions use
-    quadrature when enough derivatives are declared, else the recursion.
-    """
-    nodes = _as_nodes(nodes)
-    if isinstance(f, Polynomial):
-        return poly_divided_difference(f, nodes)
-    if isinstance(f, WienerAtomic) and nodes.order > 0:
-        if nodes.min_gap < WIENER_QUADRATURE_GAP * (1.0 + max(abs(x) for x in nodes)):
-            return wiener_divided_difference(f, nodes, _wiener_rule_for(f, nodes))
-        return divided_difference_recursive(f, nodes, coincidence_tol)
-    if isinstance(f, CallableFunction) and f.max_order >= nodes.order > 0:
-        return divided_difference_quadrature(f, nodes)
-    return divided_difference_recursive(f, nodes, coincidence_tol)
-
-
 # batched quadrature works in blocks of at most this many (row x point)
 # entries, so peak memory stays that of a single large rule
 QUADRATURE_BLOCK = 2 ** 15
@@ -541,16 +504,12 @@ def _wiener_quadrature_rows(f: WienerAtomic, rows) -> np.ndarray:
     return out
 
 
-def _recursion_rows(f, rows, coincidence_tol) -> np.ndarray:
+def _recursion_rows(f, rows) -> np.ndarray:
     """Difference-quotient table on sorted rows; confluent rows go one by one."""
-    if coincidence_tol is None:
-        tol = COINCIDENCE_TOL_FACTOR * (1.0 + np.abs(rows).max(axis=1))
-    else:
-        tol = np.full(len(rows), float(coincidence_tol))
+    tol = COINCIDENCE_TOL_FACTOR * (1.0 + np.abs(rows).max(axis=1))
     confluent = (np.diff(rows, axis=1) <= tol[:, None]).any(axis=1)
     out = np.empty(len(rows), dtype=complex)
-    out[confluent] = [divided_difference_recursive(f, row, coincidence_tol)
-                      for row in rows[confluent]]
+    out[confluent] = [divided_difference_recursive(f, row) for row in rows[confluent]]
     distinct = rows[~confluent]
     table = _vector_eval(f, distinct)
     for j in range(1, rows.shape[1]):
@@ -559,7 +518,7 @@ def _recursion_rows(f, rows, coincidence_tol) -> np.ndarray:
     return out
 
 
-def _batch_routes(f, rows, coincidence_tol) -> np.ndarray:
+def _batch_routes(f, rows) -> np.ndarray:
     k = rows.shape[1] - 1
     if isinstance(f, Polynomial):
         if k > f.degree:
@@ -572,24 +531,27 @@ def _batch_routes(f, rows, coincidence_tol) -> np.ndarray:
         near = np.diff(rows, axis=1).min(axis=1) < WIENER_QUADRATURE_GAP * scale
         out = np.empty(len(rows), dtype=complex)
         out[near] = _wiener_quadrature_rows(f, rows[near])
-        out[~near] = _recursion_rows(f, rows[~near], coincidence_tol)
+        out[~near] = _recursion_rows(f, rows[~near])
         return out
     if isinstance(f, CallableFunction) and f.max_order >= k:
         return _quadrature_rows(f.derivative(k), rows, default_rule(k))
-    return np.array([divided_difference(f, row, coincidence_tol) for row in rows],
-                    dtype=complex)
+    return _recursion_rows(f, rows)
 
 
-def divided_difference_batch(f, nodes, coincidence_tol: float | None = None) -> np.ndarray:
+def divided_difference_batch(f, nodes) -> np.ndarray:
     """``f^[k]`` on every row of an ``(N, k+1)`` node array.
 
-    Each row takes the route :func:`divided_difference` would pick for it
-    (same thresholds, same rule sizes), evaluated array-wide: closed-form
-    homogeneous sums for polynomials, the difference-quotient table or
-    frequency-sized simplex quadrature for atomic sums, simplex quadrature
-    for functions with k declared derivatives, and a per-row scalar call
-    otherwise.  Divided differences are symmetric in their nodes, so each
-    distinct sorted row is evaluated once and scattered back.
+    The route depends on the function's type and is evaluated array-wide.
+    Polynomials use the exact closed form (homogeneous sums, stable at any
+    node spacing).  Atomic Fourier sums use the difference-quotient table on
+    well-separated rows and switch to frequency-sized simplex quadrature
+    when any gap is below ``WIENER_QUADRATURE_GAP * (1 + max|x|)``: the
+    table loses a digit per order of gap shrinkage while the quadrature
+    error is gap-independent.  Functions with k declared derivatives use
+    simplex quadrature of ``f^(k)``; any other function uses the table,
+    whose confluent rows take the recursion with its derivative fallback.
+    Divided differences are symmetric in their nodes, so each distinct
+    sorted row is evaluated once and scattered back.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] < 1:
@@ -602,7 +564,12 @@ def divided_difference_batch(f, nodes, coincidence_tol: float | None = None) -> 
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inverse = np.empty(len(nodes), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    return _batch_routes(f, ordered[starts], coincidence_tol)[inverse]
+    return _batch_routes(f, ordered[starts])[inverse]
+
+
+def divided_difference(f, nodes) -> complex:
+    """``f^[k]`` at one node tuple, by the route of :func:`divided_difference_batch`."""
+    return complex(divided_difference_batch(f, [list(nodes)])[0])
 
 
 def divided_difference_product(f, g, nodes) -> complex:

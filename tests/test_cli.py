@@ -224,11 +224,3 @@ class TestVerify:
                          {"seed": 3, "filter": "truncation", "out": str(out)})
         assert main(["verify", "--config", cfg]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == 3
-
-
-class TestBench:
-    def test_bench_writes_timings(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--seed", "1", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["timings_seconds"]

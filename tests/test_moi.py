@@ -15,7 +15,12 @@ from moikit import (
     moi_separated,
     moi_wiener,
 )
-from moikit.verify import random_hermitian, random_hermitian_pair, suite_rng
+from moikit.verify import (
+    random_hermitian,
+    random_hermitian_pair,
+    suite_rng,
+    verify_norm_bound,
+)
 
 COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
 
@@ -122,11 +127,6 @@ class TestSeparated:
         A1, A2 = ops.decomps[0].source, ops.decomps[1].source
         np.testing.assert_allclose(
             separated, A1 @ ops.middles[0] + ops.middles[0] @ A2, atol=1e-9)
-
-    def test_separated_form_validated_at_construction(self):
-        with pytest.raises(ValueError):
-            MoiSymbol(2, lambda lam: lam[0] * lam[1],
-                      separated=[(1.0, (lambda x: x, lambda x: 1.0))])
 
 
 class TestMoiPolynomial:
@@ -246,6 +246,15 @@ class TestNormBoundCheck:
         report = moi_opnorm_bound_check(MoiSymbol.constant(0.0, 3), ops, probes=3)
         assert report.passed
         assert report.checks[0].lhs == 0.0
+
+    def test_verify_row_shows_the_margin_of_nonzero_bounds(self):
+        # seed 42 draws three polynomials of degree below k (bound 0, probe
+        # 0); they get their own row, so the bound row reads a true margin
+        bound_row, vanishing_row = verify_norm_bound(42).checks
+        assert bound_row.name == "probe estimate vs n^k bound (97 cases)"
+        assert bound_row.lhs < 0
+        assert vanishing_row.name == "vanishing symbol gives a zero integral (3 cases)"
+        assert vanishing_row.lhs == 0.0 and vanishing_row.passed
 
 
 class TestOperandValidation:

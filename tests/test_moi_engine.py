@@ -1,10 +1,10 @@
 """The eigenbasis MOI engine against the scalar routes and the oracle routes.
 
-The batched divided difference must agree with the scalar dispatcher row by
-row on every route, and the contracted integral must agree with the
-projection-sandwich sum it replaces and with the separated, oscillatory and
-monomial evaluations, on spectra with exact repeats, gaps at the clustering
-threshold, n = 1 and mixed bases.
+The batched divided difference must agree row by row with the scalar route
+function that each row is routed to, and the contracted integral must agree
+with the projection-sandwich sum it replaces and with the separated,
+oscillatory and monomial evaluations, on spectra with exact repeats, gaps at
+the clustering threshold, n = 1 and mixed bases.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from moikit import (
+    CallableFunction,
     DerivativeRequest,
     MoiOperands,
     MoiSymbol,
@@ -21,15 +22,19 @@ from moikit import (
     builtin_function,
     divided_difference,
     divided_difference_batch,
+    divided_difference_quadrature,
+    divided_difference_recursive,
     matrix_function_derivative,
     moi_evaluate,
     moi_polynomial,
     moi_separated,
     moi_wiener,
+    poly_divided_difference,
+    wiener_divided_difference,
 )
 from moikit import scalar_functions
-from moikit.errors import DimensionMismatch
-from moikit.scalar_functions import WIENER_QUADRATURE_GAP
+from moikit.errors import CoincidentNodes, DimensionMismatch
+from moikit.scalar_functions import COINCIDENCE_TOL_FACTOR, WIENER_QUADRATURE_GAP, default_rule
 from moikit.verify import random_hermitian, suite_rng
 
 WIENER = WienerAtomic([(1.0, 0.5), (-1.0, 0.5), (2.3, 0.2 - 0.1j)])
@@ -47,13 +52,26 @@ def scaled(a, b):
     return np.abs(np.asarray(a) - np.asarray(b)) / (1.0 + np.abs(np.asarray(b)))
 
 
-# a user coincidence tolerance well above the default, merging node pairs
-# that the default would keep apart
-USER_TOL = 0.012
+def route_reference(route, f, row):
+    """The scalar route function that ``row`` must be sent to, evaluated there."""
+    k = len(row) - 1
+    if route == "closed_form":
+        return poly_divided_difference(f, row)
+    if k == 0:
+        return divided_difference_recursive(f, row)
+    if route == "wiener":
+        s = np.sort(row)
+        if np.diff(s).min() < WIENER_QUADRATURE_GAP * (1.0 + np.abs(s).max()):
+            points = scalar_functions._wiener_points(f, k, s[-1] - s[0])
+            return wiener_divided_difference(f, row, default_rule(k, int(points)))
+        return divided_difference_recursive(f, row)
+    if f.max_order >= k:
+        return divided_difference_quadrature(f, row)
+    return divided_difference_recursive(f, row)
 
 
 def node_rows(rng, k):
-    """Random rows, exact repeats, a pair within USER_TOL, rows at the Wiener gap."""
+    """Random rows, exact repeats, a near-coincident pair, rows at the Wiener gap."""
     rows = list(rng.uniform(-1.5, 1.5, (6, k + 1)))
     for row in rows[:3]:
         # at most three equal nodes: the recursion route has two derivatives
@@ -61,8 +79,10 @@ def node_rows(rng, k):
         repeated[:3] = row[0]
         rows.append(repeated)
     if k:
+        # two nodes half the default coincidence tolerance apart: the
+        # recursion snaps them
         merged = 0.1 + 0.5 * np.arange(k + 1)
-        merged[1] = merged[0] + 0.5 * USER_TOL
+        merged[0] = merged[1] - 0.5 * COINCIDENCE_TOL_FACTOR * (1.0 + np.abs(merged).max())
         rows.append(merged)
         for x0 in (0.3, -1.2):
             for side in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
@@ -75,52 +95,43 @@ def node_rows(rng, k):
 class TestBatchedDividedDifference:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("k", range(5))
-    @pytest.mark.parametrize("coincidence_tol", [None, USER_TOL])
-    def test_matches_scalar_dispatcher(self, route, k, coincidence_tol):
+    def test_matches_the_route_function(self, route, k):
         f = ROUTES[route]
         rows = node_rows(suite_rng(90 + k, 0), k)
-        batch = divided_difference_batch(f, rows, coincidence_tol)
-        scalar = [divided_difference(f, row, coincidence_tol) for row in rows]
+        batch = divided_difference_batch(f, rows)
+        reference = [route_reference(route, f, row) for row in rows]
         assert batch.shape == (len(rows),)
-        assert scaled(batch, scalar).max() < 1e-13
+        assert scaled(batch, reference).max() < 1e-13
 
-    def test_wiener_threshold_rows_take_the_scalar_route(self, monkeypatch):
+    def test_wiener_quadrature_only_below_the_gap(self, monkeypatch):
         # at the threshold the two routes agree to ~1e-14, so values cannot
-        # tell them apart: record which rows each dispatcher sends to quadrature
+        # tell them apart: record which rows the dispatcher sends to quadrature
         t = WIENER_QUADRATURE_GAP * 2.0      # (1 + max|x|) = 2 on these rows
         rows = np.array([[0.0, np.nextafter(t, 0.0), 1.0], [0.0, t, 1.0],
                          [0.0, np.nextafter(t, 1.0), 1.0]])
-        scalar_quad, batch_quad = [], []
-        scalar_route = scalar_functions.wiener_divided_difference
-        batch_route = scalar_functions._wiener_quadrature_rows
-        monkeypatch.setattr(scalar_functions, "wiener_divided_difference",
-                            lambda f, nodes, rule=None: scalar_quad.append(tuple(nodes))
-                            or scalar_route(f, nodes, rule))
+        sent = []
+        route = scalar_functions._wiener_quadrature_rows
         monkeypatch.setattr(scalar_functions, "_wiener_quadrature_rows",
-                            lambda f, r: batch_quad.extend(map(tuple, r))
-                            or batch_route(f, r))
+                            lambda f, r: sent.extend(map(tuple, r)) or route(f, r))
+        divided_difference_batch(WIENER, rows)
+        assert sent == [tuple(rows[0])]
+        sent.clear()
         for row in rows:
             divided_difference(WIENER, row)
-        divided_difference_batch(WIENER, rows)
-        assert batch_quad == scalar_quad == [tuple(rows[0])]
-
-    def test_wiener_recursion_with_merging_tolerance(self):
-        # gaps above the quadrature threshold but within the user tolerance:
-        # the recursion snaps them and uses derivatives at the merged nodes
-        rows = np.array([[0.0, 0.15, 0.9], [-0.4, -0.1, 0.6], [0.2, 0.5, 1.4]])
-        batch = divided_difference_batch(WIENER, rows, 0.35)
-        scalar = [divided_difference(WIENER, row, 0.35) for row in rows]
-        assert scaled(batch, scalar).max() < 1e-13
-        assert scaled(batch, divided_difference_batch(WIENER, rows)).max() > 1e-3
+        assert sent == [tuple(rows[0])]
 
     def test_generic_callable_per_row(self):
+        # no declared derivatives: every row takes the recursion
         def f(x):
             return np.sin(x) ** 2
 
         rows = suite_rng(95, 0).uniform(-1, 1, (7, 3))
         batch = divided_difference_batch(f, rows)
-        scalar = [divided_difference(f, row) for row in rows]
-        assert scaled(batch, scalar).max() < 1e-13
+        recursion = [divided_difference_recursive(f, row) for row in rows]
+        assert scaled(batch, recursion).max() < 1e-13
+        # a repeated node needs the derivative that the recursion cannot get
+        with pytest.raises(CoincidentNodes):
+            divided_difference_batch(CallableFunction(np.exp), [[0.2, 0.2, 0.5]])
 
     def test_symmetric_rows_share_one_value(self):
         rows = np.array([[0.1, 0.7, -0.4], [0.7, -0.4, 0.1], [-0.4, 0.1, 0.7]])

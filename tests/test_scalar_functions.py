@@ -302,10 +302,3 @@ class TestSpecFormat:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             function_from_spec({"kind": "mystery"})
-
-
-class TestNodeTuple:
-    def test_min_gap(self):
-        assert NodeTuple([1.0, 1.5, 3.0]).min_gap == pytest.approx(0.5)
-        assert NodeTuple([2.0, 2.0]).min_gap == 0
-        assert math.isinf(NodeTuple([1.0]).min_gap)
