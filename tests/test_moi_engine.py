@@ -70,6 +70,23 @@ def route_reference(route, f, row):
     return divided_difference_recursive(f, row)
 
 
+# a merge width well above the default coincidence tolerance: rows whose
+# nodes the caller has merged to exact repeats before asking for f^[k]
+MERGE_WIDTH = 0.012
+
+
+def merge_within(row, width):
+    """Sort ``row`` and snap each run of nodes at most ``width`` apart to its mean."""
+    z = np.sort(row)
+    groups = [[z[0]]]
+    for x in z[1:]:
+        if x - groups[-1][-1] <= width:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    return np.concatenate([np.full(len(g), np.mean(g)) for g in groups])
+
+
 def node_rows(rng, k):
     """Random rows, exact repeats, a near-coincident pair, rows at the Wiener gap."""
     rows = list(rng.uniform(-1.5, 1.5, (6, k + 1)))
@@ -95,13 +112,20 @@ def node_rows(rng, k):
 class TestBatchedDividedDifference:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("k", range(5))
-    def test_matches_the_route_function(self, route, k):
+    @pytest.mark.parametrize("merge_width", [None, MERGE_WIDTH])
+    def test_matches_scalar_dispatcher(self, route, k, merge_width):
+        # each row must match the route function it is sent to, and the
+        # scalar dispatcher, which evaluates it alone in a batch of one
         f = ROUTES[route]
         rows = node_rows(suite_rng(90 + k, 0), k)
+        if merge_width is not None:
+            rows = np.array([merge_within(row, merge_width) for row in rows])
         batch = divided_difference_batch(f, rows)
         reference = [route_reference(route, f, row) for row in rows]
+        scalar = [divided_difference(f, row) for row in rows]
         assert batch.shape == (len(rows),)
         assert scaled(batch, reference).max() < 1e-13
+        assert scaled(batch, scalar).max() < 1e-13
 
     def test_wiener_quadrature_only_below_the_gap(self, monkeypatch):
         # at the threshold the two routes agree to ~1e-14, so values cannot
