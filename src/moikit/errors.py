@@ -18,7 +18,7 @@ class NotHermitian(MoikitError):
 
 
 class ConvergenceFailure(MoikitError):
-    """The iterative eigensolver exceeded its sweep budget."""
+    """An eigensolver did not converge: LAPACK failed, or Jacobi ran out of sweeps."""
 
 
 class EvaluationDomain(MoikitError):

@@ -17,10 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .errors import DimensionMismatch, HolderMismatch, InvalidP, MissingPermutation
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    HolderMismatch,
+    InvalidP,
+    MissingPermutation,
+)
 from .moi import MoiOperands, MoiSymbol, compositions, moi_evaluate
 from .report import VerificationReport, inequality_check
-from .scalar_functions import Polynomial, WienerAtomic, wiener_iptp_bound
+from .scalar_functions import Polynomial, WienerAtomic, evaluate_safely, wiener_iptp_bound
 from .spectral import (
     functional_calculus,
     hermitian_eigendecompose,
@@ -143,12 +149,14 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fd_stencil(f, base, directions, h):
+    # Jacobi, not LAPACK: the oracle shares no eigensolver with the integrals
     k = len(directions)
     out = np.zeros_like(base, dtype=complex)
     for signs in itertools.product((-1.0, 1.0), repeat=k):
         X = base + h * sum(s * b for s, b in zip(signs, directions))
-        decomp = hermitian_eigendecompose(X)
-        out += math.prod(signs) * functional_calculus(f, decomp)
+        lam, V = jacobi_eigh(X)
+        values = np.array([evaluate_safely(f, x) for x in lam.tolist()])
+        out += math.prod(signs) * ((V * values) @ V.conj().T)
     return out / (2.0 * h) ** k
 
 
@@ -331,17 +339,18 @@ class SchattenSpec:
 def schatten_norm(M: np.ndarray, p) -> float:
     """l^p norm of the singular values; p = inf gives the operator norm.
 
-    Singular values are square roots of the eigenvalues of ``M* M``,
-    computed with the same Jacobi solver used everywhere else.
+    The singular values come from LAPACK's SVD of ``M`` itself, so each
+    is accurate to rounding relative to the largest; going through the
+    eigenvalues of ``M* M`` would square the condition number and lose the
+    singular values below ``sqrt(eps)`` times the largest.
     """
     p = p.p if isinstance(p, SchattenSpec) else float(p)
     if math.isnan(p) or p < 1.0:
         raise InvalidP(f"Schatten exponent must be in [1, inf], got {p}")
-    M = np.asarray(M, dtype=complex)
-    gram = M.conj().T @ M
-    gram = 0.5 * (gram + gram.conj().T)
-    eigs, _ = jacobi_eigh(gram)
-    sigma = np.sqrt(np.clip(eigs, 0.0, None))
+    try:
+        sigma = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK SVD failed: {exc}") from exc
     if math.isinf(p):
         return float(sigma.max()) if sigma.size else 0.0
     return float(np.sum(sigma ** p) ** (1.0 / p))

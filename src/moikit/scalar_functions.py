@@ -202,8 +202,12 @@ class CallableFunction:
 
 
 def _derivative_or_none(f, order):
+    """``f.derivative(order)``, or None for a plain callable or too few derivatives."""
+    derivative = getattr(f, "derivative", None)
+    if derivative is None:
+        return None
     try:
-        return f.derivative(order)
+        return derivative(order)
     except InsufficientDerivatives:
         return None
 

@@ -39,7 +39,7 @@ from .scalar_functions import (
     poly_divided_difference,
     wiener_taylor_truncate,
 )
-from .spectral import hermitian_eigendecompose, validate_decomposition
+from .spectral import hermitian_eigendecompose, jacobi_eigh, validate_decomposition
 
 __all__ = ["DEFAULT_TOLERANCES", "SUITES", "run_all", "suite_rng",
            "random_hermitian", "random_hermitian_pair"]
@@ -231,11 +231,13 @@ def verify_quadrature(seed: int, tolerances=None, cases_per_function: int = 20):
 
 
 def verify_spectral(seed: int, tolerances=None, cases: int = 200):
-    """Eigendecomposition invariants on random Hermitian matrices."""
+    """Eigendecomposition invariants on random Hermitian matrices, and the
+    LAPACK eigenvalues against the Jacobi oracle."""
     tols = _tols(tolerances)
     rng = suite_rng(seed, 3)
     report = VerificationReport("spectral-decomposition")
     worst_recon = 0.0
+    worst_jacobi = 0.0
     all_valid = True
     for _ in range(cases):
         n = int(rng.integers(1, 13))
@@ -246,11 +248,18 @@ def verify_spectral(seed: int, tolerances=None, cases: int = 200):
         denom = np.linalg.norm(A)
         if denom > 0:
             worst_recon = max(worst_recon, float(np.linalg.norm(A - recon)) / denom)
+        jacobi = jacobi_eigh(decomp.source)[0]
+        gap = np.max(np.abs(decomp.eigenvalues[decomp.labels] - jacobi))
+        worst_jacobi = max(worst_jacobi, float(gap) / (1.0 + denom))
         all_valid = all_valid and validate_decomposition(decomp).passed
     report.add(equality_check(
         f"reconstruction ({cases} cases, n <= 12)",
         "eigenvalue-weighted projections reconstruct the matrix",
         residual=worst_recon, tolerance=tols["reconstruction"]))
+    report.add(equality_check(
+        f"eigenvalues vs Jacobi ({cases} cases, n <= 12)",
+        "LAPACK eigenvalues agree with the cyclic Jacobi oracle, relative to 1 + ||A||_F",
+        residual=worst_jacobi, tolerance=tols["reconstruction"]))
     report.add(equality_check(
         "structural invariants",
         "projections resolve the identity and are orthogonal idempotents",

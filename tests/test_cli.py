@@ -58,6 +58,14 @@ class TestEval:
         mat = matrix_file(tmp_path, "bad.json", [[0.0, 1.0], [0.0, 0.0]])
         assert main(["eval", "--function", square_fn, "--matrix", mat]) == 2
 
+    def test_eigensolver_failure_exits_2(self, tmp_path, square_fn, monkeypatch):
+        def no_convergence(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        mat = matrix_file(tmp_path, "a.json", np.diag([1.0, 2.0]))
+        assert main(["eval", "--function", square_fn, "--matrix", mat]) == 2
+
     def test_unparsable_matrix_exits_3(self, tmp_path, square_fn):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moikit import (
+    ConvergenceFailure,
     DerivativeRequest,
     HolderMismatch,
     InvalidP,
@@ -250,6 +251,22 @@ class TestSchattenNorm:
 
     def test_spec_object_accepted(self):
         assert schatten_norm(np.eye(2), SchattenSpec(2.0)) == pytest.approx(np.sqrt(2))
+
+    def test_trace_norm_keeps_a_tiny_singular_value(self):
+        # through the eigenvalues of M* M, sigma = 1e-9 drowns in rounding of 1
+        rng = suite_rng(51, 0)
+        U, W = (np.linalg.qr(rng.standard_normal((2, 2))
+                             + 1j * rng.standard_normal((2, 2)))[0] for _ in range(2))
+        M = U @ np.diag([1.0, 1e-9]) @ W.conj().T
+        assert schatten_norm(M, 1) == pytest.approx(1.0 + 1e-9, rel=1e-12)
+
+    def test_lapack_failure_is_a_convergence_failure(self, monkeypatch):
+        def no_convergence(M, compute_uv):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(ConvergenceFailure):
+            schatten_norm(np.eye(2), 1)
 
     def test_unitary_invariance(self):
         rng = suite_rng(50, 0)

@@ -7,6 +7,7 @@ oscillatory and monomial evaluations, on spectra with exact repeats, gaps at
 the clustering threshold, n = 1 and mixed bases.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -191,11 +192,17 @@ def projection_sum(symbol, operands):
     return out
 
 
-def mixed_operands(rng, n, k, cluster_tol=1e-8):
-    """Slots with exact repeats, a pair at cluster_tol, distinct values, one cluster."""
+def mixed_operands(rng, n, k, cluster_tol=1e-8, pair=1.0):
+    """Slots with exact repeats, a pair ``pair * cluster_tol`` apart, distinct
+    values, one cluster.
+
+    At ``pair = 1`` the computed gap is a few ulps on either side of
+    ``cluster_tol``, so whether the pair merges depends on the eigensolver's
+    rounding; ``pair = 2`` keeps it split and ``pair = 0.5`` merges it.
+    """
     spectra = [
         np.repeat([-1.0, 0.25, 1.5], [n // 2, n // 4, n - n // 2 - n // 4]),
-        np.concatenate([[0.1, 0.1 + cluster_tol, 0.1 + 2.5 * cluster_tol],
+        np.concatenate([[0.1, 0.1 + pair * cluster_tol, 0.1 + (pair + 1.5) * cluster_tol],
                         np.linspace(0.5, 1.8, n - 3)]),
         np.sort(rng.uniform(-1.5, 1.5, n)),
         np.full(n, 0.7),
@@ -220,10 +227,27 @@ class TestEngineAgainstOracles:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_polynomial_oracle(self, k):
-        ops = mixed_operands(suite_rng(110 + k, 0), 16, k)
+        # a split pair 2 * cluster_tol apart: the divided differences resolve it
+        ops = mixed_operands(suite_rng(110 + k, 0), 16, k, pair=2.0)
+        assert len(ops.decomps[1].eigenvalues) == 16
         for power in (k, k + 2, 6):
             symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
             assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, ops)) < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_merged_pair_is_exact_for_the_represented_matrices(self, k):
+        # a pair half a cluster_tol apart merges into its mean; the integral is
+        # then exact for V diag(eigenvalues[labels]) V*, not for the source
+        ops = mixed_operands(suite_rng(115 + k, 0), 16, k, pair=0.5)
+        merged = ops.decomps[1]
+        assert len(merged.eigenvalues) == 15 and merged.clusters[0].multiplicity == 2
+        represented = MoiOperands(tuple(
+            dataclasses.replace(d, source=(d.vectors * d.eigenvalues[d.labels])
+                                @ d.vectors.conj().T)
+            for d in ops.decomps), ops.middles)
+        for power in (k, k + 2, 6):
+            symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
+            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, represented)) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_wiener_oracle(self, k):

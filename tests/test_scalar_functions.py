@@ -13,6 +13,7 @@ from moikit import (
     WienerAtomic,
     builtin_function,
     divided_difference,
+    divided_difference_batch,
     divided_difference_product,
     divided_difference_quadrature,
     divided_difference_recursive,
@@ -86,6 +87,19 @@ class TestRecursion:
         f = CallableFunction(np.exp)  # no derivative evaluators
         with pytest.raises(CoincidentNodes):
             divided_difference_recursive(f, [1.0, 1.0])
+
+    def test_plain_callable_at_repeated_nodes_raises(self):
+        def f(x):  # a bare callable: no derivative attribute at all
+            return np.sin(x) ** 2
+
+        with pytest.raises(CoincidentNodes):
+            divided_difference_batch(f, [[0.2, 0.2, 0.5]])
+        with pytest.raises(CoincidentNodes):
+            divided_difference(f, [0.2, 0.5, 0.2])
+        with pytest.raises(CoincidentNodes):
+            divided_difference_recursive(f, [0.2, 0.2])
+        expected = (np.sin(0.5) ** 2 - np.sin(0.2) ** 2) / 0.3
+        assert divided_difference(f, [0.2, 0.5]) == pytest.approx(expected, rel=1e-12)
 
     def test_symmetry(self):
         p = Polynomial([0.3, -1, 2, 0.5])

@@ -10,7 +10,7 @@ from moikit import (
     matrix_to_dict,
     validate_decomposition,
 )
-from moikit.errors import EvaluationDomain
+from moikit.errors import ConvergenceFailure, EvaluationDomain
 from moikit.spectral import SpectralDecomposition, jacobi_eigh
 from moikit.verify import random_hermitian, suite_rng
 
@@ -45,6 +45,14 @@ class TestEigendecompose:
             hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotHermitian):
             hermitian_eigendecompose(np.array([[np.nan, 0], [0, 1.0]]))
+
+    def test_lapack_failure_is_a_convergence_failure(self, monkeypatch):
+        def no_convergence(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(ConvergenceFailure):
+            hermitian_eigendecompose(np.eye(2))
 
     def test_near_degenerate_pair_merges(self):
         A = np.diag([1.0, 1.0 + 1e-12, 2.0])
