@@ -18,7 +18,6 @@ from .errors import (
     HolderMismatch,
     InsufficientDerivatives,
     InvalidP,
-    MissingPermutation,
     MoikitError,
     NotHermitian,
 )
@@ -31,7 +30,6 @@ from .frechet import (
     power_map_derivative,
     remainder_schatten_check,
     schatten_norm,
-    symmetrize,
     taylor_remainder_direct,
     taylor_remainder_integral,
     taylor_remainder_moi,
@@ -58,17 +56,14 @@ from .scalar_functions import (
     builtin_function,
     divided_difference,
     divided_difference_batch,
-    divided_difference_product,
     divided_difference_quadrature,
     divided_difference_recursive,
     divided_difference_sup_bound,
     function_from_spec,
     load_function,
     poly_divided_difference,
-    poly_iptp_bound,
     wiener_divided_difference,
     wiener_iptp_bound,
-    wiener_moment,
     wiener_taylor_truncate,
 )
 from .spectral import (

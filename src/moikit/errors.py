@@ -33,10 +33,6 @@ class DimensionMismatch(MoikitError):
     """Operand matrices do not share a common dimension."""
 
 
-class MissingPermutation(MoikitError):
-    """A symmetrization was requested without all permutation evaluations."""
-
-
 class InvalidP(MoikitError):
     """Schatten exponent outside [1, inf]."""
 

@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     HolderMismatch,
     InvalidP,
-    MissingPermutation,
 )
 from .moi import MoiOperands, MoiSymbol, compositions, moi_evaluate
 from .report import VerificationReport, inequality_check
@@ -40,7 +39,6 @@ __all__ = [
     "power_map_derivative",
     "matrix_function_derivative",
     "finite_difference_derivative",
-    "symmetrize",
     "taylor_remainder_direct",
     "taylor_remainder_moi",
     "taylor_remainder_integral",
@@ -161,22 +159,11 @@ def _fd_stencil(f, base, directions, h):
 
 
 def _to_mp_matrix(A):
-    n = A.shape[0]
-    M = mp.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = mp.mpc(A[i, j].real, A[i, j].imag)
-    return M
+    return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in A])
 
 
 def _from_mp_matrix(M):
-    n = M.rows
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            v = M[i, j]
-            out[i, j] = complex(v.real, v.imag)
-    return out
+    return np.array(M.tolist(), dtype=complex)
 
 
 def _fd_stencil_mp(f, base, directions, h):
@@ -232,28 +219,6 @@ def finite_difference_derivative(f, base, directions, step: float = 1e-4,
             return coarse
         fine = _fd_stencil(f, base, directions, h / 2.0)
     return (4.0 * fine - coarse) / 3.0
-
-
-def symmetrize(evaluations) -> np.ndarray:
-    """Sum a multilinear map's values over all direction permutations.
-
-    ``evaluations`` maps permutation tuples of ``0..k-1`` to matrices and
-    must cover the whole symmetric group.
-    """
-    keys = list(evaluations.keys())
-    if not keys:
-        raise MissingPermutation("no permutation evaluations supplied")
-    k = len(keys[0])
-    expected = set(itertools.permutations(range(k)))
-    supplied = set(tuple(key) for key in keys)
-    if supplied != expected:
-        missing = sorted(expected - supplied)
-        raise MissingPermutation(f"missing permutations: {missing[:3]}...")
-    total = None
-    for perm in sorted(expected):
-        value = np.asarray(evaluations[perm], dtype=complex)
-        total = value.copy() if total is None else total + value
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .scalar_functions import (
     WienerAtomic,
     default_rule,
     divided_difference,
-    divided_difference_batch,
+    divided_difference_grid,
     wiener_iptp_bound,
 )
 from .spectral import SpectralDecomposition, functional_calculus, hermitian_eigendecompose
@@ -68,17 +68,18 @@ class MoiSymbol:
     ``evaluator`` maps a tuple of k+1 eigenvalues to a complex weight.
     ``iptp_bound``, when known, is a certified upper bound on the symbol's
     separated-decomposition cost, used by the Schatten-norm checks.
-    ``batch_evaluator``, when present, maps an ``(N, arity)`` node array to
-    the N symbol values at once and agrees with ``evaluator`` row by row.
+    ``grid_evaluator``, when present, maps k+1 eigenvalue lists to the
+    symbol on their product grid at once and agrees with ``evaluator``
+    entry by entry.
     """
 
     def __init__(self, arity: int, evaluator, iptp_bound: float | None = None,
-                 batch_evaluator=None):
+                 grid_evaluator=None):
         if arity < 2:
             raise ArityMismatch("symbol arity must be at least 2 (order k >= 1)")
         self.arity = int(arity)
         self.evaluator = evaluator
-        self.batch_evaluator = batch_evaluator
+        self.grid_evaluator = grid_evaluator
         self.iptp_bound = None if iptp_bound is None else float(iptp_bound)
 
     def __call__(self, nodes) -> complex:
@@ -87,16 +88,15 @@ class MoiSymbol:
     def tensor(self, eigenvalue_lists) -> np.ndarray:
         """Symbol values on the product grid, ``T[i_0..i_k] = symbol(lam_0[i_0], ..)``.
 
-        Uses the batch evaluator when the symbol has one, else calls the
+        Uses the grid evaluator when the symbol has one, else calls the
         evaluator once per eigenvalue tuple.
         """
         lists = [np.asarray(lam, dtype=float) for lam in eigenvalue_lists]
         if len(lists) != self.arity:
             raise ArityMismatch(f"{len(lists)} eigenvalue lists for arity {self.arity}")
         shape = tuple(lam.size for lam in lists)
-        if self.batch_evaluator is not None:
-            grid = np.stack(np.meshgrid(*lists, indexing="ij"), axis=-1)
-            values = self.batch_evaluator(grid.reshape(-1, self.arity))
+        if self.grid_evaluator is not None:
+            values = self.grid_evaluator(lists)
         else:
             values = [complex(self.evaluator(lam)) for lam in itertools.product(*lists)]
         return np.asarray(values, dtype=complex).reshape(shape)
@@ -105,15 +105,17 @@ class MoiSymbol:
     def constant(cls, value, arity: int) -> "MoiSymbol":
         value = complex(value)
         return cls(arity, lambda lam: value, iptp_bound=abs(value),
-                   batch_evaluator=lambda grid: np.full(len(grid), value))
+                   grid_evaluator=lambda lists: np.full([lam.size for lam in lists], value))
 
     @classmethod
     def from_function(cls, f, order: int, radius: float | None = None) -> "MoiSymbol":
         """Divided-difference symbol of a scalar function.
 
-        For atomic Fourier sums the certified bound ``moment(k)/k!`` is
-        attached; for polynomials the coefficient bound on the cube of the
-        given radius is attached when a radius is supplied.
+        Its tensor is built level by level on the eigenvalue grid by
+        :func:`divided_difference_grid`.  For atomic Fourier sums the
+        certified bound ``moment(k)/k!`` is attached; for polynomials the
+        coefficient bound on the cube of the given radius is attached when a
+        radius is supplied.
         """
         bound = None
         if isinstance(f, WienerAtomic):
@@ -124,7 +126,7 @@ class MoiSymbol:
                 for n, c in enumerate(f.coeffs) if n >= order)
 
         return cls(order + 1, lambda lam: divided_difference(f, lam), iptp_bound=bound,
-                   batch_evaluator=lambda grid: divided_difference_batch(f, grid))
+                   grid_evaluator=lambda lists: divided_difference_grid(f, lists))
 
     def __repr__(self):
         return f"MoiSymbol(arity={self.arity})"
@@ -186,12 +188,15 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     if tensor.shape != expected:
         raise DimensionMismatch(f"tensor shape {tensor.shape} != cluster counts {expected}")
     vectors = [d.vectors for d in operands.decomps]
-    labels = [d.labels for d in operands.decomps]
     rotated = [vectors[j].conj().T @ b @ vectors[j + 1]
                for j, b in enumerate(operands.middles)]
-    # axes (a_0, a_j, .., a_k): fold in b_1, then sum a_j out against b_{j+1}
-    core = np.einsum("ab...,ab->ab...", tensor[np.ix_(*labels)], rotated[0])
-    for b in rotated[1:]:
+    if tensor.size != operands.dimension ** (k + 1):
+        tensor = tensor[np.ix_(*(d.labels for d in operands.decomps))]
+    # axes (a_0, a_j, .., a_k): fold in b_1 (and b_2, summing a_1 out), then
+    # sum each further a_j out against b_{j+1}
+    core = (tensor * rotated[0] if k == 1 else
+            np.einsum("abc...,ab,bc->ac...", tensor, rotated[0], rotated[1]))
+    for b in rotated[2:]:
         core = np.einsum("abc...,bc->ac...", core, b)
     return vectors[0] @ core @ vectors[k].conj().T
 

@@ -2,24 +2,27 @@
 
 A divided difference of order ``k`` assigns to ``k + 1`` real nodes the
 symmetric quantity obtained by iterating difference quotients; on the
-diagonal it reduces to ``f^(k)(x) / k!``.  Four evaluation strategies are
-provided:
+diagonal it reduces to ``f^(k)(x) / k!``.  Every function goes through one
+table: :func:`divided_difference_batch` sorts each node tuple and divides
+by the span of each sub-tuple, and a sub-tuple too narrow for the quotient
+takes the Taylor series of ``f`` at its mean (Opitz 1964; McCurdy, Ng and
+Parlett 1984; Higham, *Functions of Matrices*, 2008, section 3.2).
+:func:`divided_difference_grid` builds the same quantity level by level on
+a product grid of node lists, the symbol tensor of an operator integral,
+and :func:`divided_difference` is the one-tuple case.
 
-* exact closed form for polynomials (complete homogeneous symmetric sums),
-* the difference-quotient recursion, with a confluent fallback that calls
-  derivatives at repeated nodes,
-* quadrature of the k-th derivative over the standard simplex, and
-* the Fourier-side formula for finite atomic oscillatory sums.
+The other evaluations stay as independent oracles:
 
-:func:`divided_difference_batch` picks one of them per row of a node array
-and evaluates each route array-wide; :func:`divided_difference` is its
-one-tuple form.  The route functions stay callable on their own, as
-independent references for one another.
+* the exact closed form for polynomials (complete homogeneous symmetric sums),
+* the scalar difference-quotient recursion, with a confluent fallback that
+  calls derivatives at repeated nodes,
+* quadrature of the k-th derivative over the standard simplex,
+* the Fourier-side formula for finite atomic oscillatory sums, and
+* the recursion in 50-digit mpmath arithmetic.
 
 The module also exposes the computable upper bounds attached to these
-representations: the ``sup |f^(k)| / k!`` bound, moment-based bounds for
-atomic Fourier sums, and the coefficient bound for multivariate
-polynomials.
+representations: the ``sup |f^(k)| / k!`` bound and the moment-based bound
+for atomic Fourier sums.
 
 Function objects are immutable once constructed and every operation here
 is a pure function, so concurrent use needs no synchronization; reductions
@@ -28,6 +31,7 @@ run left-to-right over sorted inputs for bit-stable results.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -49,11 +53,10 @@ __all__ = [
     "wiener_divided_difference",
     "divided_difference",
     "divided_difference_batch",
-    "divided_difference_product",
+    "divided_difference_grid",
+    "divided_difference_mp",
     "divided_difference_sup_bound",
-    "wiener_moment",
     "wiener_iptp_bound",
-    "poly_iptp_bound",
     "wiener_taylor_truncate",
     "TaylorTruncation",
     "builtin_function",
@@ -119,14 +122,6 @@ class WienerAtomic:
             xi = float(xi)
             merged[xi] = merged.get(xi, 0j) + complex(c)
         self.atoms = tuple(sorted((xi, c) for xi, c in merged.items() if c != 0))
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array([xi for xi, _ in self.atoms])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([c for _, c in self.atoms])
 
     @property
     def max_frequency(self) -> float:
@@ -302,28 +297,18 @@ class SimplexQuadratureRule:
         return f"SimplexQuadratureRule(k={self.dimension}, points={self.weights.size})"
 
 
-_DEFAULT_RULES: dict[int, SimplexQuadratureRule] = {}
-
-
-def default_rule(dimension: int, points_per_axis: int = 16) -> SimplexQuadratureRule:
-    """Cached Gauss-Legendre simplex rule for a given order."""
-    key = (dimension, points_per_axis)
-    rule = _DEFAULT_RULES.get(key)
-    if rule is None:
-        rule = SimplexQuadratureRule.gauss_legendre(dimension, points_per_axis)
-        _DEFAULT_RULES[key] = rule
-    return rule
+@functools.cache
+def default_rule(dimension: int) -> SimplexQuadratureRule:
+    """Cached 16-point-per-axis Gauss-Legendre simplex rule for a given order."""
+    return SimplexQuadratureRule.gauss_legendre(dimension)
 
 
 # ---------------------------------------------------------------------------
-# divided difference strategies
+# divided differences
 # ---------------------------------------------------------------------------
 
-# route thresholds: nodes within COINCIDENCE_TOL_FACTOR * (1 + max|x|) are
-# confluent for the recursion, and atomic sums leave the recursion for
-# quadrature once a gap falls below WIENER_QUADRATURE_GAP * (1 + max|x|)
+# nodes within COINCIDENCE_TOL_FACTOR * (1 + max|x|) are confluent for the recursion
 COINCIDENCE_TOL_FACTOR = 1e-8
-WIENER_QUADRATURE_GAP = 1e-2
 
 
 def _homogeneous_sums(nodes, max_degree):
@@ -343,11 +328,6 @@ def _homogeneous_sums(nodes, max_degree):
     return h
 
 
-def _poly_closed_form(p: Polynomial, nodes, k: int):
-    h = _homogeneous_sums(nodes, p.degree - k)
-    return sum(p.coeffs[n] * h[n - k] for n in range(k, p.degree + 1))
-
-
 def poly_divided_difference(p: Polynomial, nodes) -> complex:
     """Exact closed-form divided difference of a polynomial.
 
@@ -355,9 +335,9 @@ def poly_divided_difference(p: Polynomial, nodes) -> complex:
     degree (empty sum).
     """
     nodes = _as_nodes(nodes)
-    if nodes.order > p.degree:
-        return 0j
-    return complex(_poly_closed_form(p, nodes.nodes, nodes.order))
+    k = nodes.order
+    h = _homogeneous_sums(nodes.nodes, max(p.degree - k, 0))
+    return complex(sum((p.coeffs[n] * h[n - k] for n in range(k, p.degree + 1)), 0j))
 
 
 def divided_difference_recursive(f, nodes) -> complex:
@@ -383,12 +363,8 @@ def divided_difference_recursive(f, nodes) -> complex:
             groups[-1].append(x)
         else:
             groups.append([x])
-    snapped: list[float] = []
-    max_mult = 1
-    for g in groups:
-        rep = sum(g) / len(g)
-        snapped.extend([rep] * len(g))
-        max_mult = max(max_mult, len(g))
+    snapped = [sum(g) / len(g) for g in groups for _ in g]
+    max_mult = max(len(g) for g in groups)
 
     derivs = [f]
     for j in range(1, max_mult):
@@ -411,6 +387,26 @@ def divided_difference_recursive(f, nodes) -> complex:
                 nxt.append((table[i + 1] - table[i]) / (hi - lo))
         table = nxt
     return table[0]
+
+
+def divided_difference_mp(f, nodes, dps: int = 50) -> complex:
+    """Extended-precision reference: the recursion in ``dps``-digit arithmetic.
+
+    Evaluates ``f`` by its mpmath form (``f._eval_mp``) at the given double
+    nodes; at an exact repeat the table takes the Taylor coefficient
+    ``f^(j)(x)/j!`` from mpmath's numerical differentiation, so ``f`` must be
+    smooth there.
+    """
+    with mp.workdps(dps):
+        z = sorted(mp.mpf(x) for x in _as_nodes(nodes))
+        taylor = {x: mp.taylor(f._eval_mp, x, z.count(x) - 1)
+                  for x in set(z) if z.count(x) > 1}
+        table = [f._eval_mp(x) for x in z]
+        for j in range(1, len(z)):
+            table = [taylor[z[i]][j] if z[i + j] == z[i]
+                     else (table[i + 1] - table[i]) / (z[i + j] - z[i])
+                     for i in range(len(z) - j)]
+        return complex(table[0])
 
 
 def _vector_eval(func, points):
@@ -466,130 +462,145 @@ def wiener_divided_difference(f: WienerAtomic, nodes,
     return complex(total)
 
 
-# quadrature sizing for atomic sums: points per axis by accumulated phase
-# (max frequency times node span); per-axis counts above these lose accuracy
-# slower than the rule grows, and high orders cap the count to bound memory
-_PHASE_POINTS = ((20.0, 16), (40.0, 24), (64.0, 32), (math.inf, 48))
-_MAX_POINTS_BY_ORDER = {4: 24}
+# An order-k table of difference quotients loses about eps 2^k max|f| /
+# span^k to rounding, relative to the scale (1 + max|x|)^k and compounded over
+# its levels.  Every level of it keeps the quotient only on spans of at least
+# confluent_span(k) (1 + max|x|), where that loss is QUOTIENT_ERROR: 100x under
+# the 1e-9 agreement gate, as the model is tight at k = 1.  Narrower sub-tuples
+# take the Taylor series at their mean through TAYLOR_TERMS more derivatives
+# when f supplies them and the last term shows that it has converged.
+QUOTIENT_ERROR = 1e-11
+TAYLOR_TERMS = 8
 
 
-def _wiener_points(f: WienerAtomic, order: int, span):
-    """Points per axis of the atomic-sum rule for node spans ``span``."""
-    limits = [limit for limit, _ in _PHASE_POINTS]
-    points = np.array([points for _, points in _PHASE_POINTS])
-    chosen = points[np.searchsorted(limits, f.max_frequency * np.asarray(span))]
-    return np.minimum(chosen, _MAX_POINTS_BY_ORDER.get(order, 48))
+def confluent_span(order):
+    """Relative span below which an order-``order`` table takes the Taylor patch."""
+    return 2.0 * (np.finfo(float).eps / QUOTIENT_ERROR) ** (1.0 / order)
 
 
-# batched quadrature works in blocks of at most this many (row x point)
-# entries, so peak memory stays that of a single large rule
-QUADRATURE_BLOCK = 2 ** 15
+def _taylor_rows(derivative, nodes):
+    """``sum_{m=j}^{j+M} f^(m)(c)/m! h_{m-j}(x - c)`` and its last term, at
+    the mean c of each row of a ``(P, j+1)`` node array."""
+    j = nodes.shape[1] - 1
+    c = nodes.mean(axis=1)
+    h = _homogeneous_sums((nodes - c[:, None]).T, TAYLOR_TERMS)
+    terms = [_vector_eval(derivative(j + t), c) * (h[t] / math.factorial(j + t))
+             for t in range(TAYLOR_TERMS + 1)]
+    return sum(reversed(terms)), np.abs(terms[-1])
 
 
-def _quadrature_rows(dk, rows, rule: SimplexQuadratureRule) -> np.ndarray:
-    """``sum_q w_q dk(t_q . row)`` for every row, block by block."""
-    out = np.empty(len(rows), dtype=complex)
-    step = max(1, QUADRATURE_BLOCK // rule.weights.size)
-    for start in range(0, len(rows), step):
-        points = rows[start:start + step] @ rule.nodes.T
-        out[start:start + step] = _vector_eval(dk, points) @ rule.weights
-    return out
+def _table_rows(f, rows, order, derivative) -> np.ndarray:
+    """``f^[k]`` on the rows of a sorted ``(N, k+1)`` array by an order-``order``
+    table, with ``derivative(m)`` memoizing ``f^(m)`` (None where missing).
 
-
-def _wiener_quadrature_rows(f: WienerAtomic, rows) -> np.ndarray:
-    """Frequency-sized simplex quadrature, one rule size at a time."""
+    Without the derivatives for the Taylor patch, narrow sub-tuples keep the
+    quotient, and rows with nodes within ``COINCIDENCE_TOL_FACTOR (1 + max|x|)``
+    take :func:`divided_difference_recursive`, or its :class:`CoincidentNodes`.
+    """
     k = rows.shape[1] - 1
-    dk = f.derivative(k)
-    out = np.empty(len(rows), dtype=complex)
-    points = _wiener_points(f, k, rows[:, -1] - rows[:, 0])
-    for size in np.unique(points):
-        group = points == size
-        out[group] = _quadrature_rows(dk, rows[group], default_rule(k, int(size)))
+    table = _vector_eval(f, rows)
+    scale = 1.0 + np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
+    width = confluent_span(max(order, 1)) * scale
+    coincident = np.zeros(len(rows), dtype=bool)
+    for j in range(1, k + 1):
+        span = rows[:, j:] - rows[:, :-j]
+        together = span <= COINCIDENCE_TOL_FACTOR * scale[:, None]
+        table = (table[:, 1:] - table[:, :-1]) / np.where(together, 1.0, span)
+        narrow = span < width[:, None]
+        if not narrow.any():
+            continue
+        if any(derivative(m) is None for m in range(j, j + TAYLOR_TERMS + 1)):
+            coincident |= together.any(axis=1)
+            continue
+        r, i = np.nonzero(narrow & (span > 0))
+        if r.size:
+            series, last = _taylor_rows(derivative,
+                                        rows[r[:, None], i[:, None] + np.arange(j + 1)])
+            converged = (last <= QUOTIENT_ERROR * (1.0 + np.abs(series))) | together[r, i]
+            table[r[converged], i[converged]] = series[converged]
+        # at an exact repeat the series is its leading term
+        r, i = np.nonzero(span == 0)
+        table[r, i] = _vector_eval(derivative(j), rows[r, i]) / math.factorial(j)
+    out = table[:, 0]
+    out[coincident] = [divided_difference_recursive(f, row) for row in rows[coincident]]
     return out
-
-
-def _recursion_rows(f, rows) -> np.ndarray:
-    """Difference-quotient table on sorted rows; confluent rows go one by one."""
-    tol = COINCIDENCE_TOL_FACTOR * (1.0 + np.abs(rows).max(axis=1))
-    confluent = (np.diff(rows, axis=1) <= tol[:, None]).any(axis=1)
-    out = np.empty(len(rows), dtype=complex)
-    out[confluent] = [divided_difference_recursive(f, row) for row in rows[confluent]]
-    distinct = rows[~confluent]
-    table = _vector_eval(f, distinct)
-    for j in range(1, rows.shape[1]):
-        table = (table[:, 1:] - table[:, :-1]) / (distinct[:, j:] - distinct[:, :-j])
-    out[~confluent] = table[:, 0]
-    return out
-
-
-def _batch_routes(f, rows) -> np.ndarray:
-    k = rows.shape[1] - 1
-    if isinstance(f, Polynomial):
-        if k > f.degree:
-            return np.zeros(len(rows), dtype=complex)
-        return np.asarray(_poly_closed_form(f, rows.T, k), dtype=complex)
-    if k == 0:
-        return _vector_eval(f, rows[:, 0])
-    if isinstance(f, WienerAtomic):
-        scale = 1.0 + np.abs(rows).max(axis=1)
-        near = np.diff(rows, axis=1).min(axis=1) < WIENER_QUADRATURE_GAP * scale
-        out = np.empty(len(rows), dtype=complex)
-        out[near] = _wiener_quadrature_rows(f, rows[near])
-        out[~near] = _recursion_rows(f, rows[~near])
-        return out
-    if isinstance(f, CallableFunction) and f.max_order >= k:
-        return _quadrature_rows(f.derivative(k), rows, default_rule(k))
-    return _recursion_rows(f, rows)
 
 
 def divided_difference_batch(f, nodes) -> np.ndarray:
     """``f^[k]`` on every row of an ``(N, k+1)`` node array.
 
-    The route depends on the function's type and is evaluated array-wide.
-    Polynomials use the exact closed form (homogeneous sums, stable at any
-    node spacing).  Atomic Fourier sums use the difference-quotient table on
-    well-separated rows and switch to frequency-sized simplex quadrature
-    when any gap is below ``WIENER_QUADRATURE_GAP * (1 + max|x|)``: the
-    table loses a digit per order of gap shrinkage while the quadrature
-    error is gap-independent.  Functions with k declared derivatives use
-    simplex quadrature of ``f^(k)``; any other function uses the table,
-    whose confluent rows take the recursion with its derivative fallback.
-    Divided differences are symmetric in their nodes, so each distinct
-    sorted row is evaluated once and scattered back.
+    Every function takes one route: each row is sorted and divided by the
+    span of each sub-tuple; a sub-tuple too narrow for the quotient takes the
+    Taylor series of ``f`` at its mean, exact for polynomials and at repeats.
+    A value depends only on the sorted row, so permuted rows agree bit for bit.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] < 1:
         raise ValueError(f"expected an (N, k+1) node array, got shape {nodes.shape}")
-    # distinct sorted rows: lexicographic order, then a break at every change
-    nodes = np.sort(nodes, axis=1)
-    order = np.lexsort(nodes.T[::-1])
-    ordered = nodes[order]
-    starts = np.ones(len(nodes), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(nodes), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return _batch_routes(f, ordered[starts])[inverse]
+    derivative = functools.cache(functools.partial(_derivative_or_none, f))
+    return _table_rows(f, np.sort(nodes, axis=1), nodes.shape[1] - 1, derivative)
+
+
+# the grid patches its narrow entries in blocks of at most this many
+GRID_BLOCK = 2 ** 18
+
+
+def divided_difference_grid(f, node_lists) -> np.ndarray:
+    """``f^[k]`` on the product grid, ``T[i_0..i_k] = f^[k](x_0[i_0], .., x_k[i_k])``.
+
+    Built level by level over the slots ``a..b``, ``T[a..b] = (T[a..b-1][..,
+    None] - T[a+1..b][None, ..]) / (x_a - x_b)``; slots with one list share
+    their tables.  Entries whose first and last node lie within the confluent
+    span are patched.  Where slots ``a..b`` share one list, ``f^[k]`` is
+    symmetric, and such an entry is read at its sorted index tuple, whose
+    first and last node are its widest pair, unless that pair is narrow too;
+    the other patched entries take the table of :func:`divided_difference_batch`.
+    """
+    lists = [np.asarray(x, dtype=float) for x in node_lists]
+    k = len(lists) - 1
+    derivative = functools.cache(functools.partial(_derivative_or_none, f))
+    tables = {}
+    for j in range(k + 1):
+        for a in range(k + 1 - j):
+            key = tuple(map(id, lists[a:a + j + 1]))
+            if key not in tables:
+                tables[key] = (_vector_eval(f, lists[a]) if j == 0 else _grid_level(
+                    f, lists[a:a + j + 1], tables[key[:-1]], tables[key[1:]], k, derivative))
+    return tables[key]
+
+
+def _grid_level(f, slots, left, right, k, derivative):
+    """One level of an order-k :func:`divided_difference_grid` over ``slots``."""
+    first, last = slots[0], slots[-1]
+    width = confluent_span(k)
+    diff = first[:, None] - last[None, :]
+    narrow = np.abs(diff) < width * (1.0 + np.maximum(np.abs(first)[:, None],
+                                                      np.abs(last)[None, :]))
+    edges = (first.size,) + (1,) * (len(slots) - 2) + (last.size,)
+    out = left[..., None] - right[None, ...]
+    out /= np.where(narrow, 1.0, diff).reshape(edges)
+    index = np.nonzero(np.broadcast_to(narrow.reshape(edges), out.shape))
+    shared = all(x is first for x in slots)
+    for start in range(0, index[0].size, GRID_BLOCK):
+        block = np.stack([i[start:start + GRID_BLOCK] for i in index], axis=1)
+        nodes = np.stack([x[i] for x, i in zip(slots, block.T)], axis=1)
+        order = np.argsort(nodes, axis=1, kind="stable")
+        nodes = np.take_along_axis(nodes, order, axis=1)
+        values = np.empty(len(nodes), dtype=complex)
+        rows = np.ones(len(nodes), dtype=bool)
+        if shared:
+            scale = 1.0 + np.maximum(np.abs(nodes[:, 0]), np.abs(nodes[:, -1]))
+            wide = nodes[:, -1] - nodes[:, 0] >= width * scale
+            values[wide] = out[tuple(np.take_along_axis(block, order, axis=1)[wide].T)]
+            rows = ~wide
+        values[rows] = _table_rows(f, nodes[rows], k, derivative)
+        out[tuple(block.T)] = values
+    return out
 
 
 def divided_difference(f, nodes) -> complex:
-    """``f^[k]`` at one node tuple, by the route of :func:`divided_difference_batch`."""
+    """``f^[k]`` at one node tuple, by the table of :func:`divided_difference_batch`."""
     return complex(divided_difference_batch(f, [list(nodes)])[0])
-
-
-def divided_difference_product(f, g, nodes) -> complex:
-    """Leibniz-type product rule for divided differences.
-
-    Splits the node tuple at every position: the order-k divided difference
-    of ``f * g`` equals ``sum_j f^[j](x_1..x_{j+1}) g^[k-j](x_{j+1}..x_{k+1})``.
-    """
-    nodes = _as_nodes(nodes)
-    k = nodes.order
-    total = 0j
-    for j in range(k + 1):
-        left = NodeTuple(nodes.nodes[: j + 1])
-        right = NodeTuple(nodes.nodes[j:])
-        total += divided_difference(f, left) * divided_difference(g, right)
-    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +622,6 @@ def divided_difference_sup_bound(f, order: int, radius: float,
     return float(vals.max() / math.factorial(order))
 
 
-def wiener_moment(f: WienerAtomic, order: int) -> float:
-    """k-th absolute moment ``sum_j |c_j| |xi_j|^k`` of the atom weights."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return f.moment(order)
-
-
 def wiener_iptp_bound(f: WienerAtomic, order: int) -> float:
     """Certified bound ``moment(order) / order!``.
 
@@ -625,22 +629,7 @@ def wiener_iptp_bound(f: WienerAtomic, order: int) -> float:
     cube, hence also its sup norm.  This is a bound, not the (uncomputable)
     infimum over all decompositions.
     """
-    return wiener_moment(f, order) / math.factorial(order)
-
-
-def poly_iptp_bound(terms, radius: float) -> float:
-    """Coefficient bound ``sum |c_alpha| r^|alpha|`` for a multivariate polynomial.
-
-    ``terms`` is an iterable of ``(multi_index, coefficient)`` pairs where
-    the multi-index is a tuple of nonnegative exponents.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    total = 0.0
-    for alpha, c in terms:
-        weight = sum(int(a) for a in alpha)
-        total += abs(complex(c)) * radius ** weight
-    return float(total)
+    return f.moment(order) / math.factorial(order)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +740,7 @@ def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
 
         order_cap = min(max_order, max(int(math.floor(s)), 0))
         return CallableFunction(make(0), [make(j) for j in range(1, order_cap + 1)],
+                                mp_evaluator=lambda x: abs(x) ** mp.mpf(s),
                                 name=f"abs_pow[{s}]")
     raise ValueError(f"unknown builtin function {name!r}")
 

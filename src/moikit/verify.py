@@ -33,6 +33,9 @@ from .scalar_functions import (
     SimplexQuadratureRule,
     WienerAtomic,
     builtin_function,
+    confluent_span,
+    divided_difference_batch,
+    divided_difference_mp,
     divided_difference_quadrature,
     divided_difference_recursive,
     divided_difference_sup_bound,
@@ -106,6 +109,20 @@ def _random_nodes(rng, count: int, low=-2.0, high=2.0, min_gap=0.1):
             return NodeTuple(rng.permutation(nodes))
 
 
+def _confluent_rows(rng, k: int):
+    """Rows straddling 0 at 1/2, 1 and 2 confluent spans of order k: spread
+    evenly over the span, or a pair that far apart among nodes in [-1, 1];
+    then a row with an exact repeat."""
+    rows = []
+    for width in np.array([0.5, 1.0, 2.0]) * confluent_span(k):
+        rows.append(width * (np.linspace(0.0, 1.0, k + 1) - rng.uniform()))
+        others = rng.uniform(-1.0, 1.0, k)
+        rows.append(np.append(others, others[0] + width * (1.0 + np.abs(others).max())))
+    repeat = rng.uniform(-1.0, 1.0, k + 1)
+    repeat[:int(rng.integers(2, k + 2))] = repeat[0]
+    return np.array(rows + [repeat])
+
+
 def _cos_atoms() -> WienerAtomic:
     return WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
 
@@ -125,7 +142,8 @@ def _two_atoms(rng) -> WienerAtomic:
 # ---------------------------------------------------------------------------
 
 def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
-    """Recursion vs closed form, symmetry, diagonal identity, derivative bound."""
+    """Recursion vs closed form, symmetry, diagonal identity, derivative bound,
+    and the batched table against the extended-precision recursion."""
     tols = _tols(tolerances)
     rng = suite_rng(seed, 1)
     report = VerificationReport("divided-differences")
@@ -166,6 +184,21 @@ def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
             target = complex(f.derivative(k)(x0)) / math.factorial(k)
             worst_diag = max(worst_diag, abs(diag - target) / (1.0 + abs(target)))
 
+    # the batched table against the 50-digit recursion, drawn after the
+    # cases above so that they keep their inputs
+    worst_mp, mp_cases = 0.0, 0
+    functions = [_random_polynomial(rng, 8), _two_atoms(rng)]
+    functions += [builtin_function(name) for name in ("exp", "sin", "cos")]
+    table_cases = [(f, k) for f in functions for k in (1, 2, 3, 4)]
+    table_cases += [(builtin_function("abs_pow", {"exponent": s}), k)
+                    for s in (1.5, 2.5, 3.5) for k in range(1, int(s) + 1)]
+    for f, k in table_cases:
+        rows = _confluent_rows(rng, k)
+        for row, value in zip(rows, divided_difference_batch(f, rows)):
+            reference = divided_difference_mp(f, row)
+            worst_mp = max(worst_mp, abs(value - reference) / (1.0 + abs(reference)))
+        mp_cases += len(rows)
+
     report.add(equality_check(
         f"recursion vs closed form ({cases} cases)",
         "difference-quotient recursion equals the homogeneous-sum closed form",
@@ -182,6 +215,11 @@ def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
         f"sup-derivative bound ({cases} cases)",
         "|f^[k]| <= sup |f^(k)| / k! on the node range",
         lhs=worst_bound, rhs=0.0, slack=tols["dd_bound_slack"]))
+    report.add(equality_check(
+        f"batched table vs 50-digit mpmath ({mp_cases} cases)",
+        "the difference-quotient table with its Taylor patch matches the "
+        "extended-precision recursion, around the confluent span and at repeats",
+        residual=worst_mp, tolerance=tols["dd_agreement"]))
     return report
 
 

@@ -8,7 +8,6 @@ from moikit import (
     DerivativeRequest,
     HolderMismatch,
     InvalidP,
-    MissingPermutation,
     MoiOperands,
     MoiSymbol,
     Polynomial,
@@ -20,7 +19,6 @@ from moikit import (
     power_map_derivative,
     remainder_schatten_check,
     schatten_norm,
-    symmetrize,
     taylor_remainder_direct,
     taylor_remainder_integral,
     taylor_remainder_moi,
@@ -150,27 +148,6 @@ class TestFiniteDifference:
         fd = finite_difference_derivative(COS, a, dirs)  # extended path by default
         exact = matrix_function_derivative(DerivativeRequest(COS, a, dirs, 3, "moi"))
         assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) < 1e-9
-
-
-class TestSymmetrize:
-    def test_single_direction_passthrough(self):
-        M = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(symmetrize({(0,): M}), M)
-
-    def test_two_directions(self):
-        rng = suite_rng(43, 0)
-        b1, b2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        evaluations = {(0, 1): b1 @ b2, (1, 0): b2 @ b1}
-        np.testing.assert_allclose(symmetrize(evaluations), b1 @ b2 + b2 @ b1)
-
-    def test_zero_evaluations(self):
-        zeros = {perm: np.zeros((2, 2)) for perm in
-                 [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]}
-        np.testing.assert_allclose(symmetrize(zeros), np.zeros((2, 2)))
-
-    def test_missing_permutation(self):
-        with pytest.raises(MissingPermutation):
-            symmetrize({(0, 1): np.eye(2)})
 
 
 class TestTaylorRemainders:

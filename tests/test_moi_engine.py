@@ -1,14 +1,18 @@
-"""The eigenbasis MOI engine against the scalar routes and the oracle routes.
+"""The divided-difference table and the eigenbasis MOI engine against
+50-digit mpmath and the oracle routes.
 
-The batched divided difference must agree row by row with the scalar route
-function that each row is routed to, and the contracted integral must agree
-with the projection-sandwich sum it replaces and with the separated,
-oscillatory and monomial evaluations, on spectra with exact repeats, gaps at
-the clustering threshold, n = 1 and mixed bases.
+The batched table and the symbol tensor must agree with the extended-
+precision recursion on adversarial node sets (exact repeats, gaps down to
+the coincidence tolerance, spans either side of the confluent span), and
+the contracted integral must agree with the projection-sandwich sum it
+replaces and with the separated, oscillatory and monomial evaluations, on
+spectra with exact repeats, gaps at the clustering threshold, n = 1 and
+mixed bases.
 """
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from moikit import (
     divided_difference_batch,
     divided_difference_quadrature,
     divided_difference_recursive,
+    finite_difference_derivative,
     matrix_function_derivative,
     moi_evaluate,
     moi_polynomial,
@@ -33,14 +38,19 @@ from moikit import (
     poly_divided_difference,
     wiener_divided_difference,
 )
-from moikit import scalar_functions
 from moikit.errors import CoincidentNodes, DimensionMismatch
-from moikit.scalar_functions import COINCIDENCE_TOL_FACTOR, WIENER_QUADRATURE_GAP, default_rule
-from moikit.verify import random_hermitian, suite_rng
+from moikit.scalar_functions import (
+    COINCIDENCE_TOL_FACTOR,
+    divided_difference_grid,
+    divided_difference_mp,
+)
+from moikit.verify import DEFAULT_TOLERANCES, random_hermitian, suite_rng
 
 WIENER = WienerAtomic([(1.0, 0.5), (-1.0, 0.5), (2.3, 0.2 - 0.1j)])
-# one function per route of the dispatcher; exp with two declared derivatives
-# takes the recursion once the order exceeds two
+# one function per oracle route it is also checked against: a polynomial
+# (closed form), an atomic sum (Fourier side), exp with the twelve declared
+# derivatives the Taylor patch needs (simplex quadrature), and exp with two,
+# which keeps every quotient and sends coincident rows to the recursion
 ROUTES = {
     "closed_form": Polynomial([0.3, -1.0, 0.5, 0.25, -0.7, 0.1, 0.9, -0.2]),
     "wiener": WIENER,
@@ -53,22 +63,22 @@ def scaled(a, b):
     return np.abs(np.asarray(a) - np.asarray(b)) / (1.0 + np.abs(np.asarray(b)))
 
 
-def route_reference(route, f, row):
-    """The scalar route function that ``row`` must be sent to, evaluated there."""
+def snapped(row):
+    """Whether the recursion merges nodes of ``row`` (within the coincidence tolerance)."""
+    gaps = np.diff(np.sort(row))
+    return gaps.size and gaps.min() <= COINCIDENCE_TOL_FACTOR * (1.0 + np.abs(row).max())
+
+
+def oracle(route, f, row):
+    """The oracle route of ``route`` at ``row``, and the tolerance it is held to."""
     k = len(row) - 1
     if route == "closed_form":
-        return poly_divided_difference(f, row)
-    if k == 0:
-        return divided_difference_recursive(f, row)
+        return poly_divided_difference(f, row), 1e-12
     if route == "wiener":
-        s = np.sort(row)
-        if np.diff(s).min() < WIENER_QUADRATURE_GAP * (1.0 + np.abs(s).max()):
-            points = scalar_functions._wiener_points(f, k, s[-1] - s[0])
-            return wiener_divided_difference(f, row, default_rule(k, int(points)))
-        return divided_difference_recursive(f, row)
-    if f.max_order >= k:
-        return divided_difference_quadrature(f, row)
-    return divided_difference_recursive(f, row)
+        return wiener_divided_difference(f, row), 1e-9
+    if route == "quadrature" and k:
+        return divided_difference_quadrature(f, row), 1e-9
+    return divided_difference_recursive(f, row), 1e-12
 
 
 # a merge width well above the default coincidence tolerance: rows whose
@@ -89,7 +99,7 @@ def merge_within(row, width):
 
 
 def node_rows(rng, k):
-    """Random rows, exact repeats, a near-coincident pair, rows at the Wiener gap."""
+    """Random rows, exact repeats, a near-coincident pair, close pairs near 0.01."""
     rows = list(rng.uniform(-1.5, 1.5, (6, k + 1)))
     for row in rows[:3]:
         # at most three equal nodes: the recursion route has two derivatives
@@ -105,9 +115,27 @@ def node_rows(rng, k):
         for x0 in (0.3, -1.2):
             for side in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
                 row = x0 + 0.5 * np.arange(k + 1)
-                row[1] = row[0] + WIENER_QUADRATURE_GAP * (1.0 + np.abs(row).max()) * side
+                row[1] = row[0] + 1e-2 * (1.0 + np.abs(row).max()) * side
                 rows.append(row)
     return np.array(rows)
+
+
+# the adversarial set: equispaced and pair-in-a-wide-tuple rows at each gap,
+# on both sides of 0 and straddling it
+ADVERSARIAL_GAPS = (0.1, 1.2e-2, 1e-3, 1e-5, 2e-7, 0.0)
+
+
+def adversarial_rows(k):
+    rows = []
+    for gap in ADVERSARIAL_GAPS:
+        for x0 in (0.7, -1.3, -0.5 * k * gap):
+            rows.append(x0 + gap * np.arange(k + 1))
+            rows.append(x0 + np.concatenate([[0.0, gap], 0.3 * np.arange(1, k)])[:k + 1])
+    return np.array(rows)
+
+
+ADVERSARIAL_FUNCTIONS = {"polynomial": ROUTES["closed_form"], "wiener": WIENER,
+                         "exp": builtin_function("exp"), "cos": builtin_function("cos")}
 
 
 class TestBatchedDividedDifference:
@@ -115,38 +143,43 @@ class TestBatchedDividedDifference:
     @pytest.mark.parametrize("k", range(5))
     @pytest.mark.parametrize("merge_width", [None, MERGE_WIDTH])
     def test_matches_scalar_dispatcher(self, route, k, merge_width):
-        # each row must match the route function it is sent to, and the
-        # scalar dispatcher, which evaluates it alone in a batch of one
+        # each row must match 50-digit mpmath (or, where the recursion snaps
+        # it, the recursion), its oracle route, and the scalar dispatcher,
+        # which evaluates it alone in a batch of one
         f = ROUTES[route]
         rows = node_rows(suite_rng(90 + k, 0), k)
         if merge_width is not None:
             rows = np.array([merge_within(row, merge_width) for row in rows])
         batch = divided_difference_batch(f, rows)
-        reference = [route_reference(route, f, row) for row in rows]
-        scalar = [divided_difference(f, row) for row in rows]
         assert batch.shape == (len(rows),)
-        assert scaled(batch, reference).max() < 1e-13
-        assert scaled(batch, scalar).max() < 1e-13
+        for row, value in zip(rows, batch):
+            if route == "recursion" and snapped(row):
+                assert value == divided_difference_recursive(f, row)
+            else:
+                assert scaled(value, divided_difference_mp(f, row)) < 1e-12
+            reference, tol = oracle(route, f, row)
+            assert scaled(value, reference) < tol
+            assert scaled(value, divided_difference(f, row)) < 1e-15
 
-    def test_wiener_quadrature_only_below_the_gap(self, monkeypatch):
-        # at the threshold the two routes agree to ~1e-14, so values cannot
-        # tell them apart: record which rows the dispatcher sends to quadrature
-        t = WIENER_QUADRATURE_GAP * 2.0      # (1 + max|x|) = 2 on these rows
-        rows = np.array([[0.0, np.nextafter(t, 0.0), 1.0], [0.0, t, 1.0],
-                         [0.0, np.nextafter(t, 1.0), 1.0]])
-        sent = []
-        route = scalar_functions._wiener_quadrature_rows
-        monkeypatch.setattr(scalar_functions, "_wiener_quadrature_rows",
-                            lambda f, r: sent.extend(map(tuple, r)) or route(f, r))
-        divided_difference_batch(WIENER, rows)
-        assert sent == [tuple(rows[0])]
-        sent.clear()
-        for row in rows:
-            divided_difference(WIENER, row)
-        assert sent == [tuple(rows[0])]
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_FUNCTIONS))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_adversarial_set_against_mpmath(self, name, k):
+        f = ADVERSARIAL_FUNCTIONS[name]
+        rows = adversarial_rows(k)
+        reference = [divided_difference_mp(f, row) for row in rows]
+        assert scaled(divided_difference_batch(f, rows), reference).max() <= 1e-12
+        # each row as an entry of a grid: on the grid of its distinct nodes
+        # in every slot (one shared list), and rotated one slot per node
+        rotation = np.roll(np.arange(k + 1), 1)
+        for row, value in zip(rows, reference):
+            nodes = np.unique(row)
+            shared = divided_difference_grid(f, [nodes] * (k + 1))
+            assert scaled(shared[tuple(np.searchsorted(nodes, row))], value) <= 1e-12
+            single = divided_difference_grid(f, [row[[j]] for j in rotation])
+            assert scaled(single.ravel()[0], value) <= 1e-12
 
     def test_generic_callable_per_row(self):
-        # no declared derivatives: every row takes the recursion
+        # no declared derivatives: every row keeps the quotients
         def f(x):
             return np.sin(x) ** 2
 
@@ -170,6 +203,37 @@ class TestBatchedDividedDifference:
         assert np.all(divided_difference_batch(WienerAtomic([]), rows) == 0)
         with pytest.raises(ValueError):
             divided_difference_batch(WIENER, np.zeros(3))
+
+
+class TestHolderClass:
+    # |x|^s with s in (k, k+1) is C^{k,s-k}: k derivatives, the k-th with a
+    # cusp at 0, so the table keeps its quotients and never takes the series
+
+    @pytest.mark.parametrize("s", [1.5, 2.5, 3.5])
+    def test_abs_pow_against_mpmath(self, s):
+        k = math.floor(s)
+        f = builtin_function("abs_pow", {"exponent": s})
+        rng = suite_rng(180, int(2 * s))
+        rows = []
+        while len(rows) < 300:
+            row = np.sort(rng.uniform(-1, 1, k + 1))
+            if row[0] < 0 < row[-1] and np.diff(row).min() >= 1e-3:
+                rows.append(row)
+        rows = np.array(rows)
+        reference = [divided_difference_mp(f, row) for row in rows]
+        assert scaled(divided_difference_batch(f, rows), reference).max() <= 1e-11
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_abs_pow_derivative_against_the_stencil(self, k):
+        f = builtin_function("abs_pow", {"exponent": 2.5})
+        rng = suite_rng(185, k)
+        for _ in range(3):
+            a = random_hermitian(rng, 5, norm=0.8)
+            dirs = tuple(random_hermitian(rng, 5, norm=1.0) for _ in range(k))
+            via_moi = matrix_function_derivative(DerivativeRequest(f, a, dirs, k, "moi"))
+            via_fd = finite_difference_derivative(f, a, dirs)
+            rel = np.linalg.norm(via_moi - via_fd) / (1.0 + np.linalg.norm(via_moi))
+            assert rel <= DEFAULT_TOLERANCES["derivative_fd"]
 
 
 def hermitian_with(rng, eigenvalues):
@@ -263,7 +327,7 @@ class TestEngineAgainstOracles:
         weights = [1.5, -0.5j]
         symbol = MoiSymbol(3, lambda lam: 1.5 * lam[0] * lam[2] ** 2
                            - 0.5j * lam[1] ** 2 * lam[2])
-        assert symbol.batch_evaluator is None
+        assert symbol.grid_evaluator is None
         assert rel(moi_evaluate(symbol, ops), moi_separated(factors, weights, ops)) < 1e-12
 
     def test_dimension_one(self):

@@ -14,16 +14,13 @@ from moikit import (
     builtin_function,
     divided_difference,
     divided_difference_batch,
-    divided_difference_product,
     divided_difference_quadrature,
     divided_difference_recursive,
     divided_difference_sup_bound,
     function_from_spec,
     poly_divided_difference,
-    poly_iptp_bound,
     wiener_divided_difference,
     wiener_iptp_bound,
-    wiener_moment,
     wiener_taylor_truncate,
 )
 
@@ -153,22 +150,43 @@ class TestWienerStrategy:
         assert a == pytest.approx(b, abs=1e-10)
 
 
+def leibniz(f, g, nodes):
+    """``sum_j f^[j](x_0..x_j) g^[k-j](x_j..x_k)``, each factor by the batched table."""
+    k = len(nodes) - 1
+    return sum(divided_difference_batch(f, [nodes[:j + 1]])[0]
+               * divided_difference_batch(g, [nodes[j:]])[0] for j in range(k + 1))
+
+
 class TestProductRule:
+    # the Leibniz rule: (f g)^[k] splits the node tuple at every position
+
     def test_linear_times_linear(self):
         p1 = monomial(1)
-        val = divided_difference_product(p1, p1, [1, 2])
-        assert val == pytest.approx(3)  # p2^[1](1,2)
+        assert leibniz(p1, p1, [1, 2]) == pytest.approx(3)  # p2^[1](1,2)
 
     def test_unit_factor_is_identity(self):
         p = Polynomial([2, 0, 1, 4])
         one = Polynomial([1])
         nodes = [0.5, -0.5, 1.5]
-        assert divided_difference_product(p, one, nodes) == pytest.approx(
+        assert leibniz(p, one, nodes) == pytest.approx(
             poly_divided_difference(p, NodeTuple(nodes)))
 
     def test_linear_times_square(self):
-        val = divided_difference_product(monomial(1), monomial(2), [0, 1, 2])
+        val = leibniz(monomial(1), monomial(2), [0, 1, 2])
         assert val == pytest.approx(3)  # p3^[2](0,1,2) = 0 + 1 + 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_product_of_builtins(self, k):
+        # exp * cos against the table of the product itself, on nodes with
+        # a near pair and an exact repeat
+        f, g = builtin_function("exp"), builtin_function("cos")
+        product = CallableFunction(
+            lambda x: np.exp(x) * np.cos(x),
+            [lambda x, m=m: sum(math.comb(m, i) * np.exp(x) * g.derivative(m - i)(x)
+                                for i in range(m + 1)) for m in range(1, 13)])
+        nodes = [0.3, 0.3 + 1e-6, -0.8, 1.1, -0.8][:k + 1]
+        expected = divided_difference_batch(product, [nodes])[0]
+        assert abs(leibniz(f, g, nodes) - expected) < 1e-12 * (1 + abs(expected))
 
 
 class TestSupBound:
@@ -185,20 +203,15 @@ class TestSupBound:
 
 class TestWienerBounds:
     def test_cos_moments(self):
-        assert wiener_moment(COS, 0) == pytest.approx(1.0)
-        assert wiener_moment(COS, 2) == pytest.approx(1.0)
-        assert wiener_moment(WienerAtomic([]), 5) == 0
+        assert COS.moment(0) == pytest.approx(1.0)
+        assert COS.moment(2) == pytest.approx(1.0)
+        assert WienerAtomic([]).moment(5) == 0
 
     def test_iptp_bounds(self):
         assert wiener_iptp_bound(COS, 2) == pytest.approx(0.5)
         f = WienerAtomic([(2.5, 1.0)])
         assert wiener_iptp_bound(f, 1) == pytest.approx(2.5)
         assert wiener_iptp_bound(f, 0) == pytest.approx(1.0)
-
-    def test_poly_bound(self):
-        assert poly_iptp_bound([((1, 1), 1.0)], 2.0) == pytest.approx(4.0)
-        assert poly_iptp_bound([((0, 0), 1.0)], 7.0) == pytest.approx(1.0)
-        assert poly_iptp_bound([((1, 0), 1.0), ((0, 1), 1.0)], 1.0) == pytest.approx(2.0)
 
     def test_moment_bound_dominates_sampled_values(self):
         rng = np.random.default_rng(np.random.Philox(key=5))
