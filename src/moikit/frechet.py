@@ -159,11 +159,22 @@ def _fd_stencil(f, base, directions, h):
 
 
 def _to_mp_matrix(A):
-    return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in A])
+    n = A.shape[0]
+    M = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            M[i, j] = mp.mpc(A[i, j].real, A[i, j].imag)
+    return M
 
 
 def _from_mp_matrix(M):
-    return np.array(M.tolist(), dtype=complex)
+    n = M.rows
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            v = M[i, j]
+            out[i, j] = complex(v.real, v.imag)
+    return out
 
 
 def _fd_stencil_mp(f, base, directions, h):

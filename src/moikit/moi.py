@@ -188,15 +188,12 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     if tensor.shape != expected:
         raise DimensionMismatch(f"tensor shape {tensor.shape} != cluster counts {expected}")
     vectors = [d.vectors for d in operands.decomps]
+    labels = [d.labels for d in operands.decomps]
     rotated = [vectors[j].conj().T @ b @ vectors[j + 1]
                for j, b in enumerate(operands.middles)]
-    if tensor.size != operands.dimension ** (k + 1):
-        tensor = tensor[np.ix_(*(d.labels for d in operands.decomps))]
-    # axes (a_0, a_j, .., a_k): fold in b_1 (and b_2, summing a_1 out), then
-    # sum each further a_j out against b_{j+1}
-    core = (tensor * rotated[0] if k == 1 else
-            np.einsum("abc...,ab,bc->ac...", tensor, rotated[0], rotated[1]))
-    for b in rotated[2:]:
+    # axes (a_0, a_j, .., a_k): fold in b_1, then sum a_j out against b_{j+1}
+    core = np.einsum("ab...,ab->ab...", tensor[np.ix_(*labels)], rotated[0])
+    for b in rotated[1:]:
         core = np.einsum("abc...,bc->ac...", core, b)
     return vectors[0] @ core @ vectors[k].conj().T
 

@@ -5,8 +5,11 @@ symmetric quantity obtained by iterating difference quotients; on the
 diagonal it reduces to ``f^(k)(x) / k!``.  Every function goes through one
 table: :func:`divided_difference_batch` sorts each node tuple and divides
 by the span of each sub-tuple, and a sub-tuple too narrow for the quotient
-takes the Taylor series of ``f`` at its mean (Opitz 1964; McCurdy, Ng and
-Parlett 1984; Higham, *Functions of Matrices*, 2008, section 3.2).
+takes the series of ``f`` about the midpoint of its hull: the simplex
+(Hermite-Genocchi) integral of the Chebyshev interpolant of ``f^(j)`` on that
+hull (Opitz 1964, McCurdy, Ng and Parlett 1984 and Higham, *Functions of
+Matrices*, 2008, section 3.2, for confluent tables; Trefethen, *Approximation
+Theory and Approximation Practice*, 2013, for the interpolant).
 :func:`divided_difference_grid` builds the same quantity level by level on
 a product grid of node lists, the symbol tensor of an operator integral,
 and :func:`divided_difference` is the one-tuple case.
@@ -297,10 +300,17 @@ class SimplexQuadratureRule:
         return f"SimplexQuadratureRule(k={self.dimension}, points={self.weights.size})"
 
 
-@functools.cache
-def default_rule(dimension: int) -> SimplexQuadratureRule:
-    """Cached 16-point-per-axis Gauss-Legendre simplex rule for a given order."""
-    return SimplexQuadratureRule.gauss_legendre(dimension)
+_DEFAULT_RULES: dict[int, SimplexQuadratureRule] = {}
+
+
+def default_rule(dimension: int, points_per_axis: int = 16) -> SimplexQuadratureRule:
+    """Cached Gauss-Legendre simplex rule for a given order."""
+    key = (dimension, points_per_axis)
+    rule = _DEFAULT_RULES.get(key)
+    if rule is None:
+        rule = SimplexQuadratureRule.gauss_legendre(dimension, points_per_axis)
+        _DEFAULT_RULES[key] = rule
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +330,7 @@ def _homogeneous_sums(nodes, max_degree):
     which case each ``h[m]`` has length N.
     """
     nodes = np.asarray(nodes, dtype=float)
-    h = np.zeros((max_degree + 1,) + nodes.shape[1:], dtype=complex)
+    h = np.zeros((max_degree + 1,) + nodes.shape[1:])
     h[0] = 1.0
     for x in nodes:
         for m in range(1, max_degree + 1):
@@ -336,8 +346,10 @@ def poly_divided_difference(p: Polynomial, nodes) -> complex:
     """
     nodes = _as_nodes(nodes)
     k = nodes.order
-    h = _homogeneous_sums(nodes.nodes, max(p.degree - k, 0))
-    return complex(sum((p.coeffs[n] * h[n - k] for n in range(k, p.degree + 1)), 0j))
+    if k > p.degree:
+        return 0j
+    h = _homogeneous_sums(nodes.nodes, p.degree - k)
+    return complex(sum(p.coeffs[n] * h[n - k] for n in range(k, p.degree + 1)))
 
 
 def divided_difference_recursive(f, nodes) -> complex:
@@ -363,8 +375,12 @@ def divided_difference_recursive(f, nodes) -> complex:
             groups[-1].append(x)
         else:
             groups.append([x])
-    snapped = [sum(g) / len(g) for g in groups for _ in g]
-    max_mult = max(len(g) for g in groups)
+    snapped: list[float] = []
+    max_mult = 1
+    for g in groups:
+        rep = sum(g) / len(g)
+        snapped.extend([rep] * len(g))
+        max_mult = max(max_mult, len(g))
 
     derivs = [f]
     for j in range(1, max_mult):
@@ -389,15 +405,15 @@ def divided_difference_recursive(f, nodes) -> complex:
     return table[0]
 
 
-def divided_difference_mp(f, nodes, dps: int = 50) -> complex:
-    """Extended-precision reference: the recursion in ``dps``-digit arithmetic.
+def divided_difference_mp(f, nodes) -> complex:
+    """Extended-precision reference: the recursion in 50-digit arithmetic.
 
     Evaluates ``f`` by its mpmath form (``f._eval_mp``) at the given double
     nodes; at an exact repeat the table takes the Taylor coefficient
     ``f^(j)(x)/j!`` from mpmath's numerical differentiation, so ``f`` must be
     smooth there.
     """
-    with mp.workdps(dps):
+    with mp.workdps(50):
         z = sorted(mp.mpf(x) for x in _as_nodes(nodes))
         taylor = {x: mp.taylor(f._eval_mp, x, z.count(x) - 1)
                   for x in set(z) if z.count(x) > 1}
@@ -466,42 +482,80 @@ def wiener_divided_difference(f: WienerAtomic, nodes,
 # span^k to rounding, relative to the scale (1 + max|x|)^k and compounded over
 # its levels.  Every level of it keeps the quotient only on spans of at least
 # confluent_span(k) (1 + max|x|), where that loss is QUOTIENT_ERROR: 100x under
-# the 1e-9 agreement gate, as the model is tight at k = 1.  Narrower sub-tuples
-# take the Taylor series at their mean through TAYLOR_TERMS more derivatives
-# when f supplies them and the last term shows that it has converged.
+# the 1e-9 agreement gate, as the model is tight at k = 1.  A narrower
+# sub-tuple x_0 <= .. <= x_j takes the series of f^[j] about the midpoint c of
+# its hull, when f supplies f^(j) and the series has converged.  f^[j] is the
+# simplex integral of f^(j)(t . x), and with u = (x - c) / r, r the half-span,
+# that integral of (t . u)^m is m!/(j+m)! h_m(u).  The series integrates the
+# interpolant of f^(j) at SERIES_DEGREE + 1 Chebyshev points of the hull, sum_q
+# a_q T_q(u), so it needs no derivative beyond f^(j).  It has converged when
+# the coefficients that it drops, extrapolated from its last ones, are under
+# QUOTIENT_ERROR of f^(j) on the hull, or under the rounding of its points.
+# The test is relative: an absolute one passes series that are accurate only
+# to QUOTIENT_ERROR where f^(j) is tiny (|x|^s near 0), which the quotients of
+# the higher levels then divide by spans far below confluent_span.
 QUOTIENT_ERROR = 1e-11
-TAYLOR_TERMS = 8
+SERIES_DEGREE = 8
+_ANGLES = np.pi * (np.arange(SERIES_DEGREE + 1) + 0.5) / (SERIES_DEGREE + 1)
+_CHEBYSHEV = np.cos(_ANGLES)
+# values at the Chebyshev points -> coefficients a_q (a discrete cosine transform)
+_CHEBYSHEV_FIT = np.cos(np.outer(np.arange(SERIES_DEGREE + 1), _ANGLES)) * (
+    2.0 / (SERIES_DEGREE + 1))
+_CHEBYSHEV_FIT[0] /= 2.0
+# row q: the monomial coefficients of T_q
+_CHEBYSHEV_MONOMIALS = [np.polynomial.chebyshev.cheb2poly(row)
+                        for row in np.eye(SERIES_DEGREE + 1)]
 
 
 def confluent_span(order):
-    """Relative span below which an order-``order`` table takes the Taylor patch."""
+    """Relative span below which an order-``order`` table takes the series patch."""
     return 2.0 * (np.finfo(float).eps / QUOTIENT_ERROR) ** (1.0 / order)
 
 
-def _taylor_rows(derivative, nodes):
-    """``sum_{m=j}^{j+M} f^(m)(c)/m! h_{m-j}(x - c)`` and its last term, at
-    the mean c of each row of a ``(P, j+1)`` node array."""
+def _series_rows(dj, nodes):
+    """``f^[j]`` on the rows of a sorted ``(P, j+1)`` node array of positive
+    spans from the interpolant of ``dj = f^(j)``, and whether it has converged."""
     j = nodes.shape[1] - 1
-    c = nodes.mean(axis=1)
-    h = _homogeneous_sums((nodes - c[:, None]).T, TAYLOR_TERMS)
-    terms = [_vector_eval(derivative(j + t), c) * (h[t] / math.factorial(j + t))
-             for t in range(TAYLOR_TERMS + 1)]
-    return sum(reversed(terms)), np.abs(terms[-1])
+    c = 0.5 * (nodes[:, 0] + nodes[:, -1])
+    r = 0.5 * (nodes[:, -1] - nodes[:, 0])
+    values = _vector_eval(dj, c + r * _CHEBYSHEV[:, None])
+    # elementwise sums, not matrix products, so that a row's value does not
+    # depend on the other rows
+    coeffs = [sum(w * v for w, v in zip(weights, values)) for weights in _CHEBYSHEV_FIT]
+    h = _homogeneous_sums(((nodes - c[:, None]) / r[:, None]).T, SERIES_DEGREE)
+    moments = [h[m] * (math.factorial(m) / math.factorial(j + m))
+               for m in range(SERIES_DEGREE + 1)]
+    # the simplex integral of T_q(t . u), through the monomials of T_q
+    integrals = [sum(t * moment for t, moment in zip(monomials, moments) if t)
+                 for monomials in _CHEBYSHEV_MONOMIALS]
+    series = sum(a * integral for a, integral in reversed(list(zip(coeffs, integrals))))
+    # the values also carry the rounding of the points c + r u, about
+    # eps (|c| + r) |f^(j+1)|, which |a_1| / r estimates: a series that has
+    # converged to that floor is as accurate as its data
+    floor = (QUOTIENT_ERROR * np.abs(values).max(axis=0)
+             + 10.0 * np.finfo(float).eps * (np.abs(c) + r) / r * np.abs(coeffs[1]))
+    # the truncation error is about the next two coefficients, extrapolated
+    # from the decay of the last two pairs (pairs, so that a series of one
+    # parity about c does not pass on a vanishing last coefficient)
+    tail = np.maximum(np.abs(coeffs[-1]), np.abs(coeffs[-2]))
+    before = np.maximum(np.abs(coeffs[-3]), np.abs(coeffs[-4]))
+    decay = np.minimum(1.0, tail / np.maximum(before, np.finfo(float).tiny))
+    return series, tail * decay <= floor
 
 
 def _table_rows(f, rows, order, derivative) -> np.ndarray:
     """``f^[k]`` on the rows of a sorted ``(N, k+1)`` array by an order-``order``
     table, with ``derivative(m)`` memoizing ``f^(m)`` (None where missing).
 
-    Without the derivatives for the Taylor patch, narrow sub-tuples keep the
-    quotient, and rows with nodes within ``COINCIDENCE_TOL_FACTOR (1 + max|x|)``
-    take :func:`divided_difference_recursive`, or its :class:`CoincidentNodes`.
+    Where ``f`` does not supply ``f^(j)``, narrow sub-tuples of level ``j``
+    keep the quotient, and :class:`CoincidentNodes` is raised if any of them
+    spans at most ``COINCIDENCE_TOL_FACTOR (1 + max|x|)``, as the recursion
+    would.
     """
     k = rows.shape[1] - 1
     table = _vector_eval(f, rows)
     scale = 1.0 + np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
     width = confluent_span(max(order, 1)) * scale
-    coincident = np.zeros(len(rows), dtype=bool)
     for j in range(1, k + 1):
         span = rows[:, j:] - rows[:, :-j]
         together = span <= COINCIDENCE_TOL_FACTOR * scale[:, None]
@@ -509,21 +563,22 @@ def _table_rows(f, rows, order, derivative) -> np.ndarray:
         narrow = span < width[:, None]
         if not narrow.any():
             continue
-        if any(derivative(m) is None for m in range(j, j + TAYLOR_TERMS + 1)):
-            coincident |= together.any(axis=1)
+        dj = derivative(j)
+        if dj is None:
+            if together.any():
+                raise CoincidentNodes(
+                    f"{j + 1} nodes coincide within {COINCIDENCE_TOL_FACTOR:g} (1 + max|x|) "
+                    f"and the function does not supply {j} derivatives")
             continue
         r, i = np.nonzero(narrow & (span > 0))
         if r.size:
-            series, last = _taylor_rows(derivative,
-                                        rows[r[:, None], i[:, None] + np.arange(j + 1)])
-            converged = (last <= QUOTIENT_ERROR * (1.0 + np.abs(series))) | together[r, i]
+            series, converged = _series_rows(dj, rows[r[:, None], i[:, None] + np.arange(j + 1)])
+            converged |= together[r, i]
             table[r[converged], i[converged]] = series[converged]
         # at an exact repeat the series is its leading term
         r, i = np.nonzero(span == 0)
-        table[r, i] = _vector_eval(derivative(j), rows[r, i]) / math.factorial(j)
-    out = table[:, 0]
-    out[coincident] = [divided_difference_recursive(f, row) for row in rows[coincident]]
-    return out
+        table[r, i] = _vector_eval(dj, rows[r, i]) / math.factorial(j)
+    return table[:, 0]
 
 
 def divided_difference_batch(f, nodes) -> np.ndarray:
@@ -531,7 +586,7 @@ def divided_difference_batch(f, nodes) -> np.ndarray:
 
     Every function takes one route: each row is sorted and divided by the
     span of each sub-tuple; a sub-tuple too narrow for the quotient takes the
-    Taylor series of ``f`` at its mean, exact for polynomials and at repeats.
+    series of ``f`` about the midpoint of its hull, exact at repeats.
     A value depends only on the sorted row, so permuted rows agree bit for bit.
     """
     nodes = np.asarray(nodes, dtype=float)
@@ -551,10 +606,7 @@ def divided_difference_grid(f, node_lists) -> np.ndarray:
     Built level by level over the slots ``a..b``, ``T[a..b] = (T[a..b-1][..,
     None] - T[a+1..b][None, ..]) / (x_a - x_b)``; slots with one list share
     their tables.  Entries whose first and last node lie within the confluent
-    span are patched.  Where slots ``a..b`` share one list, ``f^[k]`` is
-    symmetric, and such an entry is read at its sorted index tuple, whose
-    first and last node are its widest pair, unless that pair is narrow too;
-    the other patched entries take the table of :func:`divided_difference_batch`.
+    span take the table of :func:`divided_difference_batch` instead.
     """
     lists = [np.asarray(x, dtype=float) for x in node_lists]
     k = len(lists) - 1
@@ -580,21 +632,10 @@ def _grid_level(f, slots, left, right, k, derivative):
     out = left[..., None] - right[None, ...]
     out /= np.where(narrow, 1.0, diff).reshape(edges)
     index = np.nonzero(np.broadcast_to(narrow.reshape(edges), out.shape))
-    shared = all(x is first for x in slots)
     for start in range(0, index[0].size, GRID_BLOCK):
-        block = np.stack([i[start:start + GRID_BLOCK] for i in index], axis=1)
-        nodes = np.stack([x[i] for x, i in zip(slots, block.T)], axis=1)
-        order = np.argsort(nodes, axis=1, kind="stable")
-        nodes = np.take_along_axis(nodes, order, axis=1)
-        values = np.empty(len(nodes), dtype=complex)
-        rows = np.ones(len(nodes), dtype=bool)
-        if shared:
-            scale = 1.0 + np.maximum(np.abs(nodes[:, 0]), np.abs(nodes[:, -1]))
-            wide = nodes[:, -1] - nodes[:, 0] >= width * scale
-            values[wide] = out[tuple(np.take_along_axis(block, order, axis=1)[wide].T)]
-            rows = ~wide
-        values[rows] = _table_rows(f, nodes[rows], k, derivative)
-        out[tuple(block.T)] = values
+        block = tuple(i[start:start + GRID_BLOCK] for i in index)
+        nodes = np.sort(np.stack([x[i] for x, i in zip(slots, block)], axis=1), axis=1)
+        out[block] = _table_rows(f, nodes, k, derivative)
     return out
 
 

@@ -217,7 +217,7 @@ def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
         lhs=worst_bound, rhs=0.0, slack=tols["dd_bound_slack"]))
     report.add(equality_check(
         f"batched table vs 50-digit mpmath ({mp_cases} cases)",
-        "the difference-quotient table with its Taylor patch matches the "
+        "the difference-quotient table with its series patch matches the "
         "extended-precision recursion, around the confluent span and at repeats",
         residual=worst_mp, tolerance=tols["dd_agreement"]))
     return report

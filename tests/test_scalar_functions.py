@@ -326,6 +326,16 @@ class TestSpecFormat:
         assert g(-2.0) == pytest.approx(2 ** 1.5)
         assert g.derivative()(4.0) == pytest.approx(1.5 * 2.0)
 
+    def test_abs_pow_in_extended_precision(self):
+        # |x|^(5/2) = x^2 sqrt|x| to 30 digits, where a double-precision
+        # evaluation would agree to about 16
+        from mpmath import mp
+
+        g = builtin_function("abs_pow", {"exponent": 2.5})
+        with mp.workdps(30):
+            x = mp.mpf("-0.3")
+            assert abs(g._eval_mp(x) - x ** 2 * mp.sqrt(-x)) <= mp.mpf("1e-30")
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             function_from_spec({"kind": "mystery"})
