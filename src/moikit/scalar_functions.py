@@ -11,8 +11,11 @@ hull (Opitz 1964, McCurdy, Ng and Parlett 1984 and Higham, *Functions of
 Matrices*, 2008, section 3.2, for confluent tables; Trefethen, *Approximation
 Theory and Approximation Practice*, 2013, for the interpolant).
 :func:`divided_difference_grid` builds the same quantity level by level on
-a product grid of node lists, the symbol tensor of an operator integral,
-and :func:`divided_difference` is the one-tuple case.
+a product grid of node lists, the symbol tensor of an operator integral;
+on a level whose slots share one list it reads each narrow entry at its
+index tuple sorted by node value, as ``f^[j]`` is symmetric, so only a
+sorted tuple narrower than the confluent span takes the series patch.
+:func:`divided_difference` is the one-tuple case.
 
 The other evaluations stay as independent oracles:
 
@@ -543,14 +546,41 @@ def _series_rows(dj, nodes):
     return series, tail * decay <= floor
 
 
+def _confluent_step(dj, nodes, quotient, together) -> np.ndarray:
+    """Level ``j`` of the table on sorted ``(P, j+1)`` node rows narrower than
+    the confluent span, whose difference quotients are ``quotient``.
+
+    A row takes the series of ``f^[j]`` from ``dj = f^(j)`` where it has
+    converged or the row is ``together`` (spans at most ``COINCIDENCE_TOL_FACTOR
+    (1 + max|x|)``), ``f^(j)/j!`` at an exact repeat, and keeps its quotient
+    otherwise.  Where ``f`` does not supply ``f^(j)`` (``dj`` None) every row
+    keeps its quotient, and :class:`CoincidentNodes` is raised if any row is
+    together, as the recursion would.
+    """
+    j = nodes.shape[1] - 1
+    if dj is None:
+        if together.any():
+            raise CoincidentNodes(
+                f"{j + 1} nodes coincide within {COINCIDENCE_TOL_FACTOR:g} (1 + max|x|) "
+                f"and the function does not supply {j} derivatives")
+        return quotient
+    out = quotient.copy()
+    apart = nodes[:, -1] > nodes[:, 0]
+    if apart.any():
+        series, converged = _series_rows(dj, nodes[apart])
+        out[apart] = np.where(converged | together[apart], series, quotient[apart])
+    # at an exact repeat the series is its leading term
+    repeat = ~apart
+    out[repeat] = _vector_eval(dj, nodes[repeat, 0]) / math.factorial(j)
+    return out
+
+
 def _table_rows(f, rows, order, derivative) -> np.ndarray:
     """``f^[k]`` on the rows of a sorted ``(N, k+1)`` array by an order-``order``
     table, with ``derivative(m)`` memoizing ``f^(m)`` (None where missing).
 
-    Where ``f`` does not supply ``f^(j)``, narrow sub-tuples of level ``j``
-    keep the quotient, and :class:`CoincidentNodes` is raised if any of them
-    spans at most ``COINCIDENCE_TOL_FACTOR (1 + max|x|)``, as the recursion
-    would.
+    Each level's sub-tuples narrower than the confluent span take
+    :func:`_confluent_step`.
     """
     k = rows.shape[1] - 1
     table = _vector_eval(f, rows)
@@ -560,24 +590,11 @@ def _table_rows(f, rows, order, derivative) -> np.ndarray:
         span = rows[:, j:] - rows[:, :-j]
         together = span <= COINCIDENCE_TOL_FACTOR * scale[:, None]
         table = (table[:, 1:] - table[:, :-1]) / np.where(together, 1.0, span)
-        narrow = span < width[:, None]
-        if not narrow.any():
-            continue
-        dj = derivative(j)
-        if dj is None:
-            if together.any():
-                raise CoincidentNodes(
-                    f"{j + 1} nodes coincide within {COINCIDENCE_TOL_FACTOR:g} (1 + max|x|) "
-                    f"and the function does not supply {j} derivatives")
-            continue
-        r, i = np.nonzero(narrow & (span > 0))
+        r, i = np.nonzero(span < width[:, None])
         if r.size:
-            series, converged = _series_rows(dj, rows[r[:, None], i[:, None] + np.arange(j + 1)])
-            converged |= together[r, i]
-            table[r[converged], i[converged]] = series[converged]
-        # at an exact repeat the series is its leading term
-        r, i = np.nonzero(span == 0)
-        table[r, i] = _vector_eval(dj, rows[r, i]) / math.factorial(j)
+            table[r, i] = _confluent_step(
+                derivative(j), rows[r[:, None], i[:, None] + np.arange(j + 1)],
+                table[r, i], together[r, i])
     return table[:, 0]
 
 
@@ -605,24 +622,43 @@ def divided_difference_grid(f, node_lists) -> np.ndarray:
 
     Built level by level over the slots ``a..b``, ``T[a..b] = (T[a..b-1][..,
     None] - T[a+1..b][None, ..]) / (x_a - x_b)``; slots with one list share
-    their tables.  Entries whose first and last node lie within the confluent
-    span take the table of :func:`divided_difference_batch` instead.
+    their tables.  An entry whose first and last node lie within the confluent
+    span is recomputed.  On a level whose slots all share one list, ``f^[j]``
+    being symmetric, it is read at its index tuple sorted by node value: the
+    quotient there divides by the whole span, and only a sorted tuple whose
+    whole span is under the confluent span takes the level's series patch,
+    so permuted entries agree bit for bit.  On a level over mixed lists it
+    takes the table of :func:`divided_difference_batch` instead.
     """
     lists = [np.asarray(x, dtype=float) for x in node_lists]
     k = len(lists) - 1
     derivative = functools.cache(functools.partial(_derivative_or_none, f))
-    tables = {}
+    tables, sorted_lists = {}, {}
     for j in range(k + 1):
         for a in range(k + 1 - j):
             key = tuple(map(id, lists[a:a + j + 1]))
-            if key not in tables:
-                tables[key] = (_vector_eval(f, lists[a]) if j == 0 else _grid_level(
-                    f, lists[a:a + j + 1], tables[key[:-1]], tables[key[1:]], k, derivative))
+            if key in tables:
+                continue
+            if j == 0:
+                tables[key] = _vector_eval(f, lists[a])
+                # the sorted list; the rank of each node, its value's first
+                # position there; and for each rank one index holding it
+                x = np.sort(lists[a])
+                rank = np.searchsorted(x, lists[a])
+                representative = np.empty(x.size, dtype=np.intp)
+                representative[rank] = np.arange(x.size)
+                sorted_lists[key[0]] = x, rank, representative
+            else:
+                tables[key] = _grid_level(
+                    f, lists[a:a + j + 1], tables[key[:-1]], tables[key[1:]], k, derivative,
+                    sorted_lists[key[0]] if len(set(key)) == 1 else None)
     return tables[key]
 
 
-def _grid_level(f, slots, left, right, k, derivative):
-    """One level of an order-k :func:`divided_difference_grid` over ``slots``."""
+def _grid_level(f, slots, left, right, k, derivative, sorted_list):
+    """One level of an order-k :func:`divided_difference_grid` over ``slots``;
+    ``sorted_list`` is what divided_difference_grid records of their list
+    when they all share one, else None."""
     first, last = slots[0], slots[-1]
     width = confluent_span(k)
     diff = first[:, None] - last[None, :]
@@ -634,8 +670,35 @@ def _grid_level(f, slots, left, right, k, derivative):
     index = np.nonzero(np.broadcast_to(narrow.reshape(edges), out.shape))
     for start in range(0, index[0].size, GRID_BLOCK):
         block = tuple(i[start:start + GRID_BLOCK] for i in index)
-        nodes = np.sort(np.stack([x[i] for x, i in zip(slots, block)], axis=1), axis=1)
-        out[block] = _table_rows(f, nodes, k, derivative)
+        if sorted_list is None:
+            nodes = np.sort(np.stack([x[i] for x, i in zip(slots, block)], axis=1), axis=1)
+            out[block] = _table_rows(f, nodes, k, derivative)
+        else:
+            x, rank, representative = sorted_list
+            ranks = np.sort(rank[np.stack(block, axis=1)], axis=1)
+            out[block] = _sorted_entries(x[ranks], representative[ranks],
+                                         left, right, k, derivative)
+    return out
+
+
+def _sorted_entries(nodes, index, left, right, k, derivative):
+    """Level ``j`` of an order-k grid over one list at the sorted ``(P, j+1)``
+    node rows ``nodes``, whose index tuples into the list are ``index``,
+    from the level below.
+
+    The quotient is gathered from ``left`` and ``right``, never from the
+    level being built, which earlier blocks have already overwritten.
+    """
+    lo, hi = nodes[:, 0], nodes[:, -1]
+    scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
+    together = hi - lo <= COINCIDENCE_TOL_FACTOR * scale
+    # divided by lo - hi, as the dense level divides by first - last
+    out = ((left[tuple(index[:, :-1].T)] - right[tuple(index[:, 1:].T)])
+           / np.where(together, 1.0, lo - hi))
+    narrow = hi - lo < confluent_span(k) * scale
+    if narrow.any():
+        out[narrow] = _confluent_step(derivative(index.shape[1] - 1), nodes[narrow],
+                                      out[narrow], together[narrow])
     return out
 
 
