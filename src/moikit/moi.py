@@ -5,11 +5,11 @@ sandwich ``P b_1 P b_2 ... b_k P`` by a symbol evaluated on tuples of
 eigenvalues, one from each of k+1 Hermitian matrices.  At matrix scale this
 is the finite Daleckii-Krein sum, evaluated here by one engine: the symbol
 is tabulated once as a tensor over the cluster eigenvalues, expanded to
-the eigenvectors by cluster index, and contracted against the directions
-rotated into the eigenbases (``V_{j-1}* b_j V_j``).  The contraction runs
-on a fixed path and involves no randomness, so outputs are bit-stable run
-to run.  The separated, monomial and oscillatory-sum evaluations are kept
-as independent oracles.
+the eigenvectors by cluster index where a cluster merged, and contracted
+against the directions rotated into the eigenbases (``V_{j-1}* b_j V_j``).
+The contraction runs on a fixed path and involves no randomness, so outputs
+are bit-stable run to run.  The separated, monomial and oscillatory-sum
+evaluations are kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -179,8 +179,11 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     k+1 decompositions.  With ``A_j = V_j diag(lam_j) V_j*``, the integral is
     ``V_0 X V_k*`` where ``X[a_0, a_k]`` sums ``T[a_0..a_k] * prod_j
     (V_{j-1}* b_j V_j)[a_{j-1}, a_j]`` over the inner indices, ``T`` being
-    the tensor expanded from clusters to eigenvectors.  The chain is
-    contracted pairwise from the left on a fixed path.
+    the tensor expanded from clusters to eigenvectors; that expansion is the
+    identity, and is skipped, when no slot has a merged cluster.  The chain
+    is contracted from the left on a fixed path: ``b_1`` and ``b_2`` in one
+    pass through their ``n^3`` product, then one direction at a time, so no
+    second array of the tensor's size is built.
     """
     k = operands.order
     tensor = np.asarray(tensor, dtype=complex)
@@ -188,12 +191,16 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     if tensor.shape != expected:
         raise DimensionMismatch(f"tensor shape {tensor.shape} != cluster counts {expected}")
     vectors = [d.vectors for d in operands.decomps]
-    labels = [d.labels for d in operands.decomps]
+    if any(m < operands.dimension for m in expected):
+        tensor = tensor[np.ix_(*(d.labels for d in operands.decomps))]
     rotated = [vectors[j].conj().T @ b @ vectors[j + 1]
                for j, b in enumerate(operands.middles)]
-    # axes (a_0, a_j, .., a_k): fold in b_1, then sum a_j out against b_{j+1}
-    core = np.einsum("ab...,ab->ab...", tensor[np.ix_(*labels)], rotated[0])
-    for b in rotated[1:]:
+    if k == 1:
+        return vectors[0] @ (tensor * rotated[0]) @ vectors[1].conj().T
+    # axes (a_0, a_j, .., a_k): fold in b_1 and b_2 at once, through their
+    # n^3 product, then sum a_j out against b_{j+1}
+    core = np.einsum("abc...,abc->ac...", tensor, rotated[0][:, :, None] * rotated[1])
+    for b in rotated[2:]:
         core = np.einsum("abc...,bc->ac...", core, b)
     return vectors[0] @ core @ vectors[k].conj().T
 
