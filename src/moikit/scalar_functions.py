@@ -32,7 +32,9 @@ for atomic Fourier sums.
 
 Function objects are immutable once constructed and every operation here
 is a pure function, so concurrent use needs no synchronization; reductions
-run left-to-right over sorted inputs for bit-stable results.
+run left-to-right over sorted inputs for bit-stable results, and the
+simplex-rule sums take ``einsum`` rather than BLAS, whose threads would
+split them by thread count.
 """
 
 from __future__ import annotations
@@ -452,9 +454,9 @@ def divided_difference_quadrature(f, nodes, rule: SimplexQuadratureRule | None =
     if rule.dimension != k:
         raise ValueError(f"rule has dimension {rule.dimension}, nodes have order {k}")
     dk = f.derivative(k) if k else f
-    points = rule.nodes @ np.asarray(nodes.nodes)
+    points = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
     vals = _vector_eval(dk, points)
-    return complex(np.dot(rule.weights, vals))
+    return complex(np.einsum("q,q->", rule.weights, vals))
 
 
 def wiener_divided_difference(f: WienerAtomic, nodes,
@@ -473,11 +475,11 @@ def wiener_divided_difference(f: WienerAtomic, nodes,
         raise ValueError(f"rule has dimension {rule.dimension}, nodes have order {k}")
     if not f.atoms:
         return 0j
-    dots = rule.nodes @ np.asarray(nodes.nodes)   # (Q,)
+    dots = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
     total = 0j
     for xi, c in f.atoms:
         osc = np.exp(1j * xi * dots)
-        total += c * (1j * xi) ** k * np.dot(rule.weights, osc)
+        total += c * (1j * xi) ** k * np.einsum("q,q->", rule.weights, osc)
     return complex(total)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moikit
 from moikit.cli import main
 from moikit.spectral import load_matrix, matrix_to_dict
 
@@ -232,3 +237,25 @@ class TestVerify:
                          {"seed": 3, "filter": "truncation", "out": str(out)})
         assert main(["verify", "--config", cfg]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == 3
+
+
+class TestBodiesAcrossBlasThreads:
+    # the divided-difference and quadrature suites sum over simplex rules;
+    # a threaded BLAS would split those sums by its thread count
+    SUITES = ("divided_differences", "quadrature")
+
+    def test_bodies_match_at_one_and_two_threads(self, tmp_path):
+        script = ("import sys; from moikit.cli import main; sys.exit(max(main(['verify', "
+                  "'--seed', '7', '--filter', s, '--out', s + '.json']) for s in sys.argv[1:]))")
+        src = str(Path(moikit.__file__).resolve().parents[1])
+        bodies = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", script, *self.SUITES],
+                           cwd=cwd, env=env, check=True, capture_output=True)
+            bodies.append([(cwd / f"{suite}.json.body").read_bytes() for suite in self.SUITES])
+        assert bodies[0] == bodies[1]

@@ -30,6 +30,7 @@ from moikit import (
     divided_difference_quadrature,
     divided_difference_recursive,
     finite_difference_derivative,
+    hermitian_eigendecompose,
     matrix_function_derivative,
     moi_evaluate,
     moi_polynomial,
@@ -41,6 +42,7 @@ from moikit import (
 from moikit.errors import CoincidentNodes, DimensionMismatch
 from moikit.scalar_functions import (
     COINCIDENCE_TOL_FACTOR,
+    confluent_span,
     divided_difference_grid,
     divided_difference_mp,
 )
@@ -213,6 +215,70 @@ class TestBatchedDividedDifference:
             divided_difference_batch(WIENER, np.zeros(3))
 
 
+# unsorted lists with a pair 1e-6 apart and an exact repeat: one whose every
+# tuple lies within the confluent span, and one spread across it
+CLUSTERED_LIST = np.array([0.30002, 0.3 + 1e-6, 0.3, 0.3])
+SPREAD_LIST = np.array([0.7, 0.2 + 1e-6, -0.4, 0.2, 1.3, 0.7, 0.25])
+
+
+def grid_entries(x, k):
+    """Every index tuple of the order-k grid over ``x``, its nodes, and the
+    tuple sorted by node value (ties by index)."""
+    index = np.indices((x.size,) * (k + 1)).reshape(k + 1, -1).T
+    rank = np.argsort(np.argsort(x, kind="stable"))
+    ordered = np.argsort(x, kind="stable")[np.sort(rank[index], axis=1)]
+    return index, x[index], ordered
+
+
+class TestSharedListGrid:
+    # a level whose slots share one list reads each entry within the
+    # confluent span at its index tuple sorted by node value
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_clustered_tensor_is_symmetric_bit_for_bit(self, k):
+        for f in ADVERSARIAL_FUNCTIONS.values():
+            tensor = divided_difference_grid(f, [CLUSTERED_LIST] * (k + 1))
+            for sigma in itertools.permutations(range(k + 1)):
+                assert np.array_equal(tensor, tensor.transpose(sigma))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_spread_tensor_reads_narrow_entries_at_the_sorted_tuple(self, k):
+        index, nodes, ordered = grid_entries(SPREAD_LIST, k)
+        first, last = nodes[:, 0], nodes[:, -1]
+        narrow = np.abs(first - last) < confluent_span(k) * (
+            1.0 + np.maximum(np.abs(first), np.abs(last)))
+        assert 0 < narrow.sum() < narrow.size
+        for f in ADVERSARIAL_FUNCTIONS.values():
+            tensor = divided_difference_grid(f, [SPREAD_LIST] * (k + 1))
+            flat = tensor.ravel()
+            at_sorted = tensor[tuple(ordered.T)]
+            assert np.array_equal(flat[narrow], at_sorted[narrow])
+            # the quotients of wide entries divide by their first and last
+            # node, so only reversal is exact for them
+            assert np.array_equal(tensor, tensor.transpose(range(k, -1, -1)))
+            for sigma in itertools.permutations(range(k + 1)):
+                assert scaled(tensor.transpose(sigma), tensor).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_entries_match_the_batch_at_their_sorted_rows(self, k):
+        for x in (CLUSTERED_LIST, SPREAD_LIST):
+            _, nodes, _ = grid_entries(x, k)
+            for f in ADVERSARIAL_FUNCTIONS.values():
+                tensor = divided_difference_grid(f, [x] * (k + 1))
+                batch = divided_difference_batch(f, np.sort(nodes, axis=1))
+                assert scaled(tensor.ravel(), batch).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_plain_callable_at_a_repeated_node_raises(self, k):
+        def f(x):
+            return np.sin(x) ** 2
+
+        with pytest.raises(CoincidentNodes):
+            divided_difference_grid(f, [SPREAD_LIST] * (k + 1))
+        with pytest.raises(CoincidentNodes):
+            divided_difference_grid(f, [SPREAD_LIST[:3]] + [SPREAD_LIST[3:]] * k)
+
+
 class TestHolderClass:
     # |x|^s with s in (k, k+1) is C^{k,s-k}: k derivatives, the k-th with a
     # cusp at 0, so the series converges only on hulls away from 0 and the
@@ -297,6 +363,33 @@ class TestEngineAgainstOracles:
         for f in ROUTES.values():
             symbol = MoiSymbol.from_function(f, k)
             assert rel(moi_evaluate(symbol, ops), projection_sum(symbol, ops)) < 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_one_decomposition_in_every_slot(self, k, merged):
+        # the derivative's operands: the tensor is contracted without the
+        # cluster expansion unless a cluster merged
+        n = {1: 8, 2: 8, 3: 6, 4: 4}[k]
+        rng = suite_rng(105 + k, int(merged))
+        spectrum = np.sort(rng.uniform(-1.5, 1.5, n))
+        if merged:
+            # an exact repeat and a pair half a cluster_tol apart
+            spectrum[1] = spectrum[0]
+            spectrum[-1] = spectrum[-2] + 0.5e-8
+        decomp = hermitian_eigendecompose(hermitian_with(rng, spectrum), cluster_tol=1e-8)
+        ops = MoiOperands((decomp,) * (k + 1),
+                          tuple(random_hermitian(rng, n) for _ in range(k)))
+        assert len(ops.decomps[0].eigenvalues) == (n - 2 if merged else n)
+        for f in (ROUTES["quadrature"], ROUTES["wiener"]):
+            symbol = MoiSymbol.from_function(f, k)
+            assert rel(moi_evaluate(symbol, ops), projection_sum(symbol, ops)) < 1e-13
+        represented = MoiOperands(tuple(
+            dataclasses.replace(d, source=(d.vectors * d.eigenvalues[d.labels])
+                                @ d.vectors.conj().T)
+            for d in ops.decomps), ops.middles)
+        for power in (k, k + 2, 6):
+            symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
+            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, represented)) < 1e-10
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_polynomial_oracle(self, k):
