@@ -30,7 +30,7 @@ b = random_hermitian(rng, 4, norm=0.4)
 print("cos, second-order remainder at a Hermitian pair:")
 direct = taylor_remainder_direct(cos, 2, a, b)
 mixed = taylor_remainder_moi(cos, 2, a, b)
-line = taylor_remainder_integral(cos, 2, a, b, steps=32)
+line = taylor_remainder_integral(cos, 2, a, b)
 scale = np.linalg.norm(direct)
 print(f"  ||direct||_F                    = {scale:.6f}")
 print(f"  direct vs mixed-base integral   = {np.linalg.norm(direct - mixed):.2e}")

@@ -49,6 +49,8 @@ __all__ = [
 
 # working precision (decimal digits) for the extended finite-difference path
 EXTENDED_DPS = 30
+# Gauss-Legendre nodes of the line-integral remainder form
+REMAINDER_NODES = 32
 
 STRATEGIES = ("moi", "finite_difference", "power_closed_form")
 
@@ -146,68 +148,47 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _fd_stencil(f, base, directions, h):
+def _jacobi_point(f, X):
     # Jacobi, not LAPACK: the oracle shares no eigensolver with the integrals
+    lam, V = jacobi_eigh(X)
+    values = np.array([evaluate_safely(f, x) for x in lam.tolist()])
+    return (V * values) @ V.conj().T
+
+
+def _eighe_point(f, X):
+    E, Q = mp.eighe(X)
+    return Q * mp.diag([f._eval_mp(e) for e in E]) * Q.transpose_conj()
+
+
+def _fd_stencil(f, base, directions, h, point):
+    """Alternating sum of ``f`` at ``base + h * sum s_i B_i`` over the 2^k
+    sign vectors, in the arithmetic of its operands (numpy or mpmath);
+    ``point`` evaluates ``f`` at one stencil point."""
     k = len(directions)
-    out = np.zeros_like(base, dtype=complex)
-    for signs in itertools.product((-1.0, 1.0), repeat=k):
-        X = base + h * sum(s * b for s, b in zip(signs, directions))
-        lam, V = jacobi_eigh(X)
-        values = np.array([evaluate_safely(f, x) for x in lam.tolist()])
-        out += math.prod(signs) * ((V * values) @ V.conj().T)
-    return out / (2.0 * h) ** k
-
-
-def _to_mp_matrix(A):
-    n = A.shape[0]
-    M = mp.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = mp.mpc(A[i, j].real, A[i, j].imag)
-    return M
-
-
-def _from_mp_matrix(M):
-    n = M.rows
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            v = M[i, j]
-            out[i, j] = complex(v.real, v.imag)
-    return out
-
-
-def _fd_stencil_mp(f, base, directions, h):
-    k = len(directions)
-    n = base.shape[0]
-    base_mp = _to_mp_matrix(base)
-    dirs_mp = [_to_mp_matrix(b) for b in directions]
-    acc = mp.matrix(n, n)
-    hm = mp.mpf(h)
+    out = 0
     for signs in itertools.product((-1, 1), repeat=k):
-        X = base_mp.copy()
-        for s, B in zip(signs, dirs_mp):
-            X = X + (hm * s) * B
-        E, Q = mp.eighe(X)
-        FE = mp.matrix(n, n)
-        for i in range(n):
-            FE[i, i] = f._eval_mp(E[i])
-        value = Q * FE * Q.transpose_conj()
-        acc = acc + math.prod(signs) * value
-    return _from_mp_matrix(acc / (2 * hm) ** k)
+        # scalars on the right: an mpf on the left of an mpmath matrix first
+        # formats the matrix into a TypeError before Python tries __rmul__
+        X = base + sum(s * B for s, B in zip(signs, directions)) * h
+        out = out + math.prod(signs) * point(f, X)
+    return out / (2 * h) ** k
 
 
-def finite_difference_derivative(f, base, directions, step: float = 1e-4,
-                                 richardson: bool = True,
+def finite_difference_derivative(f, base, directions,
                                  extended: bool | None = None) -> np.ndarray:
     """Tensor central-difference approximation of a k-th derivative.
 
     Evaluates ``f`` by functional calculus at the 2^k stencil points
-    ``base + h * sum s_i B_i`` with the step scaled by ``1 + ||base||``;
-    ``richardson`` combines steps ``h`` and ``h/2`` to cancel the O(h^2)
-    term.  For order >= 3 the alternating sum cancels below the double-
-    precision noise floor, so the stencil arithmetic switches to extended
-    precision (override with ``extended``).
+    ``base + h * sum s_i B_i`` and combines the steps ``h`` and ``h/2``
+    (Richardson) to cancel the O(h^2) term.  The step is fixed at
+    ``h = 1e-4 (1 + ||base||)`` for every order: a larger one, such as a
+    step that grows with the order, carries the stencil across points where
+    ``f`` is only Hölder (``|x|^s`` at 0), and there the O(h^2) term that
+    Richardson cancels does not exist.  In double precision each point is
+    diagonalized by :func:`jacobi_eigh`.  For order >= 3 the alternating sum
+    cancels below the double-precision noise floor, so the stencil runs in
+    ``EXTENDED_DPS``-digit mpmath arithmetic with ``mp.eighe`` instead
+    (override with ``extended``).
     """
     base = require_hermitian(base)
     directions = [require_hermitian(b) for b in directions]
@@ -216,19 +197,17 @@ def finite_difference_derivative(f, base, directions, step: float = 1e-4,
         raise ValueError("at least one direction required")
     if extended is None:
         extended = k >= 3
-    h = step * (1.0 + schatten_norm(base, math.inf))
-
+    h = 1e-4 * (1.0 + schatten_norm(base, math.inf))
     if extended:
         with mp.workdps(EXTENDED_DPS):
-            coarse = _fd_stencil_mp(f, base, directions, h)
-            if not richardson:
-                return coarse
-            fine = _fd_stencil_mp(f, base, directions, h / 2.0)
+            base = mp.matrix(base.tolist())
+            directions = [mp.matrix(b.tolist()) for b in directions]
+            coarse, fine = (np.array(_fd_stencil(f, base, directions, mp.mpf(step),
+                                                 _eighe_point).tolist(), dtype=complex)
+                            for step in (h, h / 2.0))
     else:
-        coarse = _fd_stencil(f, base, directions, h)
-        if not richardson:
-            return coarse
-        fine = _fd_stencil(f, base, directions, h / 2.0)
+        coarse, fine = (_fd_stencil(f, base, directions, step, _jacobi_point)
+                        for step in (h, h / 2.0))
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -271,17 +250,16 @@ def taylor_remainder_moi(f, order: int, base, perturbation) -> np.ndarray:
     return moi_evaluate(symbol, operands)
 
 
-def taylor_remainder_integral(f, order: int, base, perturbation,
-                              steps: int = 32) -> np.ndarray:
+def taylor_remainder_integral(f, order: int, base, perturbation) -> np.ndarray:
     """Remainder as a weighted line integral of order-k operator integrals.
 
-    Gauss-Legendre approximation of
+    ``REMAINDER_NODES``-point Gauss-Legendre approximation of
     ``k * int_0^1 (1-t)^(k-1) (I[f^[k]] at a + t b)[b..b] dt``.
     """
     a = require_hermitian(base)
     b = require_hermitian(perturbation)
     k = order
-    x, w = np.polynomial.legendre.leggauss(steps)
+    x, w = np.polynomial.legendre.leggauss(REMAINDER_NODES)
     ts = 0.5 * (x + 1.0)
     ws = 0.5 * w
     n = a.shape[0]

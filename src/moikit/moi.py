@@ -24,7 +24,6 @@ from .errors import ArityMismatch, DimensionMismatch
 from .report import VerificationReport, equality_check, inequality_check
 from .scalar_functions import (
     Polynomial,
-    SimplexQuadratureRule,
     WienerAtomic,
     default_rule,
     divided_difference,
@@ -271,8 +270,7 @@ def moi_polynomial(power: int, operands: MoiOperands) -> np.ndarray:
     return out
 
 
-def moi_wiener(f: WienerAtomic, operands: MoiOperands,
-               rule: SimplexQuadratureRule | None = None) -> np.ndarray:
+def moi_wiener(f: WienerAtomic, operands: MoiOperands) -> np.ndarray:
     """Oscillatory-sum symbol evaluated through the Fourier-side formula.
 
     For each atom and simplex quadrature node, multiplies unitary factors
@@ -282,10 +280,7 @@ def moi_wiener(f: WienerAtomic, operands: MoiOperands,
     """
     k = operands.order
     n = operands.dimension
-    if rule is None:
-        rule = default_rule(k)
-    if rule.dimension != k:
-        raise ValueError(f"rule dimension {rule.dimension} != order {k}")
+    rule = default_rule(k)
     out = np.zeros((n, n), dtype=complex)
     if not f.atoms:
         return out

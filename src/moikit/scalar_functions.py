@@ -305,17 +305,10 @@ class SimplexQuadratureRule:
         return f"SimplexQuadratureRule(k={self.dimension}, points={self.weights.size})"
 
 
-_DEFAULT_RULES: dict[int, SimplexQuadratureRule] = {}
-
-
-def default_rule(dimension: int, points_per_axis: int = 16) -> SimplexQuadratureRule:
-    """Cached Gauss-Legendre simplex rule for a given order."""
-    key = (dimension, points_per_axis)
-    rule = _DEFAULT_RULES.get(key)
-    if rule is None:
-        rule = SimplexQuadratureRule.gauss_legendre(dimension, points_per_axis)
-        _DEFAULT_RULES[key] = rule
-    return rule
+@functools.cache
+def default_rule(dimension: int) -> SimplexQuadratureRule:
+    """The 16-points-per-axis Gauss-Legendre simplex rule of an order, built once."""
+    return SimplexQuadratureRule.gauss_legendre(dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +433,7 @@ def _vector_eval(func, points):
     return np.array([complex(func(float(x))) for x in points.ravel()]).reshape(points.shape)
 
 
-def divided_difference_quadrature(f, nodes, rule: SimplexQuadratureRule | None = None) -> complex:
+def divided_difference_quadrature(f, nodes) -> complex:
     """Simplex-quadrature evaluation ``sum_q w_q f^(k)(t_q . nodes)``.
 
     Requires ``k`` derivatives of ``f``; raises
@@ -449,18 +442,14 @@ def divided_difference_quadrature(f, nodes, rule: SimplexQuadratureRule | None =
     """
     nodes = _as_nodes(nodes)
     k = nodes.order
-    if rule is None:
-        rule = default_rule(k)
-    if rule.dimension != k:
-        raise ValueError(f"rule has dimension {rule.dimension}, nodes have order {k}")
+    rule = default_rule(k)
     dk = f.derivative(k) if k else f
     points = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
     vals = _vector_eval(dk, points)
     return complex(np.einsum("q,q->", rule.weights, vals))
 
 
-def wiener_divided_difference(f: WienerAtomic, nodes,
-                              rule: SimplexQuadratureRule | None = None) -> complex:
+def wiener_divided_difference(f: WienerAtomic, nodes) -> complex:
     """Fourier-side divided difference of a finite atomic oscillatory sum.
 
     Integrates ``(i xi)^k exp(i xi t . nodes)`` over the simplex for each
@@ -469,10 +458,7 @@ def wiener_divided_difference(f: WienerAtomic, nodes,
     """
     nodes = _as_nodes(nodes)
     k = nodes.order
-    if rule is None:
-        rule = default_rule(k)
-    if rule.dimension != k:
-        raise ValueError(f"rule has dimension {rule.dimension}, nodes have order {k}")
+    rule = default_rule(k)
     if not f.atoms:
         return 0j
     dots = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
@@ -669,7 +655,13 @@ def _grid_level(f, slots, left, right, k, derivative, sorted_list):
     edges = (first.size,) + (1,) * (len(slots) - 2) + (last.size,)
     out = left[..., None] - right[None, ...]
     out /= np.where(narrow, 1.0, diff).reshape(edges)
-    index = np.nonzero(np.broadcast_to(narrow.reshape(edges), out.shape))
+    # every middle index of each narrow (first, last) pair
+    pair_first, pair_last = np.nonzero(narrow)
+    middle = out.shape[1:-1]
+    count = math.prod(middle)
+    index = (np.repeat(pair_first, count),
+             *(np.tile(i.ravel(), pair_first.size) for i in np.indices(middle)),
+             np.repeat(pair_last, count))
     for start in range(0, index[0].size, GRID_BLOCK):
         block = tuple(i[start:start + GRID_BLOCK] for i in index)
         if sorted_list is None:
@@ -713,9 +705,8 @@ def divided_difference(f, nodes) -> complex:
 # computable upper bounds
 # ---------------------------------------------------------------------------
 
-def divided_difference_sup_bound(f, order: int, radius: float,
-                                 grid_points: int = 4001) -> float:
-    """Grid estimate of ``sup |f^(k)| / k!`` on ``[-radius, radius]``.
+def divided_difference_sup_bound(f, order: int, radius: float) -> float:
+    """Estimate of ``sup |f^(k)| / k!`` on ``[-radius, radius]``, over 4001 grid points.
 
     Dominates ``|f^[k]|`` on the cube ``[-radius, radius]^(k+1)`` up to the
     grid resolution error.
@@ -723,7 +714,7 @@ def divided_difference_sup_bound(f, order: int, radius: float,
     if radius <= 0:
         raise ValueError("radius must be positive")
     dk = f.derivative(order) if order else f
-    grid = np.linspace(-radius, radius, grid_points)
+    grid = np.linspace(-radius, radius, 4001)
     vals = np.abs(_vector_eval(dk, grid))
     return float(vals.max() / math.factorial(order))
 
@@ -800,15 +791,11 @@ def _cyclic_trig(name, max_order):
         "sin": [np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)],
         "cos": [np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin],
     }
-    mp_cycles = {
-        "sin": [mp.sin, mp.cos, lambda x: -mp.sin(x), lambda x: -mp.cos(x)],
-        "cos": [mp.cos, lambda x: -mp.sin(x), lambda x: -mp.cos(x), mp.sin],
-    }
     cyc = cycles[name]
     return CallableFunction(
         cyc[0],
         [cyc[(j + 1) % 4] for j in range(max_order)],
-        mp_evaluator=mp_cycles[name][0],
+        mp_evaluator=getattr(mp, name),
         name=name,
     )
 

@@ -47,7 +47,7 @@ JACOBI_SWEEP_BUDGET = 30
 JACOBI_OFFDIAG_FACTOR = 1e-13
 
 
-def require_hermitian(A: np.ndarray, tol: float | None = None) -> np.ndarray:
+def require_hermitian(A: np.ndarray) -> np.ndarray:
     """Validate shape, finiteness, and Hermiticity; return a complex copy."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -55,9 +55,7 @@ def require_hermitian(A: np.ndarray, tol: float | None = None) -> np.ndarray:
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(np.asarray(A, dtype=complex).imag)):
         raise NotHermitian("matrix has non-finite entries")
     A = np.asarray(A, dtype=complex)
-    scale = np.max(np.abs(A)) if A.size else 0.0
-    if tol is None:
-        tol = 1e-10 * (1.0 + scale)
+    tol = 1e-10 * (1.0 + np.max(np.abs(A)))
     dev = np.max(np.abs(A - A.conj().T))
     if dev > tol:
         raise NotHermitian(f"max |A - A*| = {dev:.3e} exceeds tolerance {tol:.3e}")
@@ -70,14 +68,14 @@ def _offdiagonal_norm(H: np.ndarray) -> float:
     return float(np.linalg.norm(od))
 
 
-def jacobi_eigh(A: np.ndarray, max_sweeps: int = JACOBI_SWEEP_BUDGET,
-                offdiag_factor: float = JACOBI_OFFDIAG_FACTOR):
+def jacobi_eigh(A: np.ndarray):
     """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
 
     Returns ascending eigenvalues and the unitary of eigenvectors
     (``A = V diag(lam) V*``).  Each rotation zeroes one off-diagonal pair;
     sweeps repeat until the off-diagonal Frobenius mass falls below
-    ``offdiag_factor * ||A||_F`` or the sweep budget is exhausted.
+    ``JACOBI_OFFDIAG_FACTOR * ||A||_F``, and raise
+    :class:`ConvergenceFailure` after ``JACOBI_SWEEP_BUDGET`` sweeps.
     """
     n = A.shape[0]
     H = np.array(A, dtype=complex)
@@ -85,13 +83,13 @@ def jacobi_eigh(A: np.ndarray, max_sweeps: int = JACOBI_SWEEP_BUDGET,
     fro = np.linalg.norm(H)
     if fro == 0.0 or n == 1:
         return np.real(np.diag(H)).copy(), V
-    thresh = offdiag_factor * fro
+    thresh = JACOBI_OFFDIAG_FACTOR * fro
     skip = thresh / (10.0 * n * n)
     sweeps = 0
     while _offdiagonal_norm(H) > thresh:
-        if sweeps >= max_sweeps:
+        if sweeps >= JACOBI_SWEEP_BUDGET:
             raise ConvergenceFailure(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+                f"Jacobi iteration did not converge in {JACOBI_SWEEP_BUDGET} sweeps")
         sweeps += 1
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -181,8 +179,8 @@ class SpectralDecomposition:
         return [c.projection for c in self.clusters]
 
 
-def hermitian_eigendecompose(A: np.ndarray, cluster_tol: float | None = None,
-                             hermiticity_tol: float | None = None) -> SpectralDecomposition:
+def hermitian_eigendecompose(A: np.ndarray,
+                             cluster_tol: float | None = None) -> SpectralDecomposition:
     """Decompose a Hermitian matrix into eigenvectors labelled by cluster.
 
     Consecutive eigenvalues at most ``cluster_tol`` apart share a cluster,
@@ -194,7 +192,7 @@ def hermitian_eigendecompose(A: np.ndarray, cluster_tol: float | None = None,
     Raises :class:`ConvergenceFailure` when LAPACK's eigensolver does not
     converge.
     """
-    A = require_hermitian(A, hermiticity_tol)
+    A = require_hermitian(A)
     if cluster_tol is None:
         cluster_tol = 1e-7 * (1.0 + np.linalg.norm(A))
     try:

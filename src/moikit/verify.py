@@ -3,8 +3,7 @@
 Each suite draws reproducible random inputs from a counter-based generator
 (Philox, keyed by the seed and jumped per suite), evaluates an identity or
 bound by two independent routes, and aggregates the worst residual into a
-single check row.  ``run_all`` strings the suites together for the
-command-line ``verify`` entry point and the acceptance tests.
+single check row.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .scalar_functions import (
 )
 from .spectral import hermitian_eigendecompose, jacobi_eigh, validate_decomposition
 
-__all__ = ["DEFAULT_TOLERANCES", "SUITES", "run_all", "suite_rng",
+__all__ = ["DEFAULT_TOLERANCES", "SUITES", "suite_rng",
            "random_hermitian", "random_hermitian_pair"]
 
 DEFAULT_TOLERANCES = {
@@ -429,7 +428,7 @@ def verify_remainders(seed: int, tolerances=None, cases_per_order: int = 1):
                 via_moi = taylor_remainder_moi(f, k, a, b)
                 worst_moi = max(worst_moi, float(
                     np.linalg.norm(direct - via_moi)) / scale)
-                via_int = taylor_remainder_integral(f, k, a, b, steps=32)
+                via_int = taylor_remainder_integral(f, k, a, b)
                 worst_int = max(worst_int, float(
                     np.linalg.norm(direct - via_int)) / scale)
     report.add(equality_check(
@@ -605,13 +604,3 @@ SUITES = {
     "norm_bound": verify_norm_bound,
     "truncation": verify_truncation,
 }
-
-
-def run_all(seed: int, only: str | None = None, tolerances=None) -> list[VerificationReport]:
-    """Run every suite (or those whose name contains ``only``) at one seed."""
-    reports = []
-    for name, suite in SUITES.items():
-        if only and only not in name:
-            continue
-        reports.append(suite(seed, tolerances=tolerances))
-    return reports

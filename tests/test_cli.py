@@ -160,6 +160,34 @@ class TestDerivative:
         assert rel < 1e-4
 
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_check_runs_the_stencil_of_each_precision(self, tmp_path, order):
+        # k = 2 runs the double-precision stencil on the shipped cos fixture,
+        # k = 3 the 30-digit one on |x|^3.5 with a spectrum straddling 0
+        fix = Path(__file__).parent / "fixtures"
+        if order == 2:
+            fn = str(fix / "cos_fn.json")
+            mats = [str(fix / f"cos_k2_{name}.json") for name in ("base", "dir1", "dir2")]
+        else:
+            fn = write_json(tmp_path / "abs_pow.json",
+                            {"kind": "builtin", "name": "abs_pow",
+                             "params": {"exponent": 3.5}})
+            rng = np.random.default_rng(3)
+            mats = [matrix_file(tmp_path, "a.json", np.diag([-0.4, 0.1, 0.3, 0.6]))]
+            for i in range(order):
+                B = rng.standard_normal((4, 4))
+                mats.append(matrix_file(tmp_path, f"b{i}.json", 0.5 * (B + B.T)))
+        out = tmp_path / "d.json"
+        args = ["derivative", "--function", fn, "--order", str(order), "--check",
+                "--out", str(out)]
+        for m in mats:
+            args += ["--matrix", m]
+        assert main(args) == 0
+        check = json.loads((tmp_path / "d.json.report.json").read_text())["checks"][0]
+        assert check["passed"] is True
+        assert check["residual"] <= 1e-6
+
+
 class TestRemainder:
     def test_square_second_order_is_b_squared(self, tmp_path, square_fn):
         rng = np.random.default_rng(2)

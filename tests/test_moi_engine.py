@@ -310,6 +310,23 @@ class TestHolderClass:
             rel = np.linalg.norm(via_moi - via_fd) / (1.0 + np.linalg.norm(via_moi))
             assert rel <= DEFAULT_TOLERANCES["derivative_fd"]
 
+    def test_stencil_step_next_to_the_cusp(self):
+        # an eigenvalue 1e-3 from 0, where the second derivative of |x|^2.5
+        # is only Hoelder, and directions that move it by their own size:
+        # the fixed step keeps the stencil on one side of the cusp, while a
+        # step growing with the order, eps^(1/(k+4)), straddles it (9e-3)
+        f = builtin_function("abs_pow", {"exponent": 2.5})
+        rng = suite_rng(186, 0)
+        for _ in range(3):
+            q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+            a = (q * [-0.5, 1e-3, 0.2, 0.4, 0.8]) @ q.conj().T
+            cusp = np.outer(q[:, 1], q[:, 1].conj())
+            dirs = tuple(cusp + random_hermitian(rng, 5, norm=0.5) for _ in range(2))
+            via_moi = matrix_function_derivative(DerivativeRequest(f, a, dirs, 2, "moi"))
+            via_fd = finite_difference_derivative(f, a, dirs)
+            rel = np.linalg.norm(via_moi - via_fd) / (1.0 + np.linalg.norm(via_moi))
+            assert rel <= DEFAULT_TOLERANCES["derivative_fd"]
+
 
 def hermitian_with(rng, eigenvalues):
     n = len(eigenvalues)
