@@ -24,8 +24,8 @@ from .errors import ArityMismatch, DimensionMismatch
 from .report import VerificationReport, equality_check, inequality_check
 from .scalar_functions import (
     Polynomial,
+    SimplexQuadratureRule,
     WienerAtomic,
-    default_rule,
     divided_difference,
     divided_difference_grid,
     wiener_iptp_bound,
@@ -280,7 +280,7 @@ def moi_wiener(f: WienerAtomic, operands: MoiOperands) -> np.ndarray:
     """
     k = operands.order
     n = operands.dimension
-    rule = default_rule(k)
+    rule = SimplexQuadratureRule.gauss_legendre(k)
     out = np.zeros((n, n), dtype=complex)
     if not f.atoms:
         return out

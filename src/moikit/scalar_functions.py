@@ -11,11 +11,11 @@ hull (Opitz 1964, McCurdy, Ng and Parlett 1984 and Higham, *Functions of
 Matrices*, 2008, section 3.2, for confluent tables; Trefethen, *Approximation
 Theory and Approximation Practice*, 2013, for the interpolant).
 :func:`divided_difference_grid` builds the same quantity level by level on
-a product grid of node lists, the symbol tensor of an operator integral;
-on a level whose slots share one list it reads each narrow entry at its
-index tuple sorted by node value, as ``f^[j]`` is symmetric, so only a
-sorted tuple narrower than the confluent span takes the series patch.
-:func:`divided_difference` is the one-tuple case.
+a product grid of sorted node lists, the symbol tensor of an operator
+integral, with the same step per level; on a level whose slots share one
+list it reads each narrow entry at its sorted index tuple, as ``f^[j]`` is
+symmetric, so only a sorted tuple narrower than the confluent span takes
+the series patch.  :func:`divided_difference` is the one-tuple case.
 
 The other evaluations stay as independent oracles:
 
@@ -273,8 +273,10 @@ class SimplexQuadratureRule:
         return float(self.weights.sum())
 
     @classmethod
-    def gauss_legendre(cls, dimension: int, points_per_axis: int = 16):
-        """Tensor Gauss-Legendre rule mapped from the unit cube to the simplex.
+    @functools.cache
+    def gauss_legendre(cls, dimension: int):
+        """Tensor Gauss-Legendre rule of 16 points per axis, cube to simplex,
+        built once per order.
 
         The cube coordinates ``u`` map to simplex coordinates by peeling off
         the remaining mass one axis at a time, ``s_j = u_j * prod_{i<j}(1-u_i)``;
@@ -284,7 +286,7 @@ class SimplexQuadratureRule:
         k = int(dimension)
         if k == 0:
             return cls(0, [[1.0]], [1.0])
-        x, w = np.polynomial.legendre.leggauss(points_per_axis)
+        x, w = np.polynomial.legendre.leggauss(16)
         u = 0.5 * (x + 1.0)       # [0, 1]
         w = 0.5 * w
         grids = np.meshgrid(*([u] * k), indexing="ij")
@@ -303,12 +305,6 @@ class SimplexQuadratureRule:
 
     def __repr__(self):
         return f"SimplexQuadratureRule(k={self.dimension}, points={self.weights.size})"
-
-
-@functools.cache
-def default_rule(dimension: int) -> SimplexQuadratureRule:
-    """The 16-points-per-axis Gauss-Legendre simplex rule of an order, built once."""
-    return SimplexQuadratureRule.gauss_legendre(dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +438,7 @@ def divided_difference_quadrature(f, nodes) -> complex:
     """
     nodes = _as_nodes(nodes)
     k = nodes.order
-    rule = default_rule(k)
+    rule = SimplexQuadratureRule.gauss_legendre(k)
     dk = f.derivative(k) if k else f
     points = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
     vals = _vector_eval(dk, points)
@@ -458,7 +454,7 @@ def wiener_divided_difference(f: WienerAtomic, nodes) -> complex:
     """
     nodes = _as_nodes(nodes)
     k = nodes.order
-    rule = default_rule(k)
+    rule = SimplexQuadratureRule.gauss_legendre(k)
     if not f.atoms:
         return 0j
     dots = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
@@ -534,55 +530,52 @@ def _series_rows(dj, nodes):
     return series, tail * decay <= floor
 
 
-def _confluent_step(dj, nodes, quotient, together) -> np.ndarray:
-    """Level ``j`` of the table on sorted ``(P, j+1)`` node rows narrower than
-    the confluent span, whose difference quotients are ``quotient``.
+def _level(dj, nodes, lower, upper, order) -> np.ndarray:
+    """Level ``j`` of an order-``order`` table on sorted ``(.., j+1)`` node rows,
+    from ``lower`` and ``upper``, ``f^[j-1]`` on the first and the last ``j``
+    nodes of each row.
 
-    A row takes the series of ``f^[j]`` from ``dj = f^(j)`` where it has
-    converged or the row is ``together`` (spans at most ``COINCIDENCE_TOL_FACTOR
-    (1 + max|x|)``), ``f^(j)/j!`` at an exact repeat, and keeps its quotient
-    otherwise.  Where ``f`` does not supply ``f^(j)`` (``dj`` None) every row
+    A row narrower than the confluent span at its own scale ``1 + max|x|``
+    takes the series of ``f^[j]`` from ``dj = f^(j)`` where it has converged
+    or the row is together (spans at most ``COINCIDENCE_TOL_FACTOR`` times the
+    scale), ``f^(j)/j!`` at an exact repeat, and every other row keeps its
+    quotient.  Where ``f`` does not supply ``f^(j)`` (``dj`` None) every row
     keeps its quotient, and :class:`CoincidentNodes` is raised if any row is
     together, as the recursion would.
     """
-    j = nodes.shape[1] - 1
+    j = nodes.shape[-1] - 1
+    lo, hi = nodes[..., 0], nodes[..., -1]
+    scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
+    together = hi - lo <= COINCIDENCE_TOL_FACTOR * scale
+    out = (upper - lower) / np.where(together, 1.0, hi - lo)
+    narrow = hi - lo < confluent_span(order) * scale
     if dj is None:
         if together.any():
             raise CoincidentNodes(
                 f"{j + 1} nodes coincide within {COINCIDENCE_TOL_FACTOR:g} (1 + max|x|) "
                 f"and the function does not supply {j} derivatives")
-        return quotient
-    out = quotient.copy()
-    apart = nodes[:, -1] > nodes[:, 0]
+        return out
+    if not narrow.any():
+        return out
+    rows, together, patch = nodes[narrow], together[narrow], out[narrow]
+    apart = rows[:, -1] > rows[:, 0]
     if apart.any():
-        series, converged = _series_rows(dj, nodes[apart])
-        out[apart] = np.where(converged | together[apart], series, quotient[apart])
+        series, converged = _series_rows(dj, rows[apart])
+        patch[apart] = np.where(converged | together[apart], series, patch[apart])
     # at an exact repeat the series is its leading term
-    repeat = ~apart
-    out[repeat] = _vector_eval(dj, nodes[repeat, 0]) / math.factorial(j)
+    patch[~apart] = _vector_eval(dj, rows[~apart, 0]) / math.factorial(j)
+    out[narrow] = patch
     return out
 
 
 def _table_rows(f, rows, order, derivative) -> np.ndarray:
     """``f^[k]`` on the rows of a sorted ``(N, k+1)`` array by an order-``order``
-    table, with ``derivative(m)`` memoizing ``f^(m)`` (None where missing).
-
-    Each level's sub-tuples narrower than the confluent span take
-    :func:`_confluent_step`.
-    """
-    k = rows.shape[1] - 1
+    table, with ``derivative(m)`` memoizing ``f^(m)`` (None where missing):
+    :func:`_level` over the sliding windows of the rows."""
     table = _vector_eval(f, rows)
-    scale = 1.0 + np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
-    width = confluent_span(max(order, 1)) * scale
-    for j in range(1, k + 1):
-        span = rows[:, j:] - rows[:, :-j]
-        together = span <= COINCIDENCE_TOL_FACTOR * scale[:, None]
-        table = (table[:, 1:] - table[:, :-1]) / np.where(together, 1.0, span)
-        r, i = np.nonzero(span < width[:, None])
-        if r.size:
-            table[r, i] = _confluent_step(
-                derivative(j), rows[r[:, None], i[:, None] + np.arange(j + 1)],
-                table[r, i], together[r, i])
+    for j in range(1, rows.shape[1]):
+        windows = np.lib.stride_tricks.sliding_window_view(rows, j + 1, axis=1)
+        table = _level(derivative(j), windows, table[:, :-1], table[:, 1:], order)
     return table[:, 0]
 
 
@@ -608,45 +601,47 @@ GRID_BLOCK = 2 ** 18
 def divided_difference_grid(f, node_lists) -> np.ndarray:
     """``f^[k]`` on the product grid, ``T[i_0..i_k] = f^[k](x_0[i_0], .., x_k[i_k])``.
 
-    Built level by level over the slots ``a..b``, ``T[a..b] = (T[a..b-1][..,
-    None] - T[a+1..b][None, ..]) / (x_a - x_b)``; slots with one list share
-    their tables.  An entry whose first and last node lie within the confluent
-    span is recomputed.  On a level whose slots all share one list, ``f^[j]``
-    being symmetric, it is read at its index tuple sorted by node value: the
-    quotient there divides by the whole span, and only a sorted tuple whose
-    whole span is under the confluent span takes the level's series patch,
-    so permuted entries agree bit for bit.  On a level over mixed lists it
-    takes the table of :func:`divided_difference_batch` instead.
+    Built on the lists sorted, and permuted back if one was not, level by
+    level over the slots ``a..b``, ``T[a..b] = (T[a..b-1][.., None] -
+    T[a+1..b][None, ..]) / (x_a - x_b)``; slots with one list share their
+    tables.  An entry whose first and last node lie within the confluent span
+    is recomputed by the step of :func:`divided_difference_batch`: on a level
+    whose slots share one list at its sorted index tuple, as ``f^[j]`` is
+    symmetric, so only a sorted tuple narrower than the confluent span takes
+    the series patch and permuted entries agree bit for bit; on a level over
+    mixed lists by the whole table.
     """
     lists = [np.asarray(x, dtype=float) for x in node_lists]
     k = len(lists) - 1
     derivative = functools.cache(functools.partial(_derivative_or_none, f))
-    tables, sorted_lists = {}, {}
+    # each distinct list sorted, by id, so that slots of one list share one
+    # array and their tables; only an unsorted list is argsorted
+    by_id = {id(x): x for x in lists}
+    order = {key: np.argsort(x, kind="stable") for key, x in by_id.items()
+             if np.any(x[1:] < x[:-1])}
+    by_id.update((key, by_id[key][o]) for key, o in order.items())
+    slots = [by_id[id(x)] for x in lists]
+    tables = {}
     for j in range(k + 1):
         for a in range(k + 1 - j):
-            key = tuple(map(id, lists[a:a + j + 1]))
+            key = tuple(map(id, slots[a:a + j + 1]))
             if key in tables:
                 continue
             if j == 0:
-                tables[key] = _vector_eval(f, lists[a])
-                # the sorted list; the rank of each node, its value's first
-                # position there; and for each rank one index holding it
-                x = np.sort(lists[a])
-                rank = np.searchsorted(x, lists[a])
-                representative = np.empty(x.size, dtype=np.intp)
-                representative[rank] = np.arange(x.size)
-                sorted_lists[key[0]] = x, rank, representative
+                tables[key] = _vector_eval(f, slots[a])
             else:
                 tables[key] = _grid_level(
-                    f, lists[a:a + j + 1], tables[key[:-1]], tables[key[1:]], k, derivative,
-                    sorted_lists[key[0]] if len(set(key)) == 1 else None)
-    return tables[key]
+                    f, slots[a:a + j + 1], tables[key[:-1]], tables[key[1:]], k, derivative,
+                    len(set(key)) == 1)
+    if not order:
+        return tables[key]
+    return tables[key][np.ix_(*(np.argsort(order[id(x)]) if id(x) in order
+                                else np.arange(x.size) for x in lists))]
 
 
-def _grid_level(f, slots, left, right, k, derivative, sorted_list):
-    """One level of an order-k :func:`divided_difference_grid` over ``slots``;
-    ``sorted_list`` is what divided_difference_grid records of their list
-    when they all share one, else None."""
+def _grid_level(f, slots, left, right, k, derivative, shared):
+    """One level of an order-k :func:`divided_difference_grid` over the sorted
+    lists ``slots``; ``shared`` when they are all one list."""
     first, last = slots[0], slots[-1]
     width = confluent_span(k)
     diff = first[:, None] - last[None, :]
@@ -664,35 +659,16 @@ def _grid_level(f, slots, left, right, k, derivative, sorted_list):
              np.repeat(pair_last, count))
     for start in range(0, index[0].size, GRID_BLOCK):
         block = tuple(i[start:start + GRID_BLOCK] for i in index)
-        if sorted_list is None:
+        if shared:
+            # the quotient is gathered from left and right, never from the
+            # level being built, which earlier blocks have already overwritten
+            ordered = np.sort(np.stack(block, axis=1), axis=1)
+            out[block] = _level(derivative(len(slots) - 1), first[ordered],
+                                left[tuple(ordered[:, :-1].T)],
+                                right[tuple(ordered[:, 1:].T)], k)
+        else:
             nodes = np.sort(np.stack([x[i] for x, i in zip(slots, block)], axis=1), axis=1)
             out[block] = _table_rows(f, nodes, k, derivative)
-        else:
-            x, rank, representative = sorted_list
-            ranks = np.sort(rank[np.stack(block, axis=1)], axis=1)
-            out[block] = _sorted_entries(x[ranks], representative[ranks],
-                                         left, right, k, derivative)
-    return out
-
-
-def _sorted_entries(nodes, index, left, right, k, derivative):
-    """Level ``j`` of an order-k grid over one list at the sorted ``(P, j+1)``
-    node rows ``nodes``, whose index tuples into the list are ``index``,
-    from the level below.
-
-    The quotient is gathered from ``left`` and ``right``, never from the
-    level being built, which earlier blocks have already overwritten.
-    """
-    lo, hi = nodes[:, 0], nodes[:, -1]
-    scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
-    together = hi - lo <= COINCIDENCE_TOL_FACTOR * scale
-    # divided by lo - hi, as the dense level divides by first - last
-    out = ((left[tuple(index[:, :-1].T)] - right[tuple(index[:, 1:].T)])
-           / np.where(together, 1.0, lo - hi))
-    narrow = hi - lo < confluent_span(k) * scale
-    if narrow.any():
-        out[narrow] = _confluent_step(derivative(index.shape[1] - 1), nodes[narrow],
-                                      out[narrow], together[narrow])
     return out
 
 

@@ -241,14 +241,15 @@ def validate_decomposition(decomposition: SpectralDecomposition) -> Verification
         "resolution of identity", "sum of projections equals the identity",
         residual=float(np.linalg.norm(psum - eye)), tolerance=1e-10 * n))
 
-    worst = 0.0
-    for i, P in enumerate(D.projections):
-        for j, Q in enumerate(D.projections):
-            target = P if i == j else 0.0
-            worst = max(worst, float(np.linalg.norm(P @ Q - target)))
+    # P_i P_j - delta_ij P_i = V_i (V_i* V_j - delta_ij I) V_j*, so the row
+    # reads the cluster blocks of V* V - I, not m^2 products of projections
+    m = D.eigenvalues.size
+    pair = (D.labels[:, None] * m + D.labels[None, :]).ravel()
+    gram = np.abs(D.vectors.conj().T @ D.vectors - eye).ravel() ** 2
+    blocks = np.bincount(pair, weights=gram, minlength=m * m)
     report.add(equality_check(
         "orthogonal idempotents", "projections are idempotent and mutually orthogonal",
-        residual=worst, tolerance=1e-10))
+        residual=float(np.sqrt(blocks.max(initial=0.0))), tolerance=1e-10))
 
     herm = max((float(np.linalg.norm(P - P.conj().T)) for P in D.projections), default=0.0)
     report.add(equality_check(

@@ -66,6 +66,17 @@ DEFAULT_TOLERANCES = {
     "truncation_grid": 3e-8,
 }
 
+# the number of random inputs each suite draws; a check row names its count
+DD_CASES = 500
+QUADRATURE_CASES_PER_FUNCTION = 20
+SPECTRAL_CASES = 200
+PERTURBATION_PAIRS = 100
+DERIVATIVE_CASES_PER_ORDER = 2
+REMAINDER_CASES_PER_ORDER = 1
+SCHATTEN_CASES = 200
+NORM_BOUND_CASES = 100
+NORM_BOUND_PROBES = 8
+
 
 def _tols(overrides):
     tols = dict(DEFAULT_TOLERANCES)
@@ -140,7 +151,7 @@ def _two_atoms(rng) -> WienerAtomic:
 # suites
 # ---------------------------------------------------------------------------
 
-def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
+def verify_divided_differences(seed: int, tolerances=None):
     """Recursion vs closed form, symmetry, diagonal identity, derivative bound,
     and the batched table against the extended-precision recursion."""
     tols = _tols(tolerances)
@@ -148,7 +159,7 @@ def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
     report = VerificationReport("divided-differences")
 
     worst_agree = worst_symm = worst_diag = worst_bound = 0.0
-    for _ in range(cases):
+    for _ in range(DD_CASES):
         p = _random_polynomial(rng, 8)
         k = int(rng.integers(1, 5))
         nodes = _random_nodes(rng, k + 1)
@@ -199,11 +210,11 @@ def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
         mp_cases += len(rows)
 
     report.add(equality_check(
-        f"recursion vs closed form ({cases} cases)",
+        f"recursion vs closed form ({DD_CASES} cases)",
         "difference-quotient recursion equals the homogeneous-sum closed form",
         residual=worst_agree, tolerance=tols["dd_agreement"]))
     report.add(equality_check(
-        f"symmetry under node permutations ({cases} cases)",
+        f"symmetry under node permutations ({DD_CASES} cases)",
         "divided differences are symmetric in the nodes",
         residual=worst_symm, tolerance=tols["dd_symmetry"]))
     report.add(equality_check(
@@ -211,7 +222,7 @@ def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
         "divided difference at equal nodes equals f^(k)(x)/k!",
         residual=worst_diag, tolerance=tols["dd_diagonal"]))
     report.add(inequality_check(
-        f"sup-derivative bound ({cases} cases)",
+        f"sup-derivative bound ({DD_CASES} cases)",
         "|f^[k]| <= sup |f^(k)| / k! on the node range",
         lhs=worst_bound, rhs=0.0, slack=tols["dd_bound_slack"]))
     report.add(equality_check(
@@ -222,7 +233,7 @@ def verify_divided_differences(seed: int, tolerances=None, cases: int = 500):
     return report
 
 
-def verify_quadrature(seed: int, tolerances=None, cases_per_function: int = 20):
+def verify_quadrature(seed: int, tolerances=None):
     """Simplex rule mass and quadrature-vs-recursion agreement."""
     tols = _tols(tolerances)
     rng = suite_rng(seed, 2)
@@ -241,7 +252,7 @@ def verify_quadrature(seed: int, tolerances=None, cases_per_function: int = 20):
     worst = 0.0
     for name in ("exp", "sin", "cos"):
         f = builtin_function(name)
-        for _ in range(cases_per_function):
+        for _ in range(QUADRATURE_CASES_PER_FUNCTION):
             k = int(rng.integers(1, 4))
             nodes = _random_nodes(rng, k + 1, low=-1.0, high=1.0, min_gap=0.05)
             quad = divided_difference_quadrature(f, nodes)
@@ -253,7 +264,7 @@ def verify_quadrature(seed: int, tolerances=None, cases_per_function: int = 20):
         residual=worst, tolerance=tols["quadrature_agreement"]))
 
     worst_poly = 0.0
-    for _ in range(cases_per_function):
+    for _ in range(QUADRATURE_CASES_PER_FUNCTION):
         p = _random_polynomial(rng, 8)
         k = int(rng.integers(1, 5))
         nodes = _random_nodes(rng, k + 1)
@@ -267,7 +278,7 @@ def verify_quadrature(seed: int, tolerances=None, cases_per_function: int = 20):
     return report
 
 
-def verify_spectral(seed: int, tolerances=None, cases: int = 200):
+def verify_spectral(seed: int, tolerances=None):
     """Eigendecomposition invariants on random Hermitian matrices, and the
     LAPACK eigenvalues against the Jacobi oracle."""
     tols = _tols(tolerances)
@@ -276,7 +287,7 @@ def verify_spectral(seed: int, tolerances=None, cases: int = 200):
     worst_recon = 0.0
     worst_jacobi = 0.0
     all_valid = True
-    for _ in range(cases):
+    for _ in range(SPECTRAL_CASES):
         n = int(rng.integers(1, 13))
         A = random_hermitian(rng, n)
         decomp = hermitian_eigendecompose(A)
@@ -290,11 +301,11 @@ def verify_spectral(seed: int, tolerances=None, cases: int = 200):
         worst_jacobi = max(worst_jacobi, float(gap) / (1.0 + denom))
         all_valid = all_valid and validate_decomposition(decomp).passed
     report.add(equality_check(
-        f"reconstruction ({cases} cases, n <= 12)",
+        f"reconstruction ({SPECTRAL_CASES} cases, n <= 12)",
         "eigenvalue-weighted projections reconstruct the matrix",
         residual=worst_recon, tolerance=tols["reconstruction"]))
     report.add(equality_check(
-        f"eigenvalues vs Jacobi ({cases} cases, n <= 12)",
+        f"eigenvalues vs Jacobi ({SPECTRAL_CASES} cases, n <= 12)",
         "LAPACK eigenvalues agree with the cyclic Jacobi oracle, relative to 1 + ||A||_F",
         residual=worst_jacobi, tolerance=tols["reconstruction"]))
     report.add(equality_check(
@@ -304,13 +315,13 @@ def verify_spectral(seed: int, tolerances=None, cases: int = 200):
     return report
 
 
-def verify_perturbation(seed: int, tolerances=None, pairs: int = 100):
+def verify_perturbation(seed: int, tolerances=None):
     """First-order perturbation identity across function classes."""
     tols = _tols(tolerances)
     rng = suite_rng(seed, 4)
     report = VerificationReport("perturbation-formula")
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(PERTURBATION_PAIRS):
         n = int(rng.integers(2, 7))
         A, B = random_hermitian_pair(rng, n)
         functions = [_random_polynomial(rng, 6), _cos_atoms(), _sin_atoms(),
@@ -319,7 +330,7 @@ def verify_perturbation(seed: int, tolerances=None, pairs: int = 100):
             check = moi_perturbation(f, A, B, tolerance_factor=tols["perturbation"]).checks[0]
             worst = max(worst, check.residual / check.tolerance)
     report.add(equality_check(
-        f"f(A) - f(B) vs first-order integral ({pairs} pairs x 4 functions)",
+        f"f(A) - f(B) vs first-order integral ({PERTURBATION_PAIRS} pairs x 4 functions)",
         "difference of matrix functions equals the integral of f^[1] against A - B",
         residual=worst, tolerance=1.0))
     return report
@@ -335,7 +346,7 @@ def _fd_reference_cases(rng):
     return cases
 
 
-def verify_derivatives(seed: int, tolerances=None, cases_per_order: int = 2):
+def verify_derivatives(seed: int, tolerances=None):
     """Spectral-sum derivative vs stencil oracle and power-map closed form."""
     tols = _tols(tolerances)
     rng = suite_rng(seed, 5)
@@ -344,7 +355,7 @@ def verify_derivatives(seed: int, tolerances=None, cases_per_order: int = 2):
     worst_fd = 0.0
     for k in (1, 2, 3):
         for f in _fd_reference_cases(rng):
-            for _ in range(cases_per_order):
+            for _ in range(DERIVATIVE_CASES_PER_ORDER):
                 n = int(rng.integers(3, 7))
                 A = random_hermitian(rng, n, norm=rng.uniform(0.3, 1.0))
                 dirs = tuple(random_hermitian(rng, n, norm=1.0) for _ in range(k))
@@ -409,7 +420,7 @@ def verify_derivatives(seed: int, tolerances=None, cases_per_order: int = 2):
     return report
 
 
-def verify_remainders(seed: int, tolerances=None, cases_per_order: int = 1):
+def verify_remainders(seed: int, tolerances=None):
     """Agreement of the three Taylor-remainder forms."""
     tols = _tols(tolerances)
     rng = suite_rng(seed, 6)
@@ -419,7 +430,7 @@ def verify_remainders(seed: int, tolerances=None, cases_per_order: int = 1):
     for k in (1, 2, 3):
         functions = [_random_polynomial(rng, 6), _cos_atoms(), _two_atoms(rng)]
         for f in functions:
-            for _ in range(cases_per_order):
+            for _ in range(REMAINDER_CASES_PER_ORDER):
                 n = int(rng.integers(3, 5))
                 a = random_hermitian(rng, n, norm=rng.uniform(0.4, 1.0))
                 b = random_hermitian(rng, n, norm=rng.uniform(0.1, 0.5))
@@ -450,7 +461,7 @@ _HOLDER_COMBOS = {
 }
 
 
-def verify_schatten(seed: int, tolerances=None, cases: int = 200):
+def verify_schatten(seed: int, tolerances=None):
     """Schatten-norm identities and the two inequality families."""
     tols = _tols(tolerances)
     rng = suite_rng(seed, 7)
@@ -479,7 +490,7 @@ def verify_schatten(seed: int, tolerances=None, cases: int = 200):
         "Schatten norms decrease as the exponent grows",
         lhs=worst_mono, rhs=0.0, slack=1e-12))
 
-    n_rem = cases // 2
+    n_rem = SCHATTEN_CASES // 2
     worst_rem = -math.inf
     for i in range(n_rem):
         k = 1 + i % 2
@@ -495,7 +506,7 @@ def verify_schatten(seed: int, tolerances=None, cases: int = 200):
         "||R_k(b)||_p <= (moment_k/k!) ||b||_{kp}^k",
         lhs=worst_rem, rhs=0.0, slack=tols["bound_slack"]))
 
-    n_moi = cases - n_rem
+    n_moi = SCHATTEN_CASES - n_rem
     worst_moi = -math.inf
     for i in range(n_moi):
         k = 1 + i % 3
@@ -522,7 +533,7 @@ def verify_schatten(seed: int, tolerances=None, cases: int = 200):
     return report
 
 
-def verify_norm_bound(seed: int, tolerances=None, cases: int = 100, probes: int = 8):
+def verify_norm_bound(seed: int, tolerances=None):
     """Probe estimates of the integral's norm against the dimension-power bound.
 
     Cases whose symbol vanishes on the grid (a polynomial of degree below k)
@@ -532,7 +543,7 @@ def verify_norm_bound(seed: int, tolerances=None, cases: int = 100, probes: int 
     rng = suite_rng(seed, 8)
     report = VerificationReport("norm-bound")
     margins, vanishing = [], []
-    for i in range(cases):
+    for i in range(NORM_BOUND_CASES):
         k = 1 + i % 3
         n = int(rng.integers(2, 7))
         bases = [random_hermitian(rng, n) for _ in range(k + 1)]
@@ -545,7 +556,7 @@ def verify_norm_bound(seed: int, tolerances=None, cases: int = 100, probes: int 
             symbol = MoiSymbol.from_function(_two_atoms(rng), k)
         else:
             symbol = MoiSymbol.constant(complex(rng.uniform(-2, 2)), k + 1)
-        check = moi_opnorm_bound_check(symbol, operands, probes=probes,
+        check = moi_opnorm_bound_check(symbol, operands, probes=NORM_BOUND_PROBES,
                                        seed=int(rng.integers(0, 2**32))).checks[0]
         if check.rhs > 0:
             margins.append(check.lhs - check.rhs)

@@ -33,7 +33,7 @@ def _finish(number, label, report, elapsed, budget):
 
 def test_criterion_1_divided_differences():
     t0 = time.perf_counter()
-    report = verify_divided_differences(SEED, cases=500)
+    report = verify_divided_differences(SEED)
     _finish(1, "divided-difference suite (500 cases)", report,
             time.perf_counter() - t0, 5.0)
 
@@ -47,7 +47,7 @@ def test_criterion_2_quadrature_consistency():
 
 def test_criterion_3_perturbation_formula():
     t0 = time.perf_counter()
-    report = verify_perturbation(SEED, pairs=100)
+    report = verify_perturbation(SEED)
     _finish(3, "perturbation formula (100 pairs)", report,
             time.perf_counter() - t0, 10.0)
 
@@ -68,14 +68,14 @@ def test_criterion_5_remainder_identities():
 
 def test_criterion_6_schatten_bounds():
     t0 = time.perf_counter()
-    report = verify_schatten(SEED, cases=200)
+    report = verify_schatten(SEED)
     _finish(6, "Schatten bounds (200 cases)", report,
             time.perf_counter() - t0, 20.0)
 
 
 def test_criterion_7_norm_bound():
     t0 = time.perf_counter()
-    report = verify_norm_bound(SEED, cases=100)
+    report = verify_norm_bound(SEED)
     _finish(7, "operator-norm bound (100 cases)", report,
             time.perf_counter() - t0, 20.0)
 

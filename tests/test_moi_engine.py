@@ -267,6 +267,26 @@ class TestSharedListGrid:
                 tensor = divided_difference_grid(f, [x] * (k + 1))
                 batch = divided_difference_batch(f, np.sort(nodes, axis=1))
                 assert scaled(tensor.ravel(), batch).max() <= 1e-13
+                if x is CLUSTERED_LIST:
+                    # every tuple is within the confluent span, so the grid
+                    # and the batch take the same steps at the sorted row
+                    assert np.array_equal(tensor.ravel(), batch)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_unsorted_lists_permute_the_sorted_grid_back(self, k):
+        # near and exact repeats of SPREAD_LIST nodes, so the mixed levels
+        # patch entries too
+        other = np.array([-0.4 + 1e-7, 0.2, 0.7 + 1e-5, 1.0])
+        for x in (CLUSTERED_LIST, SPREAD_LIST):
+            order = np.argsort(x, kind="stable")
+            back = np.argsort(order)
+            for f in ADVERSARIAL_FUNCTIONS.values():
+                shared = divided_difference_grid(f, [x[order]] * (k + 1))
+                assert np.array_equal(divided_difference_grid(f, [x] * (k + 1)),
+                                      shared[np.ix_(*[back] * (k + 1))])
+                mixed = divided_difference_grid(f, [x[order]] + [other] * k)
+                assert np.array_equal(divided_difference_grid(f, [x] + [other] * k),
+                                      mixed[back])
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_plain_callable_at_a_repeated_node_raises(self, k):
