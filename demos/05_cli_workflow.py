@@ -2,8 +2,10 @@
 """The command-line workflow: JSON in, JSON out, deterministic reports.
 
 Writes a function spec and matrices to a scratch directory, evaluates and
-differentiates through the ``moikit`` CLI, and runs a filtered slice of the
-seeded verification suite twice to show the reports are byte-identical.
+differentiates through the ``moikit`` CLI, runs a filtered slice of the
+seeded verification suite twice to show the reports are byte-identical, and
+shows a mistyped config key rejected with exit 3.  Every call runs with
+warnings as errors, and the demo exits nonzero on an unexpected exit code.
 """
 
 import hashlib
@@ -18,10 +20,13 @@ import numpy as np
 from moikit.spectral import matrix_to_dict
 
 
-def run(*args):
-    cmd = [sys.executable, "-m", "moikit.cli", *args]
+def run(*args, expect=0):
+    """Run the CLI with warnings as errors; stop the demo on an unexpected exit code."""
+    cmd = [sys.executable, "-W", "error", "-m", "moikit.cli", *args]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     print(f"$ moikit {' '.join(args)}  -> exit {proc.returncode}")
+    if proc.returncode != expect:
+        sys.exit(f"expected exit {expect}, got {proc.returncode}:\n{proc.stderr}")
     return proc
 
 
@@ -57,5 +62,10 @@ for _ in range(2):
         "--out", str(work / "verify.json"))
     body = (work / "verify.json.body").read_bytes()
     print(f"  report body: {len(body)} bytes, sha256 = {hashlib.sha256(body).hexdigest()[:12]}")
+
+# a config file is checked like the flags: a mistyped key exits 3
+(work / "typo.json").write_text(json.dumps({"sed": 42, "filter": "truncation"}))
+proc = run("verify", "--config", str(work / "typo.json"), expect=3)
+print(f"  {proc.stderr.strip()}")
 
 print(f"\nartifacts left in {work}")

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``eval`` (apply a function to a matrix), ``derivative``,
-``remainder`` and ``verify`` (the seeded identity suites).  Inputs are
-JSON files (matrix and function-spec formats from the core modules);
-reports are JSON with a stable key order, with timings kept outside the
-deterministic body.
+``remainder`` and ``verify`` (the seeded identity suites).  ``SETTINGS``
+names the settings each subcommand reads; they come from its flags and from
+a ``--config`` JSON object keyed by the setting names, the flags winning
+(tolerances per name), and each is checked after that merge, so a bad one
+exits 3 whichever source it came from.  Inputs are JSON files (matrix and
+function-spec formats from the core modules); reports are JSON with a
+stable key order, with timings kept outside the deterministic body.
 
 Exit codes: 0 success, 1 failed checks, 2 violated preconditions
 (e.g. non-Hermitian input), 3 unreadable inputs.
@@ -18,7 +21,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,20 +71,6 @@ class RunConfig:
     out: str | None = None
     filter: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "function": self.function,
-            "matrices": list(self.matrices),
-            "order": self.order,
-            "strategy": self.strategy,
-            "check": self.check,
-            "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-            "seed": self.seed,
-            "out": self.out,
-            "filter": self.filter,
-        }
-
 
 @dataclass
 class ReportDocument:
@@ -100,83 +89,129 @@ class ReportDocument:
         return {
             "tool": "moikit",
             "version": __version__,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "overall_pass": self.overall_pass,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
-    def body_json(self) -> str:
-        return json.dumps(self.body_dict(), indent=2)
 
-    def to_json(self) -> str:
-        doc = self.body_dict()
-        doc["timings_seconds"] = self.timings
-        return json.dumps(doc, indent=2)
-
-
-def _write_report(doc: ReportDocument, path: str | None) -> None:
-    text = doc.to_json() + "\n"
-    if path:
+def _finish(doc: ReportDocument, value=None) -> int:
+    """Write the result matrix ``value`` to the ``out`` setting and the report
+    beside it (or the report alone to ``out``), or the report to stdout when
+    ``out`` is unset; return the exit code."""
+    body = doc.body_dict()
+    text = json.dumps({**body, "timings_seconds": doc.timings}, indent=2) + "\n"
+    path = doc.config.out
+    if not path:
+        sys.stdout.write(text)
+    else:
+        if value is not None:
+            save_matrix(path, value)
+            path += ".report.json"
         with open(path, "w") as fh:
             fh.write(text)
-        body_path = path + ".body"
-        with open(body_path, "w") as fh:
-            fh.write(doc.body_json() + "\n")
-    else:
-        sys.stdout.write(text)
-
-
-def _parse_tolerance(items) -> dict:
-    tols = {}
-    for item in items or []:
-        name, _, value = item.partition("=")
-        if not value:
-            raise ValueError(f"--tolerance expects name=value, got {item!r}")
-        if name not in DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance {name!r}; "
-                             f"known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
-        tols[name] = float(value)
-    return tols
-
-
-def _build_config(args) -> RunConfig:
-    data = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
-
-    def pick(flag, key, default):
-        value = getattr(args, flag, None)
-        return value if value is not None else data.get(key, default)
-
-    cfg = RunConfig(
-        command=args.command,
-        function=pick("function", "function", None),
-        matrices=list(getattr(args, "matrix", None) or data.get("matrices", [])),
-        order=int(pick("order", "order", 1)),
-        strategy=pick("strategy", "strategy", "moi"),
-        check=bool(getattr(args, "check", False) or data.get("check", False)),
-        tolerances={**data.get("tolerances", {}),
-                    **_parse_tolerance(getattr(args, "tolerance", None))},
-        seed=int(pick("seed", "seed", 42)),
-        out=pick("out", "out", None),
-        filter=pick("filter", "filter", None),
-    )
-    if cfg.filter and not any(cfg.filter in name for name in SUITES):
-        raise ValueError(f"--filter {cfg.filter!r} matches no suite; "
-                         f"suites: {', '.join(SUITES)}")
-    if cfg.command in ("derivative", "remainder") and cfg.order < 1:
-        raise ValueError(f"{cfg.command} requires order >= 1, got {cfg.order}")
-    for path in ([cfg.function] if cfg.function else []) + cfg.matrices:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"input file not found: {path}")
-    return cfg
+        with open(path + ".body", "w") as fh:
+            fh.write(json.dumps(body, indent=2) + "\n")
+    return EXIT_OK if doc.overall_pass else EXIT_CHECK_FAILED
 
 
 _STRATEGY_ALIASES = {"moi": "moi", "fd": "finite_difference",
                      "finite_difference": "finite_difference",
                      "power": "power_closed_form",
                      "power_closed_form": "power_closed_form"}
+
+# the settings each subcommand reads: its flags, and the keys its --config may hold
+SETTINGS = {
+    "eval": ("function", "matrices", "out"),
+    "derivative": ("function", "matrices", "order", "strategy", "check", "tolerances", "out"),
+    "remainder": ("function", "matrices", "order", "tolerances", "out"),
+    "verify": ("seed", "tolerances", "out", "filter"),
+}
+
+# the flag of each setting, with its argparse keywords; values stay text until checked
+_FLAGS = {
+    "function": ("--function", {"help": "function-spec JSON path"}),
+    "matrices": ("--matrix", {"action": "append", "help": "matrix JSON path (repeatable)"}),
+    "order": ("--order", {"help": "derivative/remainder order k"}),
+    "strategy": ("--strategy", {"help": "|".join(sorted(_STRATEGY_ALIASES))}),
+    "check": ("--check", {"action": "store_const", "const": True,
+                          "help": "also run the stencil oracle and record the residual"}),
+    "tolerances": ("--tolerance", {"action": "append", "metavar": "NAME=VALUE",
+                                   "help": "override a named tolerance (repeatable)"}),
+    "seed": ("--seed", {"help": "seed for all randomized suites"}),
+    "out": ("--out", {"help": "output path (matrix or report)"}),
+    "filter": ("--filter", {"help": "run only suites whose name contains this"}),
+}
+
+
+def _integer(name, value) -> int:
+    """An integer setting, from an int or its decimal text."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _build_config(args) -> RunConfig:
+    """The ``--config`` file's settings overridden by the flags (tolerances per
+    name), each checked the same whichever source it came from."""
+    reads = SETTINGS[args.command]
+    data = {}
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of settings")
+        unread = sorted(set(data) - set(reads))
+        if unread:
+            raise ValueError(f"{args.config}: {args.command} does not read "
+                             f"{', '.join(unread)}; it reads {', '.join(reads)}")
+    if not isinstance(data.get("tolerances", {}), dict):
+        raise ValueError(f"tolerances must map names to numbers, got {data['tolerances']!r}")
+    flags = {name: value for name, value in vars(args).items()
+             if name in reads and value is not None}
+    if "tolerances" in flags:
+        pairs = [item.partition("=") for item in flags["tolerances"]]
+        if not all(eq for _, eq, _ in pairs):
+            raise ValueError(f"--tolerance expects name=value, got {flags['tolerances']!r}")
+        flags["tolerances"] = {**data.get("tolerances", {}),
+                               **{name: float(value) for name, _, value in pairs}}
+    cfg = RunConfig(args.command, **{**data, **flags})
+
+    if "matrices" in reads:  # so does the function
+        need = {"eval": 1, "remainder": 2}.get(cfg.command)
+        if not isinstance(cfg.matrices, list) or need not in (None, len(cfg.matrices)):
+            raise ValueError(f"{cfg.command} requires {need or 'a list of'} matrices, "
+                             f"got {cfg.matrices!r}")
+        for path in [cfg.function, *cfg.matrices]:
+            if not isinstance(path, str):
+                raise ValueError(f"function and matrices are file paths, got {path!r}")
+            if not os.path.exists(path):
+                raise FileNotFoundError(f"input file not found: {path}")
+    cfg.order, cfg.seed = _integer("order", cfg.order), _integer("seed", cfg.seed)
+    if "order" in reads and cfg.order < 1:
+        raise ValueError(f"{cfg.command} requires order >= 1, got {cfg.order}")
+    if not isinstance(cfg.check, bool):
+        raise ValueError(f"check must be true or false, got {cfg.check!r}")
+    if not isinstance(cfg.strategy, str) or cfg.strategy not in _STRATEGY_ALIASES:
+        raise ValueError(f"strategy must be one of {', '.join(sorted(_STRATEGY_ALIASES))}, "
+                         f"got {cfg.strategy!r}")
+    for name, value in cfg.tolerances.items():
+        if name not in DEFAULT_TOLERANCES:
+            raise ValueError(f"unknown tolerance {name!r}; "
+                             f"known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"tolerance {name} must be a number, got {value!r}")
+    cfg.tolerances = {name: float(cfg.tolerances[name]) for name in sorted(cfg.tolerances)}
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ValueError(f"out must be a path, got {cfg.out!r}")
+    if cfg.filter is not None and not (isinstance(cfg.filter, str)
+                                       and any(cfg.filter in name for name in SUITES)):
+        raise ValueError(f"filter {cfg.filter!r} matches no suite; "
+                         f"suites: {', '.join(SUITES)}")
+    return cfg
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -185,15 +220,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     decomp = hermitian_eigendecompose(A)
     value = functional_calculus(f, decomp)
-    elapsed = time.perf_counter() - t0
-    doc = ReportDocument(cfg, timings={"eval": elapsed})
+    doc = ReportDocument(cfg, timings={"eval": time.perf_counter() - t0})
     doc.checks.extend(validate_decomposition(decomp).checks)
-    if cfg.out:
-        save_matrix(cfg.out, value)
-        _write_report(doc, cfg.out + ".report.json")
-    else:
-        _write_report(doc, None)
-    return EXIT_OK if doc.overall_pass else EXIT_CHECK_FAILED
+    return _finish(doc, value)
 
 
 def cmd_derivative(cfg: RunConfig) -> int:
@@ -221,12 +250,7 @@ def cmd_derivative(cfg: RunConfig) -> int:
             "derivative vs stencil oracle",
             "requested strategy agrees with tensor central differences",
             residual=rel, tolerance=tol))
-    if cfg.out:
-        save_matrix(cfg.out, value)
-        _write_report(doc, cfg.out + ".report.json")
-    else:
-        _write_report(doc, None)
-    return EXIT_OK if doc.overall_pass else EXIT_CHECK_FAILED
+    return _finish(doc, value)
 
 
 def cmd_remainder(cfg: RunConfig) -> int:
@@ -254,35 +278,22 @@ def cmd_remainder(cfg: RunConfig) -> int:
         tolerance=tols["remainder_integral"]))
     if isinstance(f, WienerAtomic):
         doc.checks.extend(remainder_schatten_check(f, k, a, b, p=1.0).checks)
-    if cfg.out:
-        save_matrix(cfg.out, direct)
-        _write_report(doc, cfg.out + ".report.json")
-    else:
-        _write_report(doc, None)
-    return EXIT_OK if doc.overall_pass else EXIT_CHECK_FAILED
+    return _finish(doc, direct)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    timings = {}
-    doc = ReportDocument(cfg, timings=timings)
+    doc = ReportDocument(cfg)
     t_total = time.perf_counter()
-    for report in _run_suites(cfg, timings):
-        doc.checks.extend(report.checks)
-    timings["total"] = time.perf_counter() - t_total
-    _write_report(doc, cfg.out)
-    logger.info("verify: %d checks, overall pass = %s", len(doc.checks),
-                doc.overall_pass)
-    return EXIT_OK if doc.overall_pass else EXIT_CHECK_FAILED
-
-
-def _run_suites(cfg: RunConfig, timings: dict):
     for name, suite in SUITES.items():
         if cfg.filter and cfg.filter not in name:
             continue
         t0 = time.perf_counter()
-        report = suite(cfg.seed, tolerances=cfg.tolerances or None)
-        timings[name] = time.perf_counter() - t0
-        yield report
+        doc.checks.extend(suite(cfg.seed, tolerances=cfg.tolerances or None).checks)
+        doc.timings[name] = time.perf_counter() - t0
+    doc.timings["total"] = time.perf_counter() - t_total
+    logger.info("verify: %d checks, overall pass = %s", len(doc.checks),
+                doc.overall_pass)
+    return _finish(doc)
 
 
 _COMMANDS = {
@@ -293,30 +304,25 @@ _COMMANDS = {
 }
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its entries")
-    sub.add_argument("--function", help="function-spec JSON path")
-    sub.add_argument("--matrix", action="append", help="matrix JSON path (repeatable)")
-    sub.add_argument("--order", type=int, help="derivative/remainder order k")
-    sub.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES),
-                     help="derivative strategy")
-    sub.add_argument("--check", action="store_true",
-                     help="also run the stencil oracle and record the residual")
-    sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                     help="override a named tolerance (repeatable)")
-    sub.add_argument("--seed", type=int, help="seed for all randomized suites")
-    sub.add_argument("--out", help="output path (matrix or report)")
-    sub.add_argument("--filter", help="run only suites whose name contains this")
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so that they exit as bad settings."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moikit",
         description="matrix functions, divided differences, operator integrals")
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_common(subparsers.add_parser(name))
+    for command, reads in SETTINGS.items():
+        sub = subparsers.add_parser(command)
+        sub.add_argument("--config", help="JSON config file; flags override its entries")
+        for name in reads:
+            flag, keywords = _FLAGS[name]
+            sub.add_argument(flag, dest=name, **keywords)
     return parser
 
 
@@ -324,25 +330,10 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=_LOG_LEVELS.get(os.environ.get("MOIKIT_LOG", "warn"), logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        logger.error("cannot load configuration: %s", exc)
-        return EXIT_PARSE
-    try:
-        inputs_needed = {"eval": 1, "derivative": None, "remainder": 2}
-        if cfg.command in ("eval", "derivative", "remainder"):
-            if cfg.function is None or not cfg.matrices:
-                logger.error("%s requires --function and --matrix", cfg.command)
-                return EXIT_PARSE
-            need = inputs_needed[cfg.command]
-            if need is not None and len(cfg.matrices) < need:
-                logger.error("%s requires %d matrices", cfg.command, need)
-                return EXIT_PARSE
+        cfg = _build_config(build_parser().parse_args(argv))
         return _COMMANDS[cfg.command](cfg)
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         logger.error("cannot parse inputs: %s", exc)
         return EXIT_PARSE
     except MoikitError as exc:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .moi import MoiOperands, MoiSymbol, compositions, moi_evaluate
 from .report import VerificationReport, inequality_check
-from .scalar_functions import Polynomial, WienerAtomic, evaluate_safely, wiener_iptp_bound
+from .scalar_functions import Polynomial, WienerAtomic, _evaluate, wiener_iptp_bound
 from .spectral import (
     functional_calculus,
     hermitian_eigendecompose,
@@ -151,8 +151,7 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
 def _jacobi_point(f, X):
     # Jacobi, not LAPACK: the oracle shares no eigensolver with the integrals
     lam, V = jacobi_eigh(X)
-    values = np.array([evaluate_safely(f, x) for x in lam.tolist()])
-    return (V * values) @ V.conj().T
+    return (V * _evaluate(f, lam)) @ V.conj().T
 
 
 def _eighe_point(f, X):

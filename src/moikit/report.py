@@ -22,17 +22,6 @@ class Check:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "identity": self.identity,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def equality_check(name: str, identity: str, residual: float, tolerance: float,
                    lhs: float = 0.0, rhs: float = 0.0) -> Check:
@@ -67,16 +56,6 @@ class VerificationReport:
 
     def add(self, check: Check) -> None:
         self.checks.append(check)
-
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
     def summary(self) -> str:
         lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"]

@@ -215,6 +215,30 @@ def _derivative_or_none(f, order):
         return None
 
 
+def _evaluate(f, points) -> np.ndarray:
+    """``f`` at an array of points, as complex values: on the whole array, and
+    point by point if that fails.  Raises :class:`EvaluationDomain` where ``f``
+    fails or is not finite; floating-point warnings are silenced only here."""
+    points = np.asarray(points, dtype=float)
+    with np.errstate(all="ignore"):
+        try:
+            values = np.asarray(f(points), dtype=complex)
+        except (ArithmeticError, ValueError, TypeError):
+            values = None
+        if values is None or values.shape != points.shape:
+            values = np.empty(points.shape, dtype=complex)
+            for i, x in np.ndenumerate(points):
+                try:
+                    values[i] = complex(f(float(x)))
+                except (ArithmeticError, ValueError, TypeError) as exc:
+                    raise EvaluationDomain(
+                        f"function not evaluable at {float(x)!r}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise EvaluationDomain(
+            f"function not finite at {float(points[~np.isfinite(values)].flat[0])!r}")
+    return values
+
+
 class NodeTuple:
     """Ordered tuple of real evaluation nodes; order ``k = len - 1``."""
 
@@ -358,8 +382,6 @@ def divided_difference_recursive(f, nodes) -> complex:
     """
     nodes = _as_nodes(nodes)
     k = nodes.order
-    if k == 0:
-        return complex(f(nodes[0]))
     tol = COINCIDENCE_TOL_FACTOR * (1.0 + max(abs(x) for x in nodes))
 
     z = sorted(nodes)
@@ -386,13 +408,13 @@ def divided_difference_recursive(f, nodes) -> complex:
         derivs.append(d)
 
     m = k + 1
-    table = [complex(f(x)) for x in snapped]
+    table = _evaluate(f, snapped).tolist()
     for j in range(1, m):
         nxt = []
         for i in range(m - j):
             lo, hi = snapped[i], snapped[i + j]
             if hi == lo:
-                nxt.append(complex(derivs[j](lo)) / math.factorial(j))
+                nxt.append(complex(_evaluate(derivs[j], lo)) / math.factorial(j))
             else:
                 nxt.append((table[i + 1] - table[i]) / (hi - lo))
         table = nxt
@@ -419,16 +441,6 @@ def divided_difference_mp(f, nodes) -> complex:
         return complex(table[0])
 
 
-def _vector_eval(func, points):
-    try:
-        vals = np.asarray(func(points), dtype=complex)
-        if vals.shape == points.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(func(float(x))) for x in points.ravel()]).reshape(points.shape)
-
-
 def divided_difference_quadrature(f, nodes) -> complex:
     """Simplex-quadrature evaluation ``sum_q w_q f^(k)(t_q . nodes)``.
 
@@ -439,9 +451,11 @@ def divided_difference_quadrature(f, nodes) -> complex:
     nodes = _as_nodes(nodes)
     k = nodes.order
     rule = SimplexQuadratureRule.gauss_legendre(k)
-    dk = f.derivative(k) if k else f
+    dk = _derivative_or_none(f, k) if k else f
+    if dk is None:
+        raise InsufficientDerivatives(f"the function does not supply {k} derivatives")
     points = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
-    vals = _vector_eval(dk, points)
+    vals = _evaluate(dk, points)
     return complex(np.einsum("q,q->", rule.weights, vals))
 
 
@@ -505,7 +519,7 @@ def _series_rows(dj, nodes):
     j = nodes.shape[1] - 1
     c = 0.5 * (nodes[:, 0] + nodes[:, -1])
     r = 0.5 * (nodes[:, -1] - nodes[:, 0])
-    values = _vector_eval(dj, c + r * _CHEBYSHEV[:, None])
+    values = _evaluate(dj, c + r * _CHEBYSHEV[:, None])
     # elementwise sums, not matrix products, so that a row's value does not
     # depend on the other rows
     coeffs = [sum(w * v for w, v in zip(weights, values)) for weights in _CHEBYSHEV_FIT]
@@ -563,7 +577,7 @@ def _level(dj, nodes, lower, upper, order) -> np.ndarray:
         series, converged = _series_rows(dj, rows[apart])
         patch[apart] = np.where(converged | together[apart], series, patch[apart])
     # at an exact repeat the series is its leading term
-    patch[~apart] = _vector_eval(dj, rows[~apart, 0]) / math.factorial(j)
+    patch[~apart] = _evaluate(dj, rows[~apart, 0]) / math.factorial(j)
     out[narrow] = patch
     return out
 
@@ -572,7 +586,7 @@ def _table_rows(f, rows, order, derivative) -> np.ndarray:
     """``f^[k]`` on the rows of a sorted ``(N, k+1)`` array by an order-``order``
     table, with ``derivative(m)`` memoizing ``f^(m)`` (None where missing):
     :func:`_level` over the sliding windows of the rows."""
-    table = _vector_eval(f, rows)
+    table = _evaluate(f, rows)
     for j in range(1, rows.shape[1]):
         windows = np.lib.stride_tricks.sliding_window_view(rows, j + 1, axis=1)
         table = _level(derivative(j), windows, table[:, :-1], table[:, 1:], order)
@@ -614,29 +628,30 @@ def divided_difference_grid(f, node_lists) -> np.ndarray:
     lists = [np.asarray(x, dtype=float) for x in node_lists]
     k = len(lists) - 1
     derivative = functools.cache(functools.partial(_derivative_or_none, f))
-    # each distinct list sorted, by id, so that slots of one list share one
-    # array and their tables; only an unsorted list is argsorted
-    by_id = {id(x): x for x in lists}
-    order = {key: np.argsort(x, kind="stable") for key, x in by_id.items()
+    # each distinct list sorted, keyed by its content, so that slots of equal
+    # lists share one array and their tables; only an unsorted list is argsorted
+    keys = [x.tobytes() for x in lists]
+    by_key = dict(zip(keys, lists))
+    order = {key: np.argsort(x, kind="stable") for key, x in by_key.items()
              if np.any(x[1:] < x[:-1])}
-    by_id.update((key, by_id[key][o]) for key, o in order.items())
-    slots = [by_id[id(x)] for x in lists]
+    by_key.update((key, by_key[key][o]) for key, o in order.items())
+    slots = [by_key[key] for key in keys]
     tables = {}
     for j in range(k + 1):
         for a in range(k + 1 - j):
-            key = tuple(map(id, slots[a:a + j + 1]))
+            key = tuple(keys[a:a + j + 1])
             if key in tables:
                 continue
             if j == 0:
-                tables[key] = _vector_eval(f, slots[a])
+                tables[key] = _evaluate(f, slots[a])
             else:
                 tables[key] = _grid_level(
                     f, slots[a:a + j + 1], tables[key[:-1]], tables[key[1:]], k, derivative,
                     len(set(key)) == 1)
     if not order:
         return tables[key]
-    return tables[key][np.ix_(*(np.argsort(order[id(x)]) if id(x) in order
-                                else np.arange(x.size) for x in lists))]
+    return tables[key][np.ix_(*(np.argsort(order[name]) if name in order
+                                else np.arange(x.size) for name, x in zip(keys, lists)))]
 
 
 def _grid_level(f, slots, left, right, k, derivative, shared):
@@ -689,9 +704,11 @@ def divided_difference_sup_bound(f, order: int, radius: float) -> float:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    dk = f.derivative(order) if order else f
+    dk = _derivative_or_none(f, order) if order else f
+    if dk is None:
+        raise InsufficientDerivatives(f"the function does not supply {order} derivatives")
     grid = np.linspace(-radius, radius, 4001)
-    vals = np.abs(_vector_eval(dk, grid))
+    vals = np.abs(_evaluate(dk, grid))
     return float(vals.max() / math.factorial(order))
 
 
@@ -834,14 +851,3 @@ def function_from_spec(spec: dict):
 def load_function(path):
     with open(path) as fh:
         return function_from_spec(json.load(fh))
-
-
-def evaluate_safely(f, x) -> complex:
-    """Evaluate a scalar function, mapping failures to EvaluationDomain."""
-    try:
-        val = complex(f(x))
-    except (ArithmeticError, ValueError, TypeError) as exc:
-        raise EvaluationDomain(f"function not evaluable at {x!r}: {exc}") from exc
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise EvaluationDomain(f"function not finite at {x!r}")
-    return val

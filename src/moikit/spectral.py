@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NotHermitian
 from .report import VerificationReport, equality_check, inequality_check
-from .scalar_functions import evaluate_safely
+from .scalar_functions import _evaluate
 
 __all__ = [
     "SpectralCluster",
@@ -219,8 +219,7 @@ def functional_calculus(f, decomposition: SpectralDecomposition) -> np.ndarray:
     undefined (or non-finite) at one of the eigenvalues.
     """
     D = decomposition
-    # Python floats, so that e.g. 1/0 raises instead of warning and returning inf
-    values = np.array([evaluate_safely(f, lam) for lam in D.eigenvalues.tolist()])
+    values = _evaluate(f, D.eigenvalues)
     return (D.vectors * values[D.labels]) @ D.vectors.conj().T
 
 

@@ -267,6 +267,136 @@ class TestVerify:
         assert json.loads(out.read_text())["config"]["seed"] == 3
 
 
+class TestSettings:
+    # every setting is checked after the --config file and the flags merge,
+    # and a bad one exits 3 with a single error line
+
+    @pytest.fixture
+    def inputs(self, tmp_path, square_fn):
+        a = matrix_file(tmp_path, "a.json", np.diag([1.0, 2.0]))
+        return {"function": square_fn, "matrices": [a, a]}
+
+    def assert_exits_3(self, caplog, argv):
+        caplog.clear()
+        assert main(argv) == 3
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].name == "moikit"
+
+    @pytest.mark.parametrize("config", [
+        {"tolerances": {"rule_mass": "1e-12"}},
+        {"tolerances": {"nonsense": 1e-3}},
+        {"tolerances": [["rule_mass", 1e-12]]},
+        {"sed": 3},
+        {"seed": 3.9},
+        {"seed": True},
+        {"order": 2},
+        {"filter": ["truncation"]},
+        ["seed", 3],
+    ])
+    def test_bad_verify_config_exits_3(self, tmp_path, caplog, config):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        self.assert_exits_3(caplog, ["verify", "--config", cfg,
+                                     "--out", str(tmp_path / "r.json")])
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("derivative", {"order": "x"}),
+        ("derivative", {"order": 1.5}),
+        ("derivative", {"check": "yes"}),
+        ("derivative", {"strategy": "nope"}),
+        ("derivative", {"strategy": ["moi"]}),
+        ("derivative", {"seed": 1}),
+        ("derivative", {"matrices": "a.json"}),
+        ("derivative", {"out": 3}),
+        ("remainder", {"check": True}),
+        ("eval", {"order": 1}),
+    ])
+    def test_bad_command_config_exits_3(self, tmp_path, caplog, inputs, command, config):
+        cfg = write_json(tmp_path / "cfg.json", {**inputs, **config})
+        self.assert_exits_3(caplog, [command, "--config", cfg])
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--matrix", "x.json"],
+        ["verify", "--order", "2"],
+        ["verify", "--seed", "abc"],
+        ["verify", "--tolerance", "rule_mass"],
+        ["verify", "--tolerance", "rule_mass=tiny"],
+        ["eval", "--order", "1"],
+        ["eval", "--check"],
+        ["remainder", "--strategy", "moi"],
+        ["derivative", "--order", "abc"],
+        ["derivative", "--seed", "1"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_flags_not_read_or_malformed_exit_3(self, caplog, argv):
+        self.assert_exits_3(caplog, argv)
+
+    @pytest.mark.parametrize("command, count", [("eval", 2), ("remainder", 1),
+                                                ("remainder", 3)])
+    def test_matrix_count_exits_3(self, tmp_path, caplog, inputs, command, count):
+        argv = [command, "--function", inputs["function"]]
+        for _ in range(count):
+            argv += ["--matrix", inputs["matrices"][0]]
+        self.assert_exits_3(caplog, argv)
+
+    def test_missing_function_exits_3(self, caplog, inputs):
+        self.assert_exits_3(caplog, ["eval", "--matrix", inputs["matrices"][0]])
+
+    def test_flags_override_the_file_and_tolerances_merge_per_name(self, tmp_path):
+        out = tmp_path / "report.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "seed": 3, "filter": "truncation", "out": str(tmp_path / "other.json"),
+            "tolerances": {"truncation_grid": 1, "rule_mass": 1}})
+        assert main(["verify", "--config", cfg, "--seed", "5", "--out", str(out),
+                     "--tolerance", "rule_mass=2e-12"]) == 0
+        config = json.loads((tmp_path / "report.json.body").read_text())["config"]
+        assert config["seed"] == 5
+        assert config["out"] == str(out)
+        assert config["tolerances"] == {"rule_mass": 2e-12, "truncation_grid": 1.0}
+        assert list(config["tolerances"]) == ["rule_mass", "truncation_grid"]
+        assert isinstance(config["tolerances"]["truncation_grid"], float)
+        assert not (tmp_path / "other.json").exists()
+
+    def test_integer_text_and_numbers_pass(self, tmp_path, inputs):
+        out = tmp_path / "d.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            **inputs, "order": "1", "check": True, "strategy": "fd", "out": str(out),
+            "tolerances": {"derivative_fd": 1}})
+        assert main(["derivative", "--config", cfg]) == 0
+        config = json.loads((tmp_path / "d.json.report.json.body").read_text())["config"]
+        assert config["order"] == 1 and config["tolerances"] == {"derivative_fd": 1.0}
+
+    def test_error_is_one_line_without_traceback(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {"tolerances": {"rule_mass": "1e-12"}})
+        src = str(Path(moikit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "moikit.cli", "verify",
+                               "--config", cfg], env=env, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("ERROR moikit: ")
+
+
+class TestEvaluationDomain:
+    @pytest.mark.parametrize("spec", [
+        {"kind": "wiener", "atoms": [[float("nan"), 0.5, 0.0]]},
+        {"kind": "polynomial", "coeffs": [[0, 0], [1, 0], [float("inf"), 0]]},
+    ])
+    @pytest.mark.parametrize("command", ["eval", "derivative"])
+    def test_non_finite_function_exits_2(self, tmp_path, command, spec):
+        fn = write_json(tmp_path / "f.json", spec)
+        a = matrix_file(tmp_path, "a.json", np.diag([0.5, 1.5]))
+        out = tmp_path / "out.json"
+        argv = [command, "--function", fn, "--matrix", a, "--out", str(out)]
+        if command == "derivative":
+            argv += ["--matrix", a, "--order", "1"]
+        assert main(argv) == 2
+        assert not out.exists()
+
+
 class TestBodiesAcrossBlasThreads:
     # the divided-difference and quadrature suites sum over simplex rules;
     # a threaded BLAS would split those sums by its thread count

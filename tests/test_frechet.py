@@ -6,6 +6,7 @@ import pytest
 from moikit import (
     ConvergenceFailure,
     DerivativeRequest,
+    EvaluationDomain,
     HolderMismatch,
     InvalidP,
     MoiOperands,
@@ -113,6 +114,15 @@ class TestMatrixFunctionDerivative:
             DerivativeRequest(COS, a, (a,), 2, "moi")
         with pytest.raises(ValueError):
             DerivativeRequest(COS, a, (a,), 1, "bogus")
+
+    @pytest.mark.parametrize("f", [WienerAtomic([(math.nan, 0.5)]),
+                                   Polynomial([0.0, 1.0, math.inf])])
+    @pytest.mark.parametrize("strategy", ["moi", "finite_difference"])
+    def test_non_finite_function_raises(self, f, strategy):
+        rng = suite_rng(39, 0)
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        with pytest.raises(EvaluationDomain):
+            matrix_function_derivative(DerivativeRequest(f, a, (b,), 1, strategy))
 
 
 class TestFiniteDifference:

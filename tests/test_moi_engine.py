@@ -39,6 +39,7 @@ from moikit import (
     poly_divided_difference,
     wiener_divided_difference,
 )
+from moikit import scalar_functions
 from moikit.errors import CoincidentNodes, DimensionMismatch
 from moikit.scalar_functions import (
     COINCIDENCE_TOL_FACTOR,
@@ -287,6 +288,21 @@ class TestSharedListGrid:
                 mixed = divided_difference_grid(f, [x[order]] + [other] * k)
                 assert np.array_equal(divided_difference_grid(f, [x] + [other] * k),
                                       mixed[back])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equal_lists_share_their_levels(self, k, monkeypatch):
+        # slots are matched by content, so a Python list in every slot and
+        # equal copies of one array never reach the mixed-list table
+        f = ADVERSARIAL_FUNCTIONS["cos"]
+        expected = divided_difference_grid(f, [SPREAD_LIST] * (k + 1))
+
+        def mixed_table(*args):
+            raise AssertionError("a level over equal lists took the mixed-list table")
+
+        monkeypatch.setattr(scalar_functions, "_table_rows", mixed_table)
+        for lists in ([SPREAD_LIST.tolist()] * (k + 1),
+                      [SPREAD_LIST.copy() for _ in range(k + 1)]):
+            assert np.array_equal(divided_difference_grid(f, lists), expected)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_plain_callable_at_a_repeated_node_raises(self, k):

@@ -126,6 +126,10 @@ class TestQuadrature:
         with pytest.raises(InsufficientDerivatives):
             divided_difference_quadrature(f, [0, 1, 2])
 
+    def test_plain_callable_has_no_derivatives(self):
+        with pytest.raises(InsufficientDerivatives):
+            divided_difference_quadrature(lambda x: x**2, [0.0, 1.0])
+
 
 class TestWienerStrategy:
     def test_single_atom_at_zero_nodes(self):
@@ -199,6 +203,10 @@ class TestSupBound:
 
     def test_constant(self):
         assert divided_difference_sup_bound(Polynomial([3]), 1, 1.0) == 0
+
+    def test_plain_callable_has_no_derivatives(self):
+        with pytest.raises(InsufficientDerivatives):
+            divided_difference_sup_bound(lambda x: x**2, 1, 1.0)
 
 
 class TestWienerBounds:
