@@ -23,7 +23,6 @@ from .errors import (
 )
 from .frechet import (
     DerivativeRequest,
-    SchattenSpec,
     finite_difference_derivative,
     matrix_function_derivative,
     moi_schatten_check,

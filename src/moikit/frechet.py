@@ -23,9 +23,9 @@ from .errors import (
     HolderMismatch,
     InvalidP,
 )
-from .moi import MoiOperands, MoiSymbol, compositions, moi_evaluate
+from .moi import MoiOperands, MoiSymbol, _matrix_powers, _power_chain, moi_evaluate
 from .report import VerificationReport, inequality_check
-from .scalar_functions import Polynomial, WienerAtomic, _evaluate, wiener_iptp_bound
+from .scalar_functions import Polynomial, WienerAtomic, _evaluate, _mp_form, wiener_iptp_bound
 from .spectral import (
     functional_calculus,
     hermitian_eigendecompose,
@@ -35,7 +35,6 @@ from .spectral import (
 
 __all__ = [
     "DerivativeRequest",
-    "SchattenSpec",
     "power_map_derivative",
     "matrix_function_derivative",
     "finite_difference_derivative",
@@ -90,24 +89,15 @@ def power_map_derivative(power: int, base: np.ndarray, directions) -> np.ndarray
     if k < 1:
         raise ValueError("at least one direction required")
     a = np.asarray(base, dtype=complex)
-    n = a.shape[0]
     for b in directions:
         if b.shape != a.shape:
             raise DimensionMismatch("directions must match the base dimension")
-    out = np.zeros((n, n), dtype=complex)
-    if power < k:
-        return out
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(power - k):
-        powers.append(powers[-1] @ a)
-    gammas = list(compositions(power - k, k + 1))
-    for perm in itertools.permutations(range(k)):
-        for gamma in gammas:
-            term = powers[gamma[0]]
-            for j in range(k):
-                term = term @ directions[perm[j]]
-                term = term @ powers[gamma[j + 1]]
-            out += term
+    out = np.zeros(a.shape, dtype=complex)
+    if power >= k:
+        # every slot is the base: one power list serves all k! orders
+        powers = [_matrix_powers(a, power - k)] * (k + 1)
+        for middles in itertools.permutations(directions):
+            _power_chain(out, powers, middles)
     return out
 
 
@@ -154,9 +144,10 @@ def _jacobi_point(f, X):
     return (V * _evaluate(f, lam)) @ V.conj().T
 
 
-def _eighe_point(f, X):
+def _eighe_point(form, X):
+    # ``form`` evaluates the function in mpmath arithmetic
     E, Q = mp.eighe(X)
-    return Q * mp.diag([f._eval_mp(e) for e in E]) * Q.transpose_conj()
+    return Q * mp.diag([form(e) for e in E]) * Q.transpose_conj()
 
 
 def _fd_stencil(f, base, directions, h, point):
@@ -187,7 +178,8 @@ def finite_difference_derivative(f, base, directions,
     diagonalized by :func:`jacobi_eigh`.  For order >= 3 the alternating sum
     cancels below the double-precision noise floor, so the stencil runs in
     ``EXTENDED_DPS``-digit mpmath arithmetic with ``mp.eighe`` instead
-    (override with ``extended``).
+    (override with ``extended``), and raises :class:`EvaluationDomain` when
+    ``f`` has no mpmath form.
     """
     base = require_hermitian(base)
     directions = [require_hermitian(b) for b in directions]
@@ -198,10 +190,11 @@ def finite_difference_derivative(f, base, directions,
         extended = k >= 3
     h = 1e-4 * (1.0 + schatten_norm(base, math.inf))
     if extended:
+        form = _mp_form(f)
         with mp.workdps(EXTENDED_DPS):
             base = mp.matrix(base.tolist())
             directions = [mp.matrix(b.tolist()) for b in directions]
-            coarse, fine = (np.array(_fd_stencil(f, base, directions, mp.mpf(step),
+            coarse, fine = (np.array(_fd_stencil(form, base, directions, mp.mpf(step),
                                                  _eighe_point).tolist(), dtype=complex)
                             for step in (h, h / 2.0))
     else:
@@ -276,20 +269,7 @@ def taylor_remainder_integral(f, order: int, base, perturbation) -> np.ndarray:
 # Schatten norms and bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchattenSpec:
-    """Schatten exponent in [1, inf]; inf selects the operator norm."""
-
-    p: float
-
-    def __post_init__(self):
-        p = float(self.p)
-        if math.isnan(p) or p < 1.0:
-            raise InvalidP(f"Schatten exponent must be in [1, inf], got {p}")
-        object.__setattr__(self, "p", p)
-
-
-def schatten_norm(M: np.ndarray, p) -> float:
+def schatten_norm(M: np.ndarray, p: float) -> float:
     """l^p norm of the singular values; p = inf gives the operator norm.
 
     The singular values come from LAPACK's SVD of ``M`` itself, so each
@@ -297,7 +277,7 @@ def schatten_norm(M: np.ndarray, p) -> float:
     eigenvalues of ``M* M`` would square the condition number and lose the
     singular values below ``sqrt(eps)`` times the largest.
     """
-    p = p.p if isinstance(p, SchattenSpec) else float(p)
+    p = float(p)
     if math.isnan(p) or p < 1.0:
         raise InvalidP(f"Schatten exponent must be in [1, inf], got {p}")
     try:
@@ -323,7 +303,7 @@ def remainder_schatten_check(f: WienerAtomic, order: int, base, perturbation,
     moment-based factor dominates the (uncomputable) separated cost of the
     k-th divided difference, so the inequality is implied by the exact one.
     """
-    p = p.p if isinstance(p, SchattenSpec) else float(p)
+    p = float(p)
     if math.isnan(p) or p < 1.0 or math.isinf(p):
         raise InvalidP("remainder bound requires p in [1, inf)")
     a = require_hermitian(base)
@@ -341,8 +321,8 @@ def remainder_schatten_check(f: WienerAtomic, order: int, base, perturbation,
     return report
 
 
-def moi_schatten_check(symbol: MoiSymbol, operands: MoiOperands, exponents,
-                       p_total: float | None = None) -> VerificationReport:
+def moi_schatten_check(symbol: MoiSymbol, operands: MoiOperands,
+                       exponents) -> VerificationReport:
     """Hölder-type Schatten bound for an operator integral.
 
     With slot exponents ``p_j`` and target ``1/p = sum 1/p_j``, verifies
@@ -350,7 +330,7 @@ def moi_schatten_check(symbol: MoiSymbol, operands: MoiOperands, exponents,
     bound is the symbol's certified separated-cost bound.  Raises
     :class:`HolderMismatch` when the exponents are inconsistent.
     """
-    ps = [q.p if isinstance(q, SchattenSpec) else float(q) for q in exponents]
+    ps = [float(q) for q in exponents]
     if len(ps) != operands.order:
         raise HolderMismatch(f"{len(ps)} exponents for order {operands.order}")
     for q in ps:
@@ -360,12 +340,6 @@ def moi_schatten_check(symbol: MoiSymbol, operands: MoiOperands, exponents,
     if inv > 1.0 + 1e-12:
         raise HolderMismatch("slot exponents sum to a target below p = 1")
     p = math.inf if inv == 0.0 else 1.0 / inv
-    if p_total is not None:
-        p_total = float(p_total)
-        inv_total = 0.0 if math.isinf(p_total) else 1.0 / p_total
-        if abs(inv_total - inv) > 1e-12:
-            raise HolderMismatch(
-                f"declared p = {p_total} inconsistent with slot exponents (p = {p})")
     if symbol.iptp_bound is None:
         raise ValueError("symbol carries no certified separated-cost bound")
 

@@ -14,6 +14,7 @@ evaluations are kept as independent oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,19 +47,17 @@ __all__ = [
 ]
 
 
-def compositions(total: int, parts: int):
-    """Nonnegative integer tuples of the given length summing to ``total``.
-
-    Lexicographically ascending; empty when ``total`` is negative.
-    """
+@functools.cache
+def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Nonnegative integer tuples of the given length summing to ``total``,
+    lexicographically ascending and built once per argument pair; empty when
+    ``total`` is negative."""
     if total < 0:
-        return
+        return ()
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+        return ((total,),)
+    return tuple((head,) + rest for head in range(total + 1)
+                 for rest in compositions(total - head, parts - 1))
 
 
 class MoiSymbol:
@@ -242,31 +241,36 @@ def moi_separated(factors, weights, operands: MoiOperands) -> np.ndarray:
     return out
 
 
+def _matrix_powers(a: np.ndarray, top: int) -> list[np.ndarray]:
+    """``[I, a, a^2, .., a^top]``, each by one product with the last."""
+    return list(itertools.accumulate([a] * top, np.matmul,
+                                     initial=np.eye(a.shape[0], dtype=complex)))
+
+
+def _power_chain(out: np.ndarray, powers, middles) -> None:
+    """Add ``P_0[g_0] b_1 P_1[g_1] .. b_k P_k[g_k]`` into ``out`` for every
+    splitting ``|g| = len(P_j) - 1`` in ascending order, ``P_j = powers[j]``."""
+    for gamma in compositions(len(powers[0]) - 1, len(powers)):
+        term = powers[0][gamma[0]]
+        for j, b in enumerate(middles):
+            term = term @ b
+            term = term @ powers[j + 1][gamma[j + 1]]
+        out += term
+
+
 def moi_polynomial(power: int, operands: MoiOperands) -> np.ndarray:
     """Monomial-symbol integral in closed form.
 
     For the power-map symbol of order k this is the sum over exponent
-    splittings ``|gamma| = power - k`` of ``a_0^g0 b_1 a_1^g1 ... b_k a_k^gk``;
-    the zero matrix when ``power < k``.  Matrix powers are cached per slot.
+    splittings ``|gamma| = power - k`` of ``a_0^g0 b_1 a_1^g1 ... b_k a_k^gk``,
+    from one power list per slot; the zero matrix when ``power < k``.
     """
     k = operands.order
     n = operands.dimension
     out = np.zeros((n, n), dtype=complex)
-    if power < k:
-        return out
-    sources = [d.source for d in operands.decomps]
-    powers = []
-    for a in sources:
-        cache = [np.eye(n, dtype=complex)]
-        for _ in range(power - k):
-            cache.append(cache[-1] @ a)
-        powers.append(cache)
-    for gamma in compositions(power - k, k + 1):
-        term = powers[0][gamma[0]]
-        for j in range(k):
-            term = term @ operands.middles[j]
-            term = term @ powers[j + 1][gamma[j + 1]]
-        out += term
+    if power >= k:
+        _power_chain(out, [_matrix_powers(d.source, power - k) for d in operands.decomps],
+                     operands.middles)
     return out
 
 

@@ -22,8 +22,8 @@ The other evaluations stay as independent oracles:
 * the exact closed form for polynomials (complete homogeneous symmetric sums),
 * the scalar difference-quotient recursion, with a confluent fallback that
   calls derivatives at repeated nodes,
-* quadrature of the k-th derivative over the standard simplex,
-* the Fourier-side formula for finite atomic oscillatory sums, and
+* quadrature of the k-th derivative over the standard simplex, which for a
+  finite atomic oscillatory sum is its Fourier-side formula, and
 * the recursion in 50-digit mpmath arithmetic.
 
 The module also exposes the computable upper bounds attached to these
@@ -194,10 +194,9 @@ class CallableFunction:
         )
 
     def _eval_mp(self, x):
-        if self.mp_evaluator is not None:
-            return self.mp_evaluator(x)
-        # lossy fallback: evaluate in double precision
-        return mp.mpc(complex(self.evaluator(float(x))))
+        if self.mp_evaluator is None:
+            raise EvaluationDomain(f"{self!r} has no mpmath form")
+        return self.mp_evaluator(x)
 
     def __repr__(self):
         tag = self.name or "<callable>"
@@ -213,6 +212,14 @@ def _derivative_or_none(f, order):
         return derivative(order)
     except InsufficientDerivatives:
         return None
+
+
+def _mp_form(f):
+    """``f`` in mpmath arithmetic; :class:`EvaluationDomain` if it has no such form."""
+    form = getattr(f, "_eval_mp", None)
+    if form is None:
+        raise EvaluationDomain(f"{f!r} has no mpmath form")
+    return form
 
 
 def _evaluate(f, points) -> np.ndarray:
@@ -424,16 +431,17 @@ def divided_difference_recursive(f, nodes) -> complex:
 def divided_difference_mp(f, nodes) -> complex:
     """Extended-precision reference: the recursion in 50-digit arithmetic.
 
-    Evaluates ``f`` by its mpmath form (``f._eval_mp``) at the given double
-    nodes; at an exact repeat the table takes the Taylor coefficient
-    ``f^(j)(x)/j!`` from mpmath's numerical differentiation, so ``f`` must be
-    smooth there.
+    Evaluates ``f`` by its mpmath form (``f._eval_mp``, or raises
+    :class:`EvaluationDomain`) at the given double nodes; at an exact repeat the
+    table takes the Taylor coefficient ``f^(j)(x)/j!`` from mpmath's numerical
+    differentiation, so ``f`` must be smooth there.
     """
+    form = _mp_form(f)
     with mp.workdps(50):
         z = sorted(mp.mpf(x) for x in _as_nodes(nodes))
-        taylor = {x: mp.taylor(f._eval_mp, x, z.count(x) - 1)
+        taylor = {x: mp.taylor(form, x, z.count(x) - 1)
                   for x in set(z) if z.count(x) > 1}
-        table = [f._eval_mp(x) for x in z]
+        table = [form(x) for x in z]
         for j in range(1, len(z)):
             table = [taylor[z[i]][j] if z[i + j] == z[i]
                      else (table[i + 1] - table[i]) / (z[i + j] - z[i])
@@ -460,23 +468,10 @@ def divided_difference_quadrature(f, nodes) -> complex:
 
 
 def wiener_divided_difference(f: WienerAtomic, nodes) -> complex:
-    """Fourier-side divided difference of a finite atomic oscillatory sum.
-
-    Integrates ``(i xi)^k exp(i xi t . nodes)`` over the simplex for each
-    atom; agrees with the recursion on the same function up to quadrature
-    accuracy.
-    """
-    nodes = _as_nodes(nodes)
-    k = nodes.order
-    rule = SimplexQuadratureRule.gauss_legendre(k)
-    if not f.atoms:
-        return 0j
-    dots = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
-    total = 0j
-    for xi, c in f.atoms:
-        osc = np.exp(1j * xi * dots)
-        total += c * (1j * xi) ** k * np.einsum("q,q->", rule.weights, osc)
-    return complex(total)
+    """Fourier-side divided difference of a finite atomic oscillatory sum: the
+    simplex integral of ``sum_j c_j (i xi_j)^k exp(i xi_j t . nodes)``, which is
+    the atomic sum ``f^(k)``, so :func:`divided_difference_quadrature` itself."""
+    return divided_difference_quadrature(f, nodes)
 
 
 # An order-k table of difference quotients loses about eps 2^k max|f| /
@@ -836,15 +831,20 @@ def function_from_spec(spec: dict):
 
     ``{"kind": "polynomial", "coeffs": [[re, im], ...]}``,
     ``{"kind": "wiener", "atoms": [[xi, re, im], ...]}``, or
-    ``{"kind": "builtin", "name": ..., "params": {...}}``.
+    ``{"kind": "builtin", "name": ..., "params": {...}}``; else ValueError.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a function spec is a JSON object, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "polynomial":
-        return Polynomial([complex(re, im) for re, im in spec["coeffs"]])
-    if kind == "wiener":
-        return WienerAtomic([(xi, complex(re, im)) for xi, re, im in spec["atoms"]])
-    if kind == "builtin":
-        return builtin_function(spec["name"], spec.get("params"))
+    try:
+        if kind == "polynomial":
+            return Polynomial([complex(re, im) for re, im in spec["coeffs"]])
+        if kind == "wiener":
+            return WienerAtomic([(xi, complex(re, im)) for xi, re, im in spec["atoms"]])
+        if kind == "builtin":
+            return builtin_function(spec["name"], spec.get("params"))
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind} spec: {exc}") from exc
     raise ValueError(f"unknown function kind {kind!r}")
 
 

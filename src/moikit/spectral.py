@@ -11,8 +11,9 @@ Eigenvalues within ``cluster_tol`` of their neighbor are merged into one
 cluster.  A decomposition stores only the unitary of eigenvectors, the
 cluster index of each eigenvector and one eigenvalue per cluster; the
 orthogonal projection of a cluster, the sum of its members' rank-1
-projectors, is derived on demand.  A scalar function of the matrix is ``V diag(f(lam)) V*``
-with one function value per cluster.
+projectors, is derived on demand; validation never builds them, as it reads
+the eigenvectors and their Gram matrix.  A scalar function of the matrix is
+``V diag(f(lam)) V*`` with one function value per cluster.
 
 Decompositions are frozen after construction and safe to share across
 threads.
@@ -145,8 +146,8 @@ class SpectralDecomposition:
     ``eigenvalues`` holds one value per cluster, the mean of its members,
     in ascending order; ``vectors`` is the unitary of eigenvectors in
     ascending eigenvalue order and ``labels`` the cluster index of each of
-    its columns.  ``clusters`` and ``projections`` are derived from
-    ``vectors[:, labels == i]`` on first access.
+    its columns.  ``clusters`` is derived from ``vectors[:, labels == i]``
+    on first access.
     """
 
     source: np.ndarray
@@ -173,10 +174,6 @@ class SpectralDecomposition:
                 multiplicity=members.shape[1],
             ))
         return tuple(clusters)
-
-    @property
-    def projections(self) -> list[np.ndarray]:
-        return [c.projection for c in self.clusters]
 
 
 def hermitian_eigendecompose(A: np.ndarray,
@@ -226,43 +223,44 @@ def functional_calculus(f, decomposition: SpectralDecomposition) -> np.ndarray:
 def validate_decomposition(decomposition: SpectralDecomposition) -> VerificationReport:
     """Re-check every structural invariant of a spectral decomposition.
 
-    The projections checked here are derived from the stored eigenvectors
-    and labels, so non-orthonormal vectors or a wrong labelling show up as
-    failed projection identities.
+    The projections ``P_i = V_i V_i*`` of the stored eigenvectors and labels
+    are read through the Gram matrix ``G = V* V - I``, as ``P_i P_j - delta_ij
+    P_i = V_i G_ij V_j*``; only the Hermitian row forms each ``P_i``, one at a
+    time.  Non-orthonormal vectors or a wrong labelling fail rows.
     """
     D = decomposition
     n = D.dimension
+    V, labels = D.vectors, D.labels
     report = VerificationReport("spectral-decomposition")
     eye = np.eye(n)
 
-    psum = sum(D.projections, start=np.zeros((n, n), dtype=complex))
     report.add(equality_check(
         "resolution of identity", "sum of projections equals the identity",
-        residual=float(np.linalg.norm(psum - eye)), tolerance=1e-10 * n))
+        residual=float(np.linalg.norm(V @ V.conj().T - eye)), tolerance=1e-10 * n))
 
-    # P_i P_j - delta_ij P_i = V_i (V_i* V_j - delta_ij I) V_j*, so the row
-    # reads the cluster blocks of V* V - I, not m^2 products of projections
     m = D.eigenvalues.size
-    pair = (D.labels[:, None] * m + D.labels[None, :]).ravel()
-    gram = np.abs(D.vectors.conj().T @ D.vectors - eye).ravel() ** 2
-    blocks = np.bincount(pair, weights=gram, minlength=m * m)
+    gram = V.conj().T @ V - eye
+    pair = (labels[:, None] * m + labels[None, :]).ravel()
+    blocks = np.bincount(pair, weights=np.abs(gram).ravel() ** 2, minlength=m * m)
     report.add(equality_check(
         "orthogonal idempotents", "projections are idempotent and mutually orthogonal",
         residual=float(np.sqrt(blocks.max(initial=0.0))), tolerance=1e-10))
 
-    herm = max((float(np.linalg.norm(P - P.conj().T)) for P in D.projections), default=0.0)
+    herm = 0.0
+    for i in range(m):
+        members = V[:, labels == i]
+        P = members @ members.conj().T
+        herm = max(herm, float(np.linalg.norm(P - P.conj().T)))
     report.add(equality_check(
         "hermitian projections", "each projection is Hermitian",
         residual=herm, tolerance=1e-10))
 
-    mult = max((abs(float(np.trace(c.projection).real) - c.multiplicity)
-                for c in D.clusters), default=0.0)
+    traces = np.bincount(labels, weights=np.diagonal(gram).real, minlength=m)
     report.add(equality_check(
         "multiplicities", "trace of each projection equals its multiplicity",
-        residual=mult, tolerance=1e-8))
+        residual=float(np.abs(traces).max(initial=0.0)), tolerance=1e-8))
 
-    recon = sum((c.eigenvalue * c.projection for c in D.clusters),
-                start=np.zeros((n, n), dtype=complex))
+    recon = (V * D.eigenvalues[labels]) @ V.conj().T
     report.add(equality_check(
         "reconstruction", "eigenvalue-weighted projection sum reconstructs the matrix",
         residual=float(np.linalg.norm(D.source - recon)),

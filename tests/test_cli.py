@@ -380,6 +380,26 @@ class TestSettings:
         assert proc.stderr.startswith("ERROR moikit: ")
 
 
+class TestMalformedFunctionSpec:
+    @pytest.mark.parametrize("spec", [
+        {"kind": "polynomial", "coeffs": [1, 2]},
+        [1, 2],
+    ], ids=["bare_coefficients", "not_an_object"])
+    def test_exits_3_with_one_error_line(self, tmp_path, spec):
+        fn = write_json(tmp_path / "f.json", spec)
+        a = matrix_file(tmp_path, "a.json", np.diag([0.5, 1.5]))
+        src = str(Path(moikit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "moikit.cli", "eval",
+                               "--function", fn, "--matrix", a], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("ERROR moikit: ")
+
+
 class TestEvaluationDomain:
     @pytest.mark.parametrize("spec", [
         {"kind": "wiener", "atoms": [[float("nan"), 0.5, 0.0]]},

@@ -6,6 +6,7 @@ import pytest
 from moikit import (
     CallableFunction,
     CoincidentNodes,
+    EvaluationDomain,
     InsufficientDerivatives,
     NodeTuple,
     Polynomial,
@@ -23,6 +24,7 @@ from moikit import (
     wiener_iptp_bound,
     wiener_taylor_truncate,
 )
+from moikit.scalar_functions import divided_difference_mp
 
 COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
 
@@ -152,6 +154,17 @@ class TestWienerStrategy:
         a = wiener_divided_difference(f, nodes)
         b = divided_difference_recursive(f, nodes)
         assert a == pytest.approx(b, abs=1e-10)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_is_the_quadrature_of_the_kth_derivative(self, k):
+        # f^(k) of an atomic sum is an atomic sum: one simplex rule, one sum
+        rng = np.random.Generator(np.random.Philox(key=k))
+        f = WienerAtomic(zip(rng.uniform(-3, 3, 4), rng.standard_normal(4)
+                             + 1j * rng.standard_normal(4)))
+        for nodes in ([0.3] * (k + 1), rng.uniform(-2, 2, k + 1).tolist()):
+            a = wiener_divided_difference(f, nodes)
+            b = divided_difference_quadrature(f, nodes)
+            assert a.real.hex() == b.real.hex() and a.imag.hex() == b.imag.hex()
 
 
 def leibniz(f, g, nodes):
@@ -347,3 +360,39 @@ class TestSpecFormat:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             function_from_spec({"kind": "mystery"})
+
+    @pytest.mark.parametrize("spec", [
+        [1, 2],
+        "polynomial",
+        {"kind": "polynomial", "coeffs": [1, 2]},
+        {"kind": "polynomial", "coeffs": [["a", 0]]},
+        {"kind": "polynomial", "coeffs": [[1, 0, 0]]},
+        {"kind": "wiener", "atoms": [[1.0, 0.5]]},
+        {"kind": "wiener", "atoms": [[[1.0], 0.5, 0.0]]},
+        {"kind": "wiener", "atoms": 3},
+        {"kind": "builtin", "name": "exp", "params": [1, 2]},
+    ])
+    def test_malformed_spec_is_a_value_error(self, spec):
+        with pytest.raises(ValueError):
+            function_from_spec(spec)
+
+
+class TestExtendedPrecisionForm:
+    # the 50-digit references evaluate in mpmath or not at all: a silent
+    # double-precision fallback would pass rounding off as a reference
+    NODES = [0.3 + j * 1e-7 for j in range(4)]
+
+    def test_callable_without_mp_form_raises(self):
+        f = CallableFunction(np.cos, [lambda x: -np.sin(x)] * 3)
+        with pytest.raises(EvaluationDomain):
+            f._eval_mp(0.3)
+        with pytest.raises(EvaluationDomain):
+            divided_difference_mp(f, self.NODES)
+
+    def test_plain_callable_raises(self):
+        with pytest.raises(EvaluationDomain):
+            divided_difference_mp(lambda x: np.cos(x), self.NODES)
+
+    def test_builtin_cos_matches_the_third_derivative(self):
+        value = divided_difference_mp(builtin_function("cos"), self.NODES)
+        assert value == pytest.approx(np.sin(0.3 + 1.5e-7) / 6, rel=1e-9)

@@ -72,7 +72,7 @@ class TestEigendecompose:
         chained = hermitian_eigendecompose(np.diag([1.0, 1.5, 2.0]), cluster_tol=0.5)
         np.testing.assert_array_equal(chained.eigenvalues, [1.5])
         np.testing.assert_array_equal(chained.labels, [0, 0, 0])
-        np.testing.assert_allclose(chained.projections[0], np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(chained.clusters[0].projection, np.eye(3), atol=1e-12)
         split = hermitian_eigendecompose(np.diag([1.0, 1.5, 2.0]), cluster_tol=0.4999)
         np.testing.assert_array_equal(split.eigenvalues, [1.0, 1.5, 2.0])
         np.testing.assert_array_equal(split.labels, [0, 1, 2])
@@ -182,6 +182,52 @@ class TestValidation:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "orthogonal idempotents" in failed
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_rows_read_the_eigenvectors_not_the_clusters(self, monkeypatch, merged):
+        def no_clusters(self):
+            raise AssertionError("validation built the cluster projections")
+
+        rng = suite_rng(24, 0)
+        A = random_hermitian(rng, 40)
+        if merged:
+            # a triple eigenvalue, one cluster of three eigenvectors
+            lam, V = np.linalg.eigh(A)
+            lam[10:13] = lam[11]
+            A = (V * lam) @ V.conj().T
+        decomp = hermitian_eigendecompose(A)
+        assert (decomp.eigenvalues.size < 40) == merged
+        monkeypatch.setattr(SpectralDecomposition, "clusters", property(no_clusters))
+        report = validate_decomposition(decomp)
+        assert report.passed
+        assert [c.name for c in report.checks] == [
+            "resolution of identity", "orthogonal idempotents", "hermitian projections",
+            "multiplicities", "reconstruction", "ordering"]
+
+    def test_wrong_label_fails(self):
+        # the eigenvectors of 1 and 3 swap clusters: the projections are still
+        # orthogonal idempotents, but they no longer reconstruct the matrix
+        decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]))
+        relabelled = SpectralDecomposition(
+            source=decomp.source, source_norm=decomp.source_norm,
+            eigenvalues=decomp.eigenvalues, vectors=decomp.vectors,
+            labels=np.array([2, 1, 0]), cluster_tol=decomp.cluster_tol)
+        report = validate_decomposition(relabelled)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"reconstruction"}
+
+    def test_non_orthonormal_vectors_fail(self):
+        # a sheared eigenbasis reconstructs nothing and resolves no identity
+        rng = suite_rng(25, 0)
+        decomp = hermitian_eigendecompose(random_hermitian(rng, 6))
+        shear = np.eye(6) + 0.1 * np.triu(np.ones((6, 6)), 1)
+        sheared = SpectralDecomposition(
+            source=decomp.source, source_norm=decomp.source_norm,
+            eigenvalues=decomp.eigenvalues, vectors=decomp.vectors @ shear,
+            labels=decomp.labels, cluster_tol=decomp.cluster_tol)
+        failed = {c.name for c in validate_decomposition(sheared).checks if not c.passed}
+        assert {"resolution of identity", "orthogonal idempotents", "multiplicities",
+                "reconstruction"} <= failed
 
 
 class TestMatrixFormat:
