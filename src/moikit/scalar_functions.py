@@ -24,7 +24,8 @@ The other evaluations stay as independent oracles:
   calls derivatives at repeated nodes,
 * quadrature of the k-th derivative over the standard simplex, which for a
   finite atomic oscillatory sum is its Fourier-side formula, and
-* the recursion in 50-digit mpmath arithmetic.
+* the recursion in mpmath arithmetic at 50 digits plus those its node gaps
+  cancel.
 
 The module also exposes the computable upper bounds attached to these
 representations: the ``sup |f^(k)| / k!`` bound and the moment-based bound
@@ -429,16 +430,25 @@ def divided_difference_recursive(f, nodes) -> complex:
 
 
 def divided_difference_mp(f, nodes) -> complex:
-    """Extended-precision reference: the recursion in 50-digit arithmetic.
+    """Extended-precision reference: the recursion in mpmath arithmetic.
 
-    Evaluates ``f`` by its mpmath form (``f._eval_mp``, or raises
-    :class:`EvaluationDomain`) at the given double nodes; at an exact repeat the
-    table takes the Taylor coefficient ``f^(j)(x)/j!`` from mpmath's numerical
-    differentiation, so ``f`` must be smooth there.
+    Each level of the recursion divides by a node gap, so the row works at
+    ``50 + k log10((1 + max|x|) / g)`` digits, with ``g`` its smallest
+    nonzero gap: about 50 digits survive the ``k`` divisions.  Evaluates
+    ``f`` by its mpmath form (``f._eval_mp``, or raises
+    :class:`EvaluationDomain`) at the given double nodes; at an exact repeat
+    the table takes the Taylor coefficient ``f^(j)(x)/j!`` from mpmath's
+    numerical differentiation, so ``f`` must be smooth there.
     """
     form = _mp_form(f)
-    with mp.workdps(50):
-        z = sorted(mp.mpf(x) for x in _as_nodes(nodes))
+    nodes = sorted(_as_nodes(nodes))
+    gaps = [b - a for a, b in zip(nodes, nodes[1:]) if b > a]
+    dps = 50
+    if gaps:
+        spread = (1.0 + max(map(abs, nodes))) / min(gaps)
+        dps += math.ceil((len(nodes) - 1) * math.log10(spread))
+    with mp.workdps(dps):
+        z = [mp.mpf(x) for x in nodes]
         taylor = {x: mp.taylor(form, x, z.count(x) - 1)
                   for x in set(z) if z.count(x) > 1}
         table = [form(x) for x in z]

@@ -22,6 +22,7 @@ threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,12 +64,6 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def _offdiagonal_norm(H: np.ndarray) -> float:
-    od = H.copy()
-    np.fill_diagonal(od, 0.0)
-    return float(np.linalg.norm(od))
-
-
 def jacobi_eigh(A: np.ndarray):
     """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
 
@@ -76,57 +71,65 @@ def jacobi_eigh(A: np.ndarray):
     (``A = V diag(lam) V*``).  Each rotation zeroes one off-diagonal pair;
     sweeps repeat until the off-diagonal Frobenius mass falls below
     ``JACOBI_OFFDIAG_FACTOR * ||A||_F``, and raise
-    :class:`ConvergenceFailure` after ``JACOBI_SWEEP_BUDGET`` sweeps.
+    :class:`ConvergenceFailure` after ``JACOBI_SWEEP_BUDGET`` sweeps.  The
+    rotations run on Python lists of complex numbers: at the sizes the
+    oracles use, a numpy call per row or column would cost more than its
+    arithmetic.  The matrix is read as Hermitian (rows ``p`` and ``q`` of
+    each rotation are mirrored into the columns), as ``require_hermitian``
+    leaves it.
     """
+    A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    H = np.array(A, dtype=complex)
-    V = np.eye(n, dtype=complex)
-    fro = np.linalg.norm(H)
+    fro = float(np.linalg.norm(A))
     if fro == 0.0 or n == 1:
-        return np.real(np.diag(H)).copy(), V
+        return np.real(np.diag(A)).copy(), np.eye(n, dtype=complex)
+    H = A.tolist()
+    V = np.eye(n, dtype=complex).tolist()  # V[j] is column j of the unitary
     thresh = JACOBI_OFFDIAG_FACTOR * fro
     skip = thresh / (10.0 * n * n)
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     sweeps = 0
-    while _offdiagonal_norm(H) > thresh:
+    while math.sqrt(2.0 * sum(abs(H[p][q]) ** 2 for p, q in pairs)) > thresh:
         if sweeps >= JACOBI_SWEEP_BUDGET:
             raise ConvergenceFailure(
                 f"Jacobi iteration did not converge in {JACOBI_SWEEP_BUDGET} sweeps")
         sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = H[p, q]
-                absb = abs(apq)
-                if absb <= skip:
-                    continue
-                app = H[p, p].real
-                aqq = H[q, q].real
-                phase = apq / absb
-                tau = (app - aqq) / (2.0 * absb)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                w = (t * c) * phase
-                colp = H[:, p].copy()
-                colq = H[:, q].copy()
-                H[:, p] = c * colp + np.conj(w) * colq
-                H[:, q] = -w * colp + c * colq
-                rowp = H[p, :].copy()
-                rowq = H[q, :].copy()
-                H[p, :] = c * rowp + w * rowq
-                H[q, :] = -np.conj(w) * rowp + c * rowq
-                H[p, p] = H[p, p].real
-                H[q, q] = H[q, q].real
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp + np.conj(w) * vq
-                V[:, q] = -w * vp + c * vq
-    lam = np.real(np.diag(H)).copy()
-    order = np.argsort(lam, kind="stable")
-    return lam[order], V[:, order]
+        for p, q in pairs:
+            rp, rq = H[p], H[q]
+            apq = rp[q]
+            absb = abs(apq)
+            if absb <= skip:
+                continue
+            app = rp[p].real
+            aqq = rq[q].real
+            phase = apq / absb
+            tau = (app - aqq) / (2.0 * absb)
+            if tau >= 0.0:
+                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            w = (t * c) * phase
+            cw = w.conjugate()
+            # rows p and q of J* H J; the 2x2 block goes through the column
+            # rotation first and the row rotation second
+            hpp, hqp = c * rp[p] + cw * rp[q], c * rq[p] + cw * rq[q]
+            hpq, hqq = -w * rp[p] + c * rp[q], -w * rq[p] + c * rq[q]
+            newp = [c * a + w * b for a, b in zip(rp, rq)]
+            newq = [-cw * a + c * b for a, b in zip(rp, rq)]
+            newp[p] = complex((c * hpp + w * hqp).real)
+            newq[q] = complex((-cw * hpq + c * hqq).real)
+            newp[q] = newq[p] = 0j
+            H[p], H[q] = newp, newq
+            for row, a, b in zip(H, newp, newq):
+                row[p] = a.conjugate()
+                row[q] = b.conjugate()
+            vp, vq = V[p], V[q]
+            V[p] = [c * a + cw * b for a, b in zip(vp, vq)]
+            V[q] = [-w * a + c * b for a, b in zip(vp, vq)]
+    lam = [H[i][i].real for i in range(n)]
+    order = sorted(range(n), key=lam.__getitem__)
+    return np.array([lam[i] for i in order]), np.array([V[i] for i in order]).T
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,8 @@ class SpectralDecomposition:
     in ascending order; ``vectors`` is the unitary of eigenvectors in
     ascending eigenvalue order and ``labels`` the cluster index of each of
     its columns.  ``clusters`` is derived from ``vectors[:, labels == i]``
-    on first access.
+    on first access.  Construction raises ``ValueError`` unless there is one
+    label per eigenvector, each in ``[0, len(eigenvalues))``.
     """
 
     source: np.ndarray
@@ -156,6 +160,13 @@ class SpectralDecomposition:
     vectors: np.ndarray
     labels: np.ndarray
     cluster_tol: float
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if labels.shape != self.vectors.shape[1:]:
+            raise ValueError(f"{labels.size} labels for {self.vectors.shape[1]} eigenvectors")
+        if labels.size and not 0 <= labels.min() <= labels.max() < len(self.eigenvalues):
+            raise ValueError(f"labels must lie in [0, {len(self.eigenvalues)})")
 
     @property
     def dimension(self) -> int:

@@ -418,9 +418,10 @@ class TestEvaluationDomain:
 
 
 class TestBodiesAcrossBlasThreads:
-    # the divided-difference and quadrature suites sum over simplex rules;
-    # a threaded BLAS would split those sums by its thread count
-    SUITES = ("divided_differences", "quadrature")
+    # the divided-difference and quadrature suites sum over simplex rules,
+    # which a threaded BLAS would split by its thread count; the spectral and
+    # derivative suites run the Jacobi and refined-stencil oracles
+    SUITES = ("divided_differences", "quadrature", "spectral", "derivative")
 
     def test_bodies_match_at_one_and_two_threads(self, tmp_path):
         script = ("import sys; from moikit.cli import main; sys.exit(max(main(['verify', "

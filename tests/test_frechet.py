@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from moikit import (
     CallableFunction,
@@ -24,6 +25,8 @@ from moikit import (
     taylor_remainder_integral,
     taylor_remainder_moi,
 )
+from moikit import frechet
+from moikit.scalar_functions import builtin_function
 from moikit.verify import random_hermitian, suite_rng
 
 COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
@@ -177,6 +180,98 @@ class TestFiniteDifference:
         dirs = [random_hermitian(rng, 3) for _ in range(3)]
         with pytest.raises(EvaluationDomain):
             finite_difference_derivative(f, a, dirs)
+
+
+def _conjugated(rng, eigenvalues):
+    """A Hermitian matrix with the given spectrum in a random eigenbasis."""
+    n = len(eigenvalues)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    A = (Q * np.asarray(eigenvalues)) @ Q.conj().T
+    return 0.5 * (A + A.conj().T)
+
+
+def _spy_fallback(monkeypatch):
+    calls = []
+    eighe_point = frechet._eighe_point
+
+    def spy(form, X):
+        calls.append(X)
+        return eighe_point(form, X)
+
+    monkeypatch.setattr(frechet, "_eighe_point", spy)
+    return calls
+
+
+def _point_error(f, X):
+    """Scaled distance of one refined stencil point from ``mp.eighe`` at 40 digits,
+    both at the same fixed-point matrix."""
+    form = f._eval_mp
+    scale = max(frechet.REFINE_BITS - math.frexp(np.abs(X).max())[1], 0)
+    fixed = frechet._fixed(X, scale)
+    with mp.workdps(frechet.EXTENDED_DPS):
+        value = frechet._refined_point(form, fixed, scale)
+    with mp.workdps(40):
+        E, Q = mp.eighe(frechet._from_fixed(*fixed.tolist(), scale))
+        reference = Q * mp.diag([form(e) for e in E]) * Q.transpose_conj()
+        return float(mp.mnorm(value - reference, "F") / (1 + mp.mnorm(reference, "F")))
+
+
+class TestRefinedStencilPoint:
+    # (matrix, function, whether the point takes the mp.eighe fallback;
+    # None where either path may serve)
+    CASES = {
+        "n=1": (lambda rng: np.array([[0.7]]), "cos", False),
+        "cI": (lambda rng: 0.3 * np.eye(4), "cos", True),
+        "exact repeat": (lambda rng: np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.0],
+                                               [0.0, 0.0, 1.5]]), "cos", True),
+        **{f"gap {g:g}": (lambda rng, g=g: _conjugated(rng, [-0.3, 0.1, 0.4, 0.4 + g, 0.9]),
+                          "cos", False if g >= 1e-9 else None)
+           for g in (1e-6, 1e-9, 1e-12, 1e-14)},
+        "norm 30": (lambda rng: random_hermitian(rng, 5, norm=30.0), "exp", False),
+        "abs_pow straddling 0": (lambda rng: _conjugated(rng, [-0.2, -1e-5, 2e-5, 0.3]),
+                                 "abs_pow", False),
+        "random n=6": (lambda rng: random_hermitian(rng, 6), "sin", False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_40_digit_eighe(self, case, monkeypatch):
+        build, name, fallback = self.CASES[case]
+        f = builtin_function(name, {"exponent": 3.5} if name == "abs_pow" else None)
+        calls = _spy_fallback(monkeypatch)
+        X = build(suite_rng(44, 0)).astype(complex)
+        assert _point_error(f, X) < 1e-27
+        if fallback is not None:
+            assert bool(calls) == fallback
+
+    def test_non_finite_value_raises(self):
+        f = CallableFunction(np.cos, [lambda x: -np.sin(x)] * 3,
+                             mp_evaluator=lambda x: mp.inf if x > 0 else mp.cos(x))
+        rng = suite_rng(47, 0)
+        a = random_hermitian(rng, 3, norm=0.7)
+        dirs = [random_hermitian(rng, 3) for _ in range(3)]
+        with pytest.raises(EvaluationDomain):
+            finite_difference_derivative(f, a, dirs)
+
+    def test_step_budget_exhausted_falls_back(self, monkeypatch):
+        calls = _spy_fallback(monkeypatch)
+        monkeypatch.setattr(frechet, "REFINE_STEPS", 1)
+        X = random_hermitian(suite_rng(45, 0), 5)
+        assert _point_error(builtin_function("cos"), X) < 1e-27
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("f,k", [(COS, 3), (builtin_function("exp"), 3),
+                                     (builtin_function("abs_pow", {"exponent": 3.5}), 3),
+                                     (builtin_function("sin"), 4)])
+    def test_stencil_matches_the_eighe_stencil(self, f, k, monkeypatch):
+        rng = suite_rng(46, k)
+        a = random_hermitian(rng, 4, norm=0.7)
+        dirs = [random_hermitian(rng, 4, norm=1.0) for _ in range(k)]
+        refined = finite_difference_derivative(f, a, dirs)
+        calls = _spy_fallback(monkeypatch)
+        monkeypatch.setattr(frechet, "REFINE_STEPS", 0)
+        eighe = finite_difference_derivative(f, a, dirs)
+        assert len(calls) == 2 * 2 ** k
+        assert np.linalg.norm(refined - eighe) / (1.0 + np.linalg.norm(eighe)) < 1e-14
 
 
 class TestTaylorRemainders:

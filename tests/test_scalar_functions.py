@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from moikit import (
     CallableFunction,
@@ -396,3 +397,17 @@ class TestExtendedPrecisionForm:
     def test_builtin_cos_matches_the_third_derivative(self):
         value = divided_difference_mp(builtin_function("cos"), self.NODES)
         assert value == pytest.approx(np.sin(0.3 + 1.5e-7) / 6, rel=1e-9)
+
+    def test_working_precision_covers_the_gaps(self):
+        # six levels of 1e-7 gaps at |x| = 20 cancel about 50 digits, all that
+        # a fixed 50-digit recursion would carry
+        nodes = [20.0 + j * 1e-7 for j in range(7)]
+        with mp.workdps(150):
+            z = [mp.mpf(x) for x in nodes]
+            table = [mp.exp(x) for x in z]
+            for j in range(1, len(z)):
+                table = [(table[i + 1] - table[i]) / (z[i + j] - z[i])
+                         for i in range(len(z) - j)]
+            reference = complex(table[0])
+        value = divided_difference_mp(builtin_function("exp"), nodes)
+        assert abs(value - reference) / (1.0 + abs(reference)) < 1e-12

@@ -11,6 +11,7 @@ from moikit import (
     validate_decomposition,
 )
 from moikit.errors import ConvergenceFailure, EvaluationDomain
+from moikit import spectral
 from moikit.spectral import SpectralDecomposition, jacobi_eigh
 from moikit.verify import random_hermitian, suite_rng
 
@@ -78,6 +79,14 @@ class TestEigendecompose:
         np.testing.assert_array_equal(split.labels, [0, 1, 2])
 
 
+def _conjugated(rng, eigenvalues):
+    """A Hermitian matrix with the given spectrum in a random eigenbasis."""
+    n = len(eigenvalues)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    A = (Q * np.asarray(eigenvalues)) @ Q.conj().T
+    return 0.5 * (A + A.conj().T)
+
+
 class TestJacobi:
     def test_against_reconstruction(self):
         rng = suite_rng(7, 0)
@@ -87,6 +96,32 @@ class TestJacobi:
             np.testing.assert_allclose((V * lam) @ V.conj().T, A, atol=1e-12 * max(n, 1))
             np.testing.assert_allclose(V.conj().T @ V, np.eye(n), atol=1e-13 * n)
             assert np.all(np.diff(lam) >= 0)
+
+    @pytest.mark.parametrize("case", [
+        "n=1", "zero", "exact repeat", "gap 1e-9", "norm 1e6"])
+    def test_adversarial_spectra(self, case):
+        rng = suite_rng(8, 0)
+        A = {
+            "n=1": lambda: np.array([[2.5]]),
+            "zero": lambda: np.zeros((4, 4)),
+            # 1 +- 0.5 from the coupled block: 1.5 is a double eigenvalue
+            "exact repeat": lambda: np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.0],
+                                              [0.0, 0.0, 1.5]]),
+            "gap 1e-9": lambda: _conjugated(rng, [-0.5, 0.2, 0.2 + 1e-9, 0.7]),
+            "norm 1e6": lambda: random_hermitian(rng, 8, norm=1e6),
+        }[case]().astype(complex)
+        n = A.shape[0]
+        scale = 1.0 + np.linalg.norm(A)
+        lam, V = jacobi_eigh(A)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(A), rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(V.conj().T @ V, np.eye(n), rtol=0, atol=1e-14 * n)
+        np.testing.assert_allclose((V * lam) @ V.conj().T, A, rtol=0, atol=1e-14 * n * scale)
+        assert np.all(np.diff(lam) >= 0)
+
+    def test_sweep_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "JACOBI_SWEEP_BUDGET", 1)
+        with pytest.raises(ConvergenceFailure):
+            jacobi_eigh(random_hermitian(suite_rng(9, 0), 8))
 
 
 class TestFunctionalCalculus:
@@ -215,6 +250,15 @@ class TestValidation:
         report = validate_decomposition(relabelled)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"reconstruction"}
+
+    @pytest.mark.parametrize("labels", [[0, 2], [0, -1], [0]])
+    def test_labels_outside_the_clusters_are_rejected(self, labels):
+        decomp = hermitian_eigendecompose(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            SpectralDecomposition(
+                source=decomp.source, source_norm=decomp.source_norm,
+                eigenvalues=decomp.eigenvalues, vectors=decomp.vectors,
+                labels=np.array(labels), cluster_tol=decomp.cluster_tol)
 
     def test_non_orthonormal_vectors_fail(self):
         # a sheared eigenbasis reconstructs nothing and resolves no identity
