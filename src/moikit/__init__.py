@@ -3,8 +3,8 @@
 Evaluate scalar functions of Hermitian matrices through clustered spectral
 decompositions, their higher Fréchet derivatives through symbol-weighted
 spectral sums, and Taylor remainders in three equivalent forms, with
-finite-difference oracles and certified Schatten-norm bounds to verify
-every identity numerically.
+finite-difference and block-triangular oracles and certified Schatten-norm
+bounds to verify every identity numerically.
 """
 
 __version__ = "0.1.0"
@@ -23,6 +23,7 @@ from .errors import (
 )
 from .frechet import (
     DerivativeRequest,
+    block_triangular_derivative,
     finite_difference_derivative,
     matrix_function_derivative,
     moi_schatten_check,

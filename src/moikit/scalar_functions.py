@@ -98,7 +98,13 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
+        # Horner in place: the steps of numpy's polyval, without a temporary
+        # per degree
+        out = np.full(np.shape(x), self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
+            out *= x
+            out += c
+        return out[()]
 
     def derivative(self, order: int = 1) -> "Polynomial":
         c = list(self.coeffs)
@@ -223,6 +229,34 @@ def _mp_form(f):
     return form
 
 
+def _matrix_form(f):
+    """``f`` as a function of a square matrix: Horner for a polynomial,
+    ``sum_j c_j expm(i xi_j X)`` for an atomic Fourier sum and scipy's
+    ``expm``, ``cosm`` or ``sinm`` for the builtin exp, cos and sin;
+    :class:`EvaluationDomain` for any other function."""
+    # imported here, so that importing moikit does not load scipy
+    import scipy.linalg
+
+    if isinstance(f, Polynomial):
+        def horner(X):
+            out = np.full(X.shape, 0j)
+            diagonal = np.diag_indices(len(X))
+            out[diagonal] = f.coeffs[-1]
+            for c in reversed(f.coeffs[:-1]):
+                out = out @ X
+                out[diagonal] += c
+            return out
+        return horner
+    if isinstance(f, WienerAtomic):
+        return lambda X: sum((c * scipy.linalg.expm(1j * xi * X) for xi, c in f.atoms),
+                             np.zeros(X.shape, dtype=complex))
+    named = {np.exp: scipy.linalg.expm, np.cos: scipy.linalg.cosm, np.sin: scipy.linalg.sinm}
+    form = named.get(f.evaluator) if isinstance(f, CallableFunction) else None
+    if form is None:
+        raise EvaluationDomain(f"{f!r} has no matrix form")
+    return form
+
+
 def _evaluate(f, points) -> np.ndarray:
     """``f`` at an array of points, as complex values: on the whole array, and
     point by point if that fails.  Raises :class:`EvaluationDomain` where ``f``
@@ -281,12 +315,16 @@ class SimplexQuadratureRule:
     """Positive quadrature rule on the standard k-simplex.
 
     Nodes live on ``{t in R^(k+1): t_j >= 0, sum t_j = 1}`` and the weights
-    integrate against the simplex measure of total mass ``1/k!``.
+    integrate against the simplex measure of total mass ``1/k!``.  The
+    ``(Q, k+1)`` array ``nodes`` is a view of ``columns``, its ``k+1``
+    coordinates held as contiguous arrays.
     """
 
     def __init__(self, dimension: int, nodes, weights):
         self.dimension = int(dimension)
-        self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        columns = np.ascontiguousarray(np.atleast_2d(np.asarray(nodes, dtype=float)).T)
+        self.nodes = columns.T
+        self.columns = tuple(columns)
         self.weights = np.asarray(weights, dtype=float)
         k = self.dimension
         if self.nodes.shape != (self.weights.size, k + 1):
@@ -332,8 +370,7 @@ class SimplexQuadratureRule:
             s.append(remaining * grids[j])
             remaining = remaining * (1.0 - grids[j])
         coords = [c.ravel() for c in s] + [remaining.ravel()]
-        nodes = np.stack(coords, axis=1)
-        return cls(k, nodes, weight.ravel())
+        return cls(k, np.stack(coords).T, weight.ravel())
 
     def __repr__(self):
         return f"SimplexQuadratureRule(k={self.dimension}, points={self.weights.size})"
@@ -472,9 +509,12 @@ def divided_difference_quadrature(f, nodes) -> complex:
     dk = _derivative_or_none(f, k) if k else f
     if dk is None:
         raise InsufficientDerivatives(f"the function does not supply {k} derivatives")
-    points = np.einsum("qj,j->q", rule.nodes, np.asarray(nodes.nodes))
+    points = rule.columns[0] * nodes[0]
+    for column, x in zip(rule.columns[1:], nodes.nodes[1:]):
+        points += column * x
     vals = _evaluate(dk, points)
-    return complex(np.einsum("q,q->", rule.weights, vals))
+    return complex(np.einsum("q,q->", rule.weights, vals.real),
+                   np.einsum("q,q->", rule.weights, vals.imag))
 
 
 def wiener_divided_difference(f: WienerAtomic, nodes) -> complex:
@@ -508,14 +548,25 @@ _CHEBYSHEV = np.cos(_ANGLES)
 _CHEBYSHEV_FIT = np.cos(np.outer(np.arange(SERIES_DEGREE + 1), _ANGLES)) * (
     2.0 / (SERIES_DEGREE + 1))
 _CHEBYSHEV_FIT[0] /= 2.0
-# row q: the monomial coefficients of T_q
-_CHEBYSHEV_MONOMIALS = [np.polynomial.chebyshev.cheb2poly(row)
-                        for row in np.eye(SERIES_DEGREE + 1)]
+# row q: the monomial coefficients of T_q, padded with zeros
+_CHEBYSHEV_MONOMIALS = np.array([
+    np.pad(np.polynomial.chebyshev.cheb2poly(row), (0, SERIES_DEGREE - q))
+    for q, row in enumerate(np.eye(SERIES_DEGREE + 1))])
 
 
 def confluent_span(order):
     """Relative span below which an order-``order`` table takes the series patch."""
     return 2.0 * (np.finfo(float).eps / QUOTIENT_ERROR) ** (1.0 / order)
+
+
+def _ascending_product(matrix, stacked):
+    """``matrix @ stacked`` for a ``(M, Q)`` matrix and ``(Q, P)`` stacked rows,
+    summed term by term in ascending ``q``: elementwise sums, not a matrix
+    product, so that a column's value does not depend on the other columns."""
+    out = matrix[:, :1] * stacked[0]
+    for q in range(1, len(stacked)):
+        out += matrix[:, q:q + 1] * stacked[q]
+    return out
 
 
 def _series_rows(dj, nodes):
@@ -525,16 +576,13 @@ def _series_rows(dj, nodes):
     c = 0.5 * (nodes[:, 0] + nodes[:, -1])
     r = 0.5 * (nodes[:, -1] - nodes[:, 0])
     values = _evaluate(dj, c + r * _CHEBYSHEV[:, None])
-    # elementwise sums, not matrix products, so that a row's value does not
-    # depend on the other rows
-    coeffs = [sum(w * v for w, v in zip(weights, values)) for weights in _CHEBYSHEV_FIT]
+    coeffs = _ascending_product(_CHEBYSHEV_FIT, values)
     h = _homogeneous_sums(((nodes - c[:, None]) / r[:, None]).T, SERIES_DEGREE)
-    moments = [h[m] * (math.factorial(m) / math.factorial(j + m))
-               for m in range(SERIES_DEGREE + 1)]
+    moments = h * np.array([[math.factorial(m) / math.factorial(j + m)]
+                            for m in range(SERIES_DEGREE + 1)])
     # the simplex integral of T_q(t . u), through the monomials of T_q
-    integrals = [sum(t * moment for t, moment in zip(monomials, moments) if t)
-                 for monomials in _CHEBYSHEV_MONOMIALS]
-    series = sum(a * integral for a, integral in reversed(list(zip(coeffs, integrals))))
+    integrals = _ascending_product(_CHEBYSHEV_MONOMIALS, moments)
+    series = sum((coeffs * integrals)[::-1])
     # the values also carry the rounding of the points c + r u, about
     # eps (|c| + r) |f^(j+1)|, which |a_1| / r estimates: a series that has
     # converged to that floor is as accurate as its data

@@ -64,11 +64,13 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def jacobi_eigh(A: np.ndarray):
+def jacobi_eigh(A: np.ndarray, vectors: bool = True):
     """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
 
     Returns ascending eigenvalues and the unitary of eigenvectors
-    (``A = V diag(lam) V*``).  Each rotation zeroes one off-diagonal pair;
+    (``A = V diag(lam) V*``), or None in its place when ``vectors`` is
+    false: the rotations of ``H`` do not read ``V``, so the eigenvalues are
+    the same bit for bit.  Each rotation zeroes one off-diagonal pair;
     sweeps repeat until the off-diagonal Frobenius mass falls below
     ``JACOBI_OFFDIAG_FACTOR * ||A||_F``, and raise
     :class:`ConvergenceFailure` after ``JACOBI_SWEEP_BUDGET`` sweeps.  The
@@ -82,9 +84,9 @@ def jacobi_eigh(A: np.ndarray):
     n = A.shape[0]
     fro = float(np.linalg.norm(A))
     if fro == 0.0 or n == 1:
-        return np.real(np.diag(A)).copy(), np.eye(n, dtype=complex)
+        return np.real(np.diag(A)).copy(), np.eye(n, dtype=complex) if vectors else None
     H = A.tolist()
-    V = np.eye(n, dtype=complex).tolist()  # V[j] is column j of the unitary
+    V = np.eye(n, dtype=complex).tolist() if vectors else None  # V[j] is column j
     thresh = JACOBI_OFFDIAG_FACTOR * fro
     skip = thresh / (10.0 * n * n)
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
@@ -124,12 +126,14 @@ def jacobi_eigh(A: np.ndarray):
             for row, a, b in zip(H, newp, newq):
                 row[p] = a.conjugate()
                 row[q] = b.conjugate()
-            vp, vq = V[p], V[q]
-            V[p] = [c * a + cw * b for a, b in zip(vp, vq)]
-            V[q] = [-w * a + c * b for a, b in zip(vp, vq)]
+            if vectors:
+                vp, vq = V[p], V[q]
+                V[p] = [c * a + cw * b for a, b in zip(vp, vq)]
+                V[q] = [-w * a + c * b for a, b in zip(vp, vq)]
     lam = [H[i][i].real for i in range(n)]
     order = sorted(range(n), key=lam.__getitem__)
-    return np.array([lam[i] for i in order]), np.array([V[i] for i in order]).T
+    return (np.array([lam[i] for i in order]),
+            np.array([V[i] for i in order]).T if vectors else None)
 
 
 @dataclass(frozen=True)

@@ -419,8 +419,9 @@ class TestEvaluationDomain:
 
 class TestBodiesAcrossBlasThreads:
     # the divided-difference and quadrature suites sum over simplex rules,
-    # which a threaded BLAS would split by its thread count; the spectral and
-    # derivative suites run the Jacobi and refined-stencil oracles
+    # which a threaded BLAS would split by its thread count; the spectral
+    # suite runs the Jacobi oracle, and the derivative suite the Jacobi
+    # stencil and the block-triangular oracle, whose expm runs BLAS products
     SUITES = ("divided_differences", "quadrature", "spectral", "derivative")
 
     def test_bodies_match_at_one_and_two_threads(self, tmp_path):

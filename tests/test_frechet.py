@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from moikit import (
     CallableFunction,
     ConvergenceFailure,
     DerivativeRequest,
+    DimensionMismatch,
     EvaluationDomain,
     HolderMismatch,
     InvalidP,
@@ -15,6 +20,7 @@ from moikit import (
     MoiSymbol,
     Polynomial,
     WienerAtomic,
+    block_triangular_derivative,
     finite_difference_derivative,
     matrix_function_derivative,
     moi_schatten_check,
@@ -25,6 +31,7 @@ from moikit import (
     taylor_remainder_integral,
     taylor_remainder_moi,
 )
+import moikit
 from moikit import frechet
 from moikit.scalar_functions import builtin_function
 from moikit.verify import random_hermitian, suite_rng
@@ -180,6 +187,55 @@ class TestFiniteDifference:
         dirs = [random_hermitian(rng, 3) for _ in range(3)]
         with pytest.raises(EvaluationDomain):
             finite_difference_derivative(f, a, dirs)
+
+
+class TestBlockTriangular:
+    def test_monomials_match_the_power_map(self):
+        rng = suite_rng(44, 0)
+        for m in range(9):
+            for k in (1, 2, 3):
+                a = random_hermitian(rng, 4, norm=1.0)
+                dirs = [random_hermitian(rng, 4, norm=1.0) for _ in range(k)]
+                value = block_triangular_derivative(monomial(m), a, dirs)
+                expected = power_map_derivative(m, a, dirs)
+                scale = 1.0 + np.linalg.norm(expected)
+                assert np.linalg.norm(value - expected) / scale < 1e-13, (m, k)
+
+    @pytest.mark.parametrize("f", [
+        builtin_function("exp"), builtin_function("cos"), builtin_function("sin"),
+        WienerAtomic([(0.8, 1.0 - 0.5j), (-1.7, 0.3)]),
+    ], ids=["exp", "cos", "sin", "wiener"])
+    def test_matches_the_spectral_sum(self, f):
+        rng = suite_rng(45, 0)
+        for k in (1, 2, 3):
+            a = random_hermitian(rng, 5, norm=0.9)
+            dirs = tuple(random_hermitian(rng, 5, norm=1.0) for _ in range(k))
+            value = block_triangular_derivative(f, a, dirs)
+            expected = matrix_function_derivative(DerivativeRequest(f, a, dirs, k, "moi"))
+            scale = 1.0 + np.linalg.norm(expected)
+            assert np.linalg.norm(value - expected) / scale < 1e-11, k
+
+    @pytest.mark.parametrize("f", [
+        builtin_function("abs_pow", {"exponent": 2.5}),
+        CallableFunction(lambda x: np.cos(x), [lambda x: -np.sin(x)] * 3),
+    ], ids=["abs_pow", "callable"])
+    def test_functions_without_a_matrix_form_raise(self, f):
+        rng = suite_rng(46, 0)
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        with pytest.raises(EvaluationDomain):
+            block_triangular_derivative(f, a, [b])
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            block_triangular_derivative(COS, np.eye(3), [np.eye(2)])
+
+    def test_importing_moikit_does_not_load_scipy(self):
+        src = str(Path(moikit.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c",
+                        "import sys, moikit; assert 'scipy' not in sys.modules"],
+                       env=env, check=True)
 
 
 def _conjugated(rng, eigenvalues):
@@ -372,6 +428,18 @@ class TestSchattenNorm:
         for p in (1.0, 2.0, math.inf):
             assert schatten_norm(Q @ M, p) == pytest.approx(schatten_norm(M, p),
                                                             rel=1e-10)
+
+
+class TestSegmentRadius:
+    def test_endpoints_bound_the_segment(self):
+        # ||a + t b|| is convex in t, so no interior sample exceeds the endpoints
+        rng = suite_rng(52, 0)
+        for _ in range(10):
+            a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
+            radius = frechet._segment_radius(a, b)
+            samples = [schatten_norm(a + t * b, math.inf) for t in np.linspace(0.0, 1.0, 101)]
+            assert radius == max(samples[0], samples[-1])
+            assert max(samples) <= radius * (1.0 + 1e-14)
 
 
 class TestRemainderSchattenCheck:

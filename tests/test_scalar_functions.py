@@ -50,6 +50,28 @@ class TestPolynomial:
         assert p.derivative(2).coeffs == (6,)
         assert p.derivative(3).coeffs == (0j,)
 
+    @pytest.mark.parametrize("coeffs", [
+        [0.3 - 1.2j, 2.0, -0.7 + 0.1j, 1.5, 0.25j, -0.9, 0.4, 1.1 - 0.6j, 0.8],
+        [1.0, -2.0, 0.5],
+        [2.5 - 1.0j],
+        [0.0],
+    ], ids=["degree 8", "real quadratic", "constant", "zero"])
+    @pytest.mark.parametrize("x", [
+        np.linspace(-2.0, 2.0, 101),
+        np.linspace(-1.5, 1.0, 12).reshape(3, 4) + 1j * np.linspace(0.5, -0.5, 12).reshape(3, 4),
+        np.array(-0.75),
+        0.6,
+        -3,
+        0.2 - 0.4j,
+    ], ids=["real array", "complex array", "0-d array", "float", "int", "complex"])
+    def test_call_is_polyval_bit_for_bit(self, coeffs, x):
+        p = Polynomial(coeffs)
+        value = p(x)
+        expected = np.polynomial.polynomial.polyval(x, np.asarray(p.coeffs))
+        assert type(value) is type(expected)
+        assert np.shape(value) == np.shape(expected)
+        assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
 
 class TestClosedForm:
     def test_cubic_two_nodes(self):

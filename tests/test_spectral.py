@@ -118,6 +118,14 @@ class TestJacobi:
         np.testing.assert_allclose((V * lam) @ V.conj().T, A, rtol=0, atol=1e-14 * n * scale)
         assert np.all(np.diff(lam) >= 0)
 
+    def test_eigenvalues_alone_are_the_full_call_bit_for_bit(self):
+        rng = suite_rng(10, 0)
+        for A in [np.array([[2.5]]), np.zeros((3, 3))] + [
+                random_hermitian(rng, n) for n in (2, 5, 9, 12)]:
+            lam, V = jacobi_eigh(A, vectors=False)
+            assert V is None
+            assert lam.tobytes() == jacobi_eigh(A)[0].tobytes()
+
     def test_sweep_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "JACOBI_SWEEP_BUDGET", 1)
         with pytest.raises(ConvergenceFailure):
