@@ -38,12 +38,7 @@ from .scalar_functions import (
     _mp_form,
     wiener_iptp_bound,
 )
-from .spectral import (
-    functional_calculus,
-    hermitian_eigendecompose,
-    jacobi_eigh,
-    require_hermitian,
-)
+from .spectral import _decompose, functional_calculus, jacobi_eigh, require_hermitian
 
 __all__ = [
     "DerivativeRequest",
@@ -131,7 +126,7 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
     """
     f, k = request.f, request.order
     if request.strategy == "moi":
-        decomp = hermitian_eigendecompose(request.base)
+        decomp = _decompose(request.base)
         symbol = MoiSymbol.from_function(f, k)
         decomps = (decomp,) * (k + 1)
         # every permutation shares the eigenvalue grid: tabulate f^[k] once
@@ -398,8 +393,8 @@ def taylor_remainder_direct(f, order: int, base, perturbation) -> np.ndarray:
     """
     a = require_hermitian(base)
     b = require_hermitian(perturbation)
-    Da = hermitian_eigendecompose(a)
-    Dab = hermitian_eigendecompose(a + b)
+    Da = _decompose(a)
+    Dab = _decompose(a + b)
     out = functional_calculus(f, Dab) - functional_calculus(f, Da)
     for j in range(1, order):
         out -= moi_evaluate(MoiSymbol.from_function(f, j),
@@ -416,8 +411,8 @@ def taylor_remainder_moi(f, order: int, base, perturbation) -> np.ndarray:
     """
     a = require_hermitian(base)
     b = require_hermitian(perturbation)
-    Da = hermitian_eigendecompose(a)
-    Dab = hermitian_eigendecompose(a + b)
+    Da = _decompose(a)
+    Dab = _decompose(a + b)
     symbol = MoiSymbol.from_function(f, order)
     operands = MoiOperands((Dab,) + (Da,) * order, (b,) * order)
     return moi_evaluate(symbol, operands)
@@ -439,7 +434,7 @@ def taylor_remainder_integral(f, order: int, base, perturbation) -> np.ndarray:
     symbol = MoiSymbol.from_function(f, k)
     out = np.zeros((n, n), dtype=complex)
     for t, weight in zip(ts, ws):
-        decomp = hermitian_eigendecompose(a + t * b)
+        decomp = _decompose(a + t * b)
         operands = MoiOperands((decomp,) * (k + 1), (b,) * k)
         value = moi_evaluate(symbol, operands)
         out += weight * k * (1.0 - t) ** (k - 1) * value

@@ -180,8 +180,9 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     the tensor expanded from clusters to eigenvectors; that expansion is the
     identity, and is skipped, when no slot has a merged cluster.  The chain
     is contracted from the left on a fixed path: ``b_1`` and ``b_2`` in one
-    pass through their ``n^3`` product, then one direction at a time, so no
-    second array of the tensor's size is built.
+    pass (three-operand at k = 2, through their ``n^3`` product above), then
+    one direction at a time, so no second array of the tensor's size is
+    built.
     """
     k = operands.order
     tensor = np.asarray(tensor, dtype=complex)
@@ -195,9 +196,14 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
                for j, b in enumerate(operands.middles)]
     if k == 1:
         return vectors[0] @ (tensor * rotated[0]) @ vectors[1].conj().T
-    # axes (a_0, a_j, .., a_k): fold in b_1 and b_2 at once, through their
-    # n^3 product, then sum a_j out against b_{j+1}
-    core = np.einsum("abc...,abc->ac...", tensor, rotated[0][:, :, None] * rotated[1])
+    # axes (a_0, a_j, .., a_k): fold in b_1 and b_2 at once, then sum a_j
+    # out against b_{j+1}; a three-operand einsum is the faster fold at k = 2,
+    # but over trailing axes its loop is slower than one through the n^3
+    # product (0.078 against 0.063 s at k = 3, n = 64)
+    if k == 2:
+        core = np.einsum("abc,ab,bc->ac", tensor, rotated[0], rotated[1])
+    else:
+        core = np.einsum("abc...,abc->ac...", tensor, rotated[0][:, :, None] * rotated[1])
     for b in rotated[2:]:
         core = np.einsum("abc...,bc->ac...", core, b)
     return vectors[0] @ core @ vectors[k].conj().T

@@ -12,10 +12,10 @@ Matrices*, 2008, section 3.2, for confluent tables; Trefethen, *Approximation
 Theory and Approximation Practice*, 2013, for the interpolant).
 :func:`divided_difference_grid` builds the same quantity level by level on
 a product grid of sorted node lists, the symbol tensor of an operator
-integral, with the same step per level; on a level whose slots share one
-list it reads each narrow entry at its sorted index tuple, as ``f^[j]`` is
-symmetric, so only a sorted tuple narrower than the confluent span takes
-the series patch.  :func:`divided_difference` is the one-tuple case.
+integral, with the same step per level; where its slots share one list,
+``f^[j]`` being symmetric, it builds each level only on the nondecreasing
+index tuples and reads every entry at its sorted tuple.
+:func:`divided_difference` is the one-tuple case.
 
 The other evaluations stay as independent oracles:
 
@@ -146,7 +146,11 @@ class WienerAtomic:
         x = np.asarray(x)
         if not self.atoms:
             return np.zeros(x.shape, dtype=complex) if x.ndim else 0j
-        out = sum(c * np.exp(1j * xi * x) for xi, c in self.atoms)
+        # np.multiply, not *: the operator reuses a temporary of 256 KiB or
+        # more in place with the operands swapped, and numpy's complex
+        # product then rounds differently, so a value would depend on the
+        # size of the array it is computed in
+        out = sum(np.multiply(c, np.exp(1j * xi * x)) for xi, c in self.atoms)
         return out if x.ndim else complex(out)
 
     def derivative(self, order: int = 1) -> "WienerAtomic":
@@ -554,6 +558,7 @@ _CHEBYSHEV_MONOMIALS = np.array([
     for q, row in enumerate(np.eye(SERIES_DEGREE + 1))])
 
 
+@functools.cache
 def confluent_span(order):
     """Relative span below which an order-``order`` table takes the series patch."""
     return 2.0 * (np.finfo(float).eps / QUOTIENT_ERROR) ** (1.0 / order)
@@ -569,6 +574,15 @@ def _ascending_product(matrix, stacked):
     return out
 
 
+@functools.cache
+def _moment_factors(j):
+    """``m! / (j + m)!`` for ``m = 0..SERIES_DEGREE``, as a read-only column."""
+    factors = np.array([[math.factorial(m) / math.factorial(j + m)]
+                        for m in range(SERIES_DEGREE + 1)])
+    factors.flags.writeable = False
+    return factors
+
+
 def _series_rows(dj, nodes):
     """``f^[j]`` on the rows of a sorted ``(P, j+1)`` node array of positive
     spans from the interpolant of ``dj = f^(j)``, and whether it has converged."""
@@ -578,8 +592,7 @@ def _series_rows(dj, nodes):
     values = _evaluate(dj, c + r * _CHEBYSHEV[:, None])
     coeffs = _ascending_product(_CHEBYSHEV_FIT, values)
     h = _homogeneous_sums(((nodes - c[:, None]) / r[:, None]).T, SERIES_DEGREE)
-    moments = h * np.array([[math.factorial(m) / math.factorial(j + m)]
-                            for m in range(SERIES_DEGREE + 1)])
+    moments = h * _moment_factors(j)
     # the simplex integral of T_q(t . u), through the monomials of T_q
     integrals = _ascending_product(_CHEBYSHEV_MONOMIALS, moments)
     series = sum((coeffs * integrals)[::-1])
@@ -661,22 +674,26 @@ def divided_difference_batch(f, nodes) -> np.ndarray:
     return _table_rows(f, np.sort(nodes, axis=1), nodes.shape[1] - 1, derivative)
 
 
-# the grid patches its narrow entries in blocks of at most this many
+# a grid level over mixed lists patches its narrow entries in blocks of at
+# most this many
 GRID_BLOCK = 2 ** 18
+# a shared grid of at most this many entries keeps its plan and rank map
+PLAN_CACHE_ENTRIES = 2 ** 15
 
 
 def divided_difference_grid(f, node_lists) -> np.ndarray:
     """``f^[k]`` on the product grid, ``T[i_0..i_k] = f^[k](x_0[i_0], .., x_k[i_k])``.
 
     Built on the lists sorted, and permuted back if one was not, level by
-    level over the slots ``a..b``, ``T[a..b] = (T[a..b-1][.., None] -
-    T[a+1..b][None, ..]) / (x_a - x_b)``; slots with one list share their
-    tables.  An entry whose first and last node lie within the confluent span
-    is recomputed by the step of :func:`divided_difference_batch`: on a level
-    whose slots share one list at its sorted index tuple, as ``f^[j]`` is
-    symmetric, so only a sorted tuple narrower than the confluent span takes
-    the series patch and permuted entries agree bit for bit; on a level over
-    mixed lists by the whole table.
+    level over the slots ``a..b``; slots with one list share their tables.
+    Where the slots ``a..b`` all hold one list, ``f^[j]`` is symmetric, so
+    :func:`_shared_grid` builds each level only on the nondecreasing index
+    tuples, by the step of :func:`divided_difference_batch`, and reads every
+    entry at its sorted tuple: that tensor is symmetric bit for bit and
+    agrees with the batch at the sorted rows bit for bit.  A level over
+    mixed lists divides ``T[a..b] = (T[a..b-1][.., None] - T[a+1..b][None,
+    ..]) / (x_a - x_b)`` on the whole grid and recomputes each entry whose
+    first and last node lie within the confluent span by the batch's table.
     """
     lists = [np.asarray(x, dtype=float) for x in node_lists]
     k = len(lists) - 1
@@ -689,27 +706,121 @@ def divided_difference_grid(f, node_lists) -> np.ndarray:
              if np.any(x[1:] < x[:-1])}
     by_key.update((key, by_key[key][o]) for key, o in order.items())
     slots = [by_key[key] for key in keys]
-    tables = {}
-    for j in range(k + 1):
-        for a in range(k + 1 - j):
-            key = tuple(keys[a:a + j + 1])
-            if key in tables:
-                continue
-            if j == 0:
-                tables[key] = _evaluate(f, slots[a])
-            else:
-                tables[key] = _grid_level(
-                    f, slots[a:a + j + 1], tables[key[:-1]], tables[key[1:]], k, derivative,
-                    len(set(key)) == 1)
+    if k and len(set(keys)) == 1:
+        grid = _shared_grid(f, slots[0], k, k, derivative)
+    else:
+        tables = {}
+        for j in range(k + 1):
+            for a in range(k + 1 - j):
+                key = tuple(keys[a:a + j + 1])
+                if key in tables:
+                    continue
+                if j == 0:
+                    tables[key] = _evaluate(f, slots[a])
+                elif len(set(key)) == 1:
+                    tables[key] = _shared_grid(f, slots[a], j, k, derivative)
+                else:
+                    tables[key] = _grid_level(f, slots[a:a + j + 1], tables[key[:-1]],
+                                              tables[key[1:]], k, derivative)
+        grid = tables[key]
     if not order:
-        return tables[key]
-    return tables[key][np.ix_(*(np.argsort(order[name]) if name in order
-                                else np.arange(x.size) for name, x in zip(keys, lists)))]
+        return grid
+    return grid[np.ix_(*(np.argsort(order[name]) if name in order
+                         else np.arange(x.size) for name, x in zip(keys, lists)))]
 
 
-def _grid_level(f, slots, left, right, k, derivative, shared):
+def _shared_grid(f, x, j, order, derivative):
+    """``f^[j]`` on the grid of ``j + 1`` slots of the sorted list ``x``, by an
+    order-``order`` table: each level on the nondecreasing index tuples only,
+    by :func:`_level` from the last level at the colex ranks of each tuple's
+    first and last indices, then gathered at each entry's sorted tuple."""
+    n = x.size
+    if n ** (j + 1) <= PLAN_CACHE_ENTRIES:
+        levels, ranks = _small_plan(n, j)
+        return _multiset_table(f, x, levels, order, derivative)[ranks]
+    values = _multiset_table(f, x, _multiset_levels(n, j), order, derivative)
+    # slab i holds f^[j] at i and every j-tuple: gathered at the sorted
+    # j-tuples, then spread over the slab by the rank map of j indices, so
+    # that the scattered reads are the sorted tuples' and not the slab's
+    levels, tail = _plan(n, j - 1)
+    columns = list(levels[-1][0].T) if levels else [np.arange(n)]
+    binomials = _colex_binomials(n, j)
+    out = np.empty((n,) * (j + 1), dtype=complex)
+    for i in range(n):
+        slab = values[_colex_rank(_insert(i, columns), binomials)]
+        np.take(slab, tail, out=out[i], mode="clip")
+    return out
+
+
+def _multiset_table(f, x, levels, order, derivative):
+    """``f^[j]`` on the last of the ``levels`` of :func:`_multiset_levels`
+    over ``x``, in colex order."""
+    values = _evaluate(f, x)
+    for m, (rows, lower, upper) in enumerate(levels, 1):
+        values = _level(derivative(m), x[rows], values[lower], values[upper], order)
+    return values
+
+
+def _colex_binomials(n, k):
+    """``C(v + m, m + 1)`` for ``v < n``, one array per ``m = 0..k``."""
+    return [np.array([math.comb(v + m, m + 1) for v in range(n)]) for m in range(k + 1)]
+
+
+def _colex_rank(ascending, binomials):
+    """The colex rank ``sum_m C(s_m + m, m + 1)`` of the nondecreasing index
+    tuples ``s``, given as the arrays ``ascending`` of their entries."""
+    return sum(b[s] for b, s in zip(binomials, ascending))
+
+
+def _multiset_levels(n, k):
+    """Yield, for each level ``j = 1..k`` of a grid over ``n`` shared indices, its
+    nondecreasing index tuples in colex order, as rows, and the ranks of their
+    first and of their last ``j`` indices among the tuples of level ``j - 1``."""
+    binomials = _colex_binomials(n, k)
+    rows = np.arange(n)[:, None]
+    for j in range(1, k + 1):
+        # the tuples of level j - 1 whose last index is at most t are its
+        # first C(t + j, j), and precede those with a larger last index
+        counts = [math.comb(t + j, j) for t in range(n)]
+        lower = np.concatenate([np.arange(c) for c in counts])
+        rows = np.column_stack((rows[lower], np.repeat(np.arange(n), counts)))
+        yield rows, lower, _colex_rank(rows[:, 1:].T, binomials)
+
+
+def _insert(head, ascending):
+    """Sort ``head`` into the elementwise ascending arrays ``ascending`` by one
+    pass of min/max comparators; the arrays broadcast together."""
+    out = []
+    for a in ascending:
+        out.append(np.minimum(head, a))
+        head = np.maximum(head, a)
+    return out + [head]
+
+
+def _plan(n, k):
+    """:func:`_multiset_levels` and the rank of each entry's sorted index tuple
+    on the order-``k`` grid over ``n`` indices: the axes are sorted by
+    inserting one into the others sorted, with no index array of the grid."""
+    ascending = []
+    for m in reversed(range(k + 1)):
+        axis = np.arange(n, dtype=np.min_scalar_type(n))
+        ascending = _insert(axis.reshape((1,) * m + (n,) + (1,) * (k - m)), ascending)
+    return tuple(_multiset_levels(n, k)), _colex_rank(ascending, _colex_binomials(n, k))
+
+
+@functools.lru_cache(maxsize=32)
+def _small_plan(n, k):
+    """:func:`_plan`, kept read-only for grids of at most ``PLAN_CACHE_ENTRIES``
+    entries."""
+    levels, ranks = _plan(n, k)
+    for a in (ranks, *(a for level in levels for a in level)):
+        a.flags.writeable = False
+    return levels, ranks
+
+
+def _grid_level(f, slots, left, right, k, derivative):
     """One level of an order-k :func:`divided_difference_grid` over the sorted
-    lists ``slots``; ``shared`` when they are all one list."""
+    lists ``slots``, not all one list."""
     first, last = slots[0], slots[-1]
     width = confluent_span(k)
     diff = first[:, None] - last[None, :]
@@ -727,16 +838,8 @@ def _grid_level(f, slots, left, right, k, derivative, shared):
              np.repeat(pair_last, count))
     for start in range(0, index[0].size, GRID_BLOCK):
         block = tuple(i[start:start + GRID_BLOCK] for i in index)
-        if shared:
-            # the quotient is gathered from left and right, never from the
-            # level being built, which earlier blocks have already overwritten
-            ordered = np.sort(np.stack(block, axis=1), axis=1)
-            out[block] = _level(derivative(len(slots) - 1), first[ordered],
-                                left[tuple(ordered[:, :-1].T)],
-                                right[tuple(ordered[:, 1:].T)], k)
-        else:
-            nodes = np.sort(np.stack([x[i] for x, i in zip(slots, block)], axis=1), axis=1)
-            out[block] = _table_rows(f, nodes, k, derivative)
+        nodes = np.sort(np.stack([x[i] for x, i in zip(slots, block)], axis=1), axis=1)
+        out[block] = _table_rows(f, nodes, k, derivative)
     return out
 
 

@@ -204,7 +204,13 @@ def hermitian_eigendecompose(A: np.ndarray,
     Raises :class:`ConvergenceFailure` when LAPACK's eigensolver does not
     converge.
     """
-    A = require_hermitian(A)
+    return _decompose(require_hermitian(A), cluster_tol)
+
+
+def _decompose(A: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
+    """:func:`hermitian_eigendecompose` of a matrix that
+    :func:`require_hermitian` has already returned, which it would return
+    unchanged."""
     if cluster_tol is None:
         cluster_tol = 1e-7 * (1.0 + np.linalg.norm(A))
     try:

@@ -13,6 +13,7 @@ mixed bases.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,8 +233,8 @@ def grid_entries(x, k):
 
 
 class TestSharedListGrid:
-    # a level whose slots share one list reads each entry within the
-    # confluent span at its index tuple sorted by node value
+    # slots that share one list tabulate f^[k] once per sorted index tuple
+    # and read every entry there
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_clustered_tensor_is_symmetric_bit_for_bit(self, k):
@@ -251,27 +252,63 @@ class TestSharedListGrid:
         assert 0 < narrow.sum() < narrow.size
         for f in ADVERSARIAL_FUNCTIONS.values():
             tensor = divided_difference_grid(f, [SPREAD_LIST] * (k + 1))
-            flat = tensor.ravel()
-            at_sorted = tensor[tuple(ordered.T)]
-            assert np.array_equal(flat[narrow], at_sorted[narrow])
-            # the quotients of wide entries divide by their first and last
-            # node, so only reversal is exact for them
-            assert np.array_equal(tensor, tensor.transpose(range(k, -1, -1)))
+            # wide entries too: the tensor is symmetric bit for bit
+            assert np.array_equal(tensor.ravel(), tensor[tuple(ordered.T)])
             for sigma in itertools.permutations(range(k + 1)):
-                assert scaled(tensor.transpose(sigma), tensor).max() <= 1e-13
+                assert np.array_equal(tensor, tensor.transpose(sigma))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_entries_match_the_batch_at_their_sorted_rows(self, k):
+        # the grid and the batch take the same steps at the sorted row
         for x in (CLUSTERED_LIST, SPREAD_LIST):
             _, nodes, _ = grid_entries(x, k)
             for f in ADVERSARIAL_FUNCTIONS.values():
                 tensor = divided_difference_grid(f, [x] * (k + 1))
                 batch = divided_difference_batch(f, np.sort(nodes, axis=1))
-                assert scaled(tensor.ravel(), batch).max() <= 1e-13
-                if x is CLUSTERED_LIST:
-                    # every tuple is within the confluent span, so the grid
-                    # and the batch take the same steps at the sorted row
-                    assert np.array_equal(tensor.ravel(), batch)
+                assert np.array_equal(tensor.ravel(), batch)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_plan_against_sorted_index_tuples(self, n, k):
+        # the colex rank of a nondecreasing tuple s is sum_m C(s_m + m, m + 1)
+        def rank(row):
+            return sum(math.comb(int(s) + m, m + 1) for m, s in enumerate(row))
+
+        levels, ranks = scalar_functions._plan(n, k)
+        index = np.indices((n,) * (k + 1)).reshape(k + 1, -1).T
+        assert np.array_equal(ranks.ravel(), [rank(row) for row in np.sort(index, axis=1)])
+        previous = np.arange(n)[:, None]
+        for j, (rows, lower, upper) in enumerate(levels, 1):
+            assert rows.shape == (math.comb(n + j, j + 1), j + 1)
+            assert np.all(np.diff(rows, axis=1) >= 0)
+            assert [rank(row) for row in rows] == list(range(len(rows)))
+            assert np.array_equal(previous[lower], rows[:, :-1])
+            assert np.array_equal(previous[upper], rows[:, 1:])
+            previous = rows
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_slab_gather_matches_the_cached_rank_map(self, k, monkeypatch):
+        # a grid above PLAN_CACHE_ENTRIES is gathered slab by slab
+        expected = {name: divided_difference_grid(f, [SPREAD_LIST] * (k + 1))
+                    for name, f in ADVERSARIAL_FUNCTIONS.items()}
+        monkeypatch.setattr(scalar_functions, "PLAN_CACHE_ENTRIES", 0)
+        for name, f in ADVERSARIAL_FUNCTIONS.items():
+            assert np.array_equal(divided_difference_grid(f, [SPREAD_LIST] * (k + 1)),
+                                  expected[name])
+
+    def test_large_grid_peak_memory_is_about_the_tensor(self):
+        # no index or node array of the whole grid: at k = 3, n = 40 the
+        # traced peak stays within 1.5 times the complex tensor
+        x = np.linspace(-1.0, 1.0, 40)
+        f = ADVERSARIAL_FUNCTIONS["cos"]
+        assert x.size ** 4 > scalar_functions.PLAN_CACHE_ENTRIES
+        tracemalloc.start()
+        try:
+            tensor = divided_difference_grid(f, [x] * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * tensor.nbytes
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_unsorted_lists_permute_the_sorted_grid_back(self, k):

@@ -78,6 +78,25 @@ class TestEigendecompose:
         np.testing.assert_array_equal(split.eigenvalues, [1.0, 1.5, 2.0])
         np.testing.assert_array_equal(split.labels, [0, 1, 2])
 
+    def test_validated_matrices_and_their_sums_pass_through_unchanged(self):
+        # the derivative and the remainder forms decompose a, a + b and
+        # a + t b of validated a and b without validating them again, as
+        # require_hermitian returns each of them bit for bit
+        rng = np.random.default_rng(15)
+        ts = 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            a, b = (spectral.require_hermitian(
+                        random_hermitian(rng, n, rng.uniform(0.1, 10.0))
+                        + 1e-13 * rng.standard_normal((n, n)))
+                    for _ in range(2))
+            for m in (a, b, a + b, *(a + t * b for t in ts)):
+                assert np.array_equal(spectral.require_hermitian(m), m)
+            once = spectral._decompose(a + b)
+            twice = hermitian_eigendecompose(a + b)
+            assert np.array_equal(once.eigenvalues, twice.eigenvalues)
+            assert np.array_equal(once.vectors, twice.vectors)
+
 
 def _conjugated(rng, eigenvalues):
     """A Hermitian matrix with the given spectrum in a random eigenbasis."""
