@@ -12,7 +12,6 @@ Taylor-remainder forms and the Schatten-norm inequalities that control them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -151,12 +150,6 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _jacobi_point(f, X):
-    # Jacobi, not LAPACK: the oracle shares no eigensolver with the integrals
-    lam, V = jacobi_eigh(X)
-    return (V * _evaluate(f, lam)) @ V.conj().T
-
-
 def _eighe_point(form, X):
     # ``form`` evaluates the function in mpmath arithmetic
     E, Q = mp.eighe(X)
@@ -187,10 +180,18 @@ def _dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
-def _refine(xr, xi, scale):
+def _jacobi_seeds(points, scale):
+    """Jacobi's eigenvectors of a stack of integer-plane points ``(..., 2, n, n)``
+    in units of ``2^-scale``, rounded to double, from one stacked call."""
+    planes = np.ldexp(np.array(points, dtype=float), -scale)
+    return jacobi_eigh(planes[..., 0, :, :] + 1j * planes[..., 1, :, :])[1]
+
+
+def _refine(xr, xi, scale, seed):
     """Eigenvalues and eigenvectors of ``X = (xr + i xi) 2^-scale``, or None.
 
-    Jacobi's eigenvectors, as integers in units of ``2^-REFINE_BITS``, are
+    The eigenvectors ``seed`` that Jacobi finds for ``X`` rounded to double
+    (:func:`_jacobi_seeds`), as integers in units of ``2^-REFINE_BITS``, are
     refined by Ogita-Aishima steps (Ogita & Aishima, JJIAM 2018): the
     residuals ``I - V*V`` and ``V*XV`` are exact, and only the small
     correction ``E`` of ``V <- V + VE`` is formed in double, from exact
@@ -204,8 +205,7 @@ def _refine(xr, xi, scale):
     """
     n, bits = len(xr), REFINE_BITS
     one = 1 << 2 * bits
-    seed = np.ldexp(np.array([xr, xi], dtype=float), -scale)
-    V = jacobi_eigh(seed[0] + 1j * seed[1])[1].T
+    V = seed.T
     vr = [[round(x) for x in col] for col in np.ldexp(V.real, bits).tolist()]
     vi = [[round(x) for x in col] for col in np.ldexp(V.imag, bits).tolist()]
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
@@ -257,13 +257,13 @@ def _refine(xr, xi, scale):
     return None
 
 
-def _refined_point(form, X, scale):
+def _refined_point(form, X, scale, seed):
     """``f`` at a stencil point held as integer planes in units of ``2^-scale``:
-    ``form`` at the refined eigenvalues, through the refined eigenvectors in
-    integer arithmetic, or ``mp.eighe``'s decomposition where
-    :func:`_refine` gives up."""
+    ``form`` at the eigenvalues refined from the Jacobi eigenvectors ``seed``,
+    through the refined eigenvectors in integer arithmetic, or ``mp.eighe``'s
+    decomposition where :func:`_refine` gives up."""
     xr, xi = X[0].tolist(), X[1].tolist()
-    refined = _refine(xr, xi, scale)
+    refined = _refine(xr, xi, scale, seed)
     if refined is None:
         return _eighe_point(form, _from_fixed(xr, xi, scale))
     ratios, vr, vi = refined
@@ -286,16 +286,20 @@ def _refined_point(form, X, scale):
                        bits + 2 * REFINE_BITS)
 
 
-def _fd_stencil(f, base, directions, h, point):
-    """Alternating sum of ``f`` at ``base + h * sum s_i B_i`` over the 2^k
-    sign vectors, in the arithmetic of its operands (numpy arrays, or the
-    integer planes of the extended path); ``point`` evaluates ``f`` at one
-    stencil point."""
-    k = len(directions)
+def _stencil_points(base, directions, h):
+    """The 2^k points ``base + h * sum s_i B_i``, one per sign vector ``s`` in
+    ``itertools.product`` order, in the arithmetic of the operands (numpy
+    arrays, or the integer planes of the extended path)."""
+    return [base + sum(s * B for s, B in zip(signs, directions)) * h
+            for signs in itertools.product((-1, 1), repeat=len(directions))]
+
+
+def _stencil_sum(values, h, k):
+    """The alternating sum of ``f`` at the 2^k stencil points of step ``h``,
+    over ``(2h)^k``."""
     out = 0
-    for signs in itertools.product((-1, 1), repeat=k):
-        X = base + sum(s * B for s, B in zip(signs, directions)) * h
-        out = out + math.prod(signs) * point(f, X)
+    for signs, value in zip(itertools.product((-1, 1), repeat=k), values):
+        out = out + math.prod(signs) * value
     return out / (2 * h) ** k
 
 
@@ -309,14 +313,15 @@ def finite_difference_derivative(f, base, directions,
     ``h = 1e-4 (1 + ||base||)`` for every order: a larger one, such as a
     step that grows with the order, carries the stencil across points where
     ``f`` is only Hölder (``|x|^s`` at 0), and there the O(h^2) term that
-    Richardson cancels does not exist.  In double precision each point is
-    diagonalized by :func:`jacobi_eigh`.  For order >= 3 the alternating sum
-    cancels below the double-precision noise floor, so the stencil runs on
-    exact integer points instead (override with ``extended``): each point's
-    Jacobi eigenvectors are refined to ``EXTENDED_DPS`` digits by
-    :func:`_refine`, or the point is diagonalized by ``mp.eighe`` where the
-    refinement gives up, and ``f`` is evaluated by its mpmath form, summed
-    in ``EXTENDED_DPS``-digit arithmetic.  Raises :class:`EvaluationDomain`
+    Richardson cancels does not exist.  In double precision the points of
+    both steps are diagonalized by one stacked :func:`jacobi_eigh` call.
+    For order >= 3 the alternating sum cancels below the double-precision
+    noise floor, so the stencil runs on exact integer points instead
+    (override with ``extended``): each point's Jacobi eigenvectors, from one
+    stacked call on the points rounded to double, are refined to
+    ``EXTENDED_DPS`` digits by :func:`_refine`, or the point is diagonalized
+    by ``mp.eighe`` where the refinement gives up, and ``f`` is evaluated by
+    its mpmath form, summed in ``EXTENDED_DPS``-digit arithmetic.  Raises :class:`EvaluationDomain`
     when ``f`` has no mpmath form.
     """
     base = require_hermitian(base)
@@ -327,6 +332,7 @@ def finite_difference_derivative(f, base, directions,
     if extended is None:
         extended = k >= 3
     h = 1e-4 * (1.0 + schatten_norm(base, math.inf))
+    steps = (h, h / 2.0)
     if extended:
         form = _mp_form(f)
         # integer planes in units of 2^-scale, with the entries of every
@@ -334,16 +340,23 @@ def finite_difference_derivative(f, base, directions,
         # directions, so the stencil runs at unit step
         top = np.abs(base).max() + h * sum(np.abs(B).max() for B in directions)
         scale = max(REFINE_BITS - math.frexp(top)[1], 0)
-        point = functools.partial(_refined_point, scale=scale)
         fixed = _fixed(base, scale)
+        stencils = [_stencil_points(fixed, [_fixed(B, scale, step) for B in directions], 1)
+                    for step in steps]
+        seeds = _jacobi_seeds(stencils, scale)
         with mp.workdps(EXTENDED_DPS):
-            coarse, fine = (np.array(_fd_stencil(form, fixed,
-                                                 [_fixed(B, scale, step) for B in directions],
-                                                 1, point).tolist(), dtype=complex) / step ** k
-                            for step in (h, h / 2.0))
+            coarse, fine = (
+                np.array(_stencil_sum([_refined_point(form, X, scale, seed)
+                                       for X, seed in zip(points, point_seeds)], 1, k).tolist(),
+                         dtype=complex) / step ** k
+                for points, point_seeds, step in zip(stencils, seeds, steps))
     else:
-        coarse, fine = (_fd_stencil(f, base, directions, step, _jacobi_point)
-                        for step in (h, h / 2.0))
+        # Jacobi, not LAPACK: the oracle shares no eigensolver with the integrals
+        lam, V = jacobi_eigh(np.array([_stencil_points(base, directions, step)
+                                       for step in steps]))
+        values = (V * _evaluate(f, lam)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+        coarse, fine = (_stencil_sum(point_values, step, k)
+                        for point_values, step in zip(values, steps))
     return (4.0 * fine - coarse) / 3.0
 
 

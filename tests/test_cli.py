@@ -420,9 +420,10 @@ class TestEvaluationDomain:
 class TestBodiesAcrossBlasThreads:
     # the divided-difference and quadrature suites sum over simplex rules,
     # which a threaded BLAS would split by its thread count; the spectral
-    # suite runs the Jacobi oracle, and the derivative suite the Jacobi
-    # stencil and the block-triangular oracle, whose expm runs BLAS products
-    SUITES = ("divided_differences", "quadrature", "spectral", "derivative")
+    # suite runs the Jacobi oracle, the derivative suite the Jacobi stencil
+    # and the block-triangular oracle, whose expm runs BLAS products, and the
+    # norm-bound suite takes its probe norms from stacked LAPACK SVDs
+    SUITES = ("divided_differences", "quadrature", "spectral", "derivative", "norm_bound")
 
     def test_bodies_match_at_one_and_two_threads(self, tmp_path):
         script = ("import sys; from moikit.cli import main; sys.exit(max(main(['verify', "

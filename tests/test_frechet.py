@@ -265,7 +265,8 @@ def _point_error(f, X):
     scale = max(frechet.REFINE_BITS - math.frexp(np.abs(X).max())[1], 0)
     fixed = frechet._fixed(X, scale)
     with mp.workdps(frechet.EXTENDED_DPS):
-        value = frechet._refined_point(form, fixed, scale)
+        value = frechet._refined_point(form, fixed, scale,
+                                       frechet._jacobi_seeds([fixed], scale)[0])
     with mp.workdps(40):
         E, Q = mp.eighe(frechet._from_fixed(*fixed.tolist(), scale))
         reference = Q * mp.diag([form(e) for e in E]) * Q.transpose_conj()

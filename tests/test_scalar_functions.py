@@ -25,7 +25,8 @@ from moikit import (
     wiener_iptp_bound,
     wiener_taylor_truncate,
 )
-from moikit.scalar_functions import divided_difference_mp
+from moikit import scalar_functions
+from moikit.scalar_functions import SERIES_DEGREE, divided_difference_mp
 
 COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
 
@@ -146,6 +147,15 @@ class TestQuadrature:
         val = divided_difference_quadrature(f, [0, np.pi])
         assert val == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(5))
+    def test_nested_points_follow_the_rule(self, k):
+        # the nested points, weighted by the rule, give the rule's own sum
+        rule = SimplexQuadratureRule.gauss_legendre(k)
+        nodes = np.random.default_rng(k).uniform(-2.0, 2.0, k + 1)
+        expected = rule.weights @ np.exp(rule.nodes @ nodes)
+        val = divided_difference_quadrature(builtin_function("exp"), nodes)
+        assert val == pytest.approx(expected, rel=1e-14, abs=0)
+
     def test_insufficient_derivatives(self):
         f = CallableFunction(np.exp, [np.exp])
         with pytest.raises(InsufficientDerivatives):
@@ -154,6 +164,43 @@ class TestQuadrature:
     def test_plain_callable_has_no_derivatives(self):
         with pytest.raises(InsufficientDerivatives):
             divided_difference_quadrature(lambda x: x**2, [0.0, 1.0])
+
+
+def _homogeneous_recurrence(nodes, max_degree):
+    h = np.zeros((max_degree + 1,) + nodes.shape[1:])
+    h[0] = 1.0
+    for x in nodes:
+        for m in range(1, max_degree + 1):
+            h[m] = h[m] + x * h[m - 1]
+    return h
+
+
+def _ascending_recurrence(matrix, stacked):
+    out = matrix[:, :1] * stacked[0]
+    for q in range(1, len(stacked)):
+        out += matrix[:, q:q + 1] * stacked[q]
+    return out
+
+
+class TestSeriesHelpers:
+    # the running sums against the explicit recurrences, bit for bit
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 13, 1000])
+    def test_homogeneous_sums_are_the_recurrence(self, k, rows):
+        nodes = np.random.default_rng(rows + k).uniform(-1.0, 1.0, (k + 1, rows))
+        h = scalar_functions._homogeneous_sums(nodes, SERIES_DEGREE)
+        assert h.tobytes() == _homogeneous_recurrence(nodes, SERIES_DEGREE).tobytes()
+        one = scalar_functions._homogeneous_sums(tuple(nodes[:, 0]), 5)
+        assert one.tobytes() == _homogeneous_recurrence(nodes[:, 0], 5).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 13, 1000])
+    def test_ascending_product_is_the_recurrence(self, rows):
+        rng = np.random.default_rng(rows)
+        matrix = rng.standard_normal((SERIES_DEGREE + 1, SERIES_DEGREE + 1))
+        stacked = rng.standard_normal((SERIES_DEGREE + 1, rows)) \
+            + 1j * rng.standard_normal((SERIES_DEGREE + 1, rows))
+        value = scalar_functions._ascending_product(matrix, stacked)
+        assert value.tobytes() == _ascending_recurrence(matrix, stacked).tobytes()
 
 
 class TestWienerStrategy:

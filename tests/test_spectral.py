@@ -47,6 +47,13 @@ class TestEigendecompose:
         with pytest.raises(NotHermitian):
             hermitian_eigendecompose(np.array([[np.nan, 0], [0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_imaginary_part_is_rejected(self, bad):
+        A = np.eye(3, dtype=complex)
+        A[0, 1] = A[1, 0] = complex(0.5, bad)
+        with pytest.raises(NotHermitian, match="non-finite"):
+            hermitian_eigendecompose(A)
+
     def test_lapack_failure_is_a_convergence_failure(self, monkeypatch):
         def no_convergence(A):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -149,6 +156,61 @@ class TestJacobi:
         monkeypatch.setattr(spectral, "JACOBI_SWEEP_BUDGET", 1)
         with pytest.raises(ConvergenceFailure):
             jacobi_eigh(random_hermitian(suite_rng(9, 0), 8))
+
+    def test_sweep_budget_exhausted_raises_on_a_stack(self, monkeypatch):
+        monkeypatch.setattr(spectral, "JACOBI_SWEEP_BUDGET", 1)
+        rng = suite_rng(9, 1)
+        with pytest.raises(ConvergenceFailure):
+            jacobi_eigh(np.stack([np.eye(8)] + [random_hermitian(rng, 8) for _ in range(3)]))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_round_robin_sweep_meets_every_pair_once(self, n):
+        seen = []
+        for P, Q in spectral._round_robin(n):
+            assert np.all(P < Q)
+            assert len(set(P) | set(Q)) == 2 * len(P) == 2 * (n // 2)
+            seen += zip(P.tolist(), Q.tolist())
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def test_stack_agrees_with_one_at_a_time(self):
+        rng = suite_rng(12, 0)
+        for n in (1, 2, 3, 6, 11):
+            stack = np.stack([random_hermitian(rng, n) for _ in range(7)])
+            lam, V = jacobi_eigh(stack)
+            assert lam.shape == (7, n) and V.shape == (7, n, n)
+            for A, lam_i, V_i in zip(stack, lam, V):
+                scale = 1.0 + np.linalg.norm(A)
+                alone, V_alone = jacobi_eigh(A)
+                np.testing.assert_allclose(lam_i, alone, rtol=0, atol=1e-15 * scale)
+                np.testing.assert_allclose(V_i, V_alone, rtol=0, atol=1e-15 * scale)
+                np.testing.assert_allclose((V_i * lam_i) @ V_i.conj().T, A, rtol=0,
+                                           atol=1e-14 * n * scale)
+
+    def test_stack_of_stacks_keeps_its_leading_shape(self):
+        rng = suite_rng(12, 1)
+        stack = np.stack([[random_hermitian(rng, 4) for _ in range(3)] for _ in range(2)])
+        lam, V = jacobi_eigh(stack)
+        assert lam.shape == (2, 3, 4) and V.shape == (2, 3, 4, 4)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(stack), rtol=0, atol=1e-14 * 4)
+
+    def test_zero_matrix_in_a_stack_converges(self):
+        rng = suite_rng(12, 2)
+        stack = np.stack([random_hermitian(rng, 5), np.zeros((5, 5)),
+                          random_hermitian(rng, 5, norm=1e6)])
+        lam, V = jacobi_eigh(stack)
+        assert np.all(lam[1] == 0.0)
+        np.testing.assert_array_equal(V[1], np.eye(5))
+        for A, lam_i, V_i in zip(stack, lam, V):
+            scale = 1.0 + np.linalg.norm(A)
+            np.testing.assert_allclose(lam_i, np.linalg.eigvalsh(A), rtol=0, atol=1e-14 * scale)
+            np.testing.assert_allclose(V_i.conj().T @ V_i, np.eye(5), rtol=0, atol=1e-14 * 5)
+
+    def test_eigenvalues_alone_on_a_stack_are_the_full_call_bit_for_bit(self):
+        rng = suite_rng(10, 1)
+        stack = np.stack([np.zeros((6, 6))] + [random_hermitian(rng, 6) for _ in range(5)])
+        lam, V = jacobi_eigh(stack, vectors=False)
+        assert V is None
+        assert lam.tobytes() == jacobi_eigh(stack)[0].tobytes()
 
 
 class TestFunctionalCalculus:
