@@ -49,7 +49,8 @@ print("  cos(diag(0, pi/2, pi)) diagonal:",
       [round(row[i], 6) for i, row in enumerate(json.loads(
           (work / "cosA.json").read_text())["re"])])
 
-# first derivative with the built-in stencil cross-check
+# first derivative with the built-in cross-check: cos has a matrix form, so
+# --check runs the block-triangular oracle
 run("derivative", "--function", str(work / "cos.json"),
     "--matrix", str(work / "a.json"), "--matrix", str(work / "b.json"),
     "--order", "1", "--check", "--out", str(work / "dcos.json"))

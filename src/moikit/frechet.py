@@ -6,15 +6,15 @@ difference.  This module evaluates that formula, the closed form for power
 maps, and two oracles that share no code with it: the block upper-triangular
 identity, which reads the ordered integrals off ``f`` of block-bidiagonal
 matrices with no eigensolver, and a tensor central-difference stencil in
-double or 30-digit precision.  It also holds the three equivalent
-Taylor-remainder forms and the Schatten-norm inequalities that control them.
+double precision (Jacobi at each point) or in 30 digits (``mp.eighe`` at
+each point).  It also holds the three equivalent Taylor-remainder forms
+and the Schatten-norm inequalities that control them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +55,6 @@ __all__ = [
 
 # working precision (decimal digits) for the extended finite-difference path
 EXTENDED_DPS = 30
-# fraction bits of the extended path's fixed-point eigenvectors: EXTENDED_DPS
-# digits and 16 guard bits
-REFINE_BITS = math.ceil(EXTENDED_DPS * math.log2(10)) + 16
-# Ogita-Aishima steps a stencil point may take before it falls back to mp.eighe
-REFINE_STEPS = 5
 # Gauss-Legendre nodes of the line-integral remainder form
 REMAINDER_NODES = 32
 
@@ -151,145 +146,21 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _eighe_point(form, X):
-    # ``form`` evaluates the function in mpmath arithmetic
+    """``f`` at one 30-digit stencil point ``X``: ``form``, the function in
+    mpmath arithmetic, at the eigenvalues of ``mp.eighe``."""
     E, Q = mp.eighe(X)
-    return Q * mp.diag([form(e) for e in E]) * Q.transpose_conj()
-
-
-def _fixed(M, scale, factor=1.0):
-    """``factor * M`` rounded to integers in units of ``2^-scale``: an object
-    array of its real and imaginary planes."""
-    fnum, fden = factor.as_integer_ratio()
-
-    def fixed(x):
-        num, den = x.as_integer_ratio()
-        q, r = divmod(fnum * num << scale, fden * den)
-        return q + (2 * r > fden * den or 2 * r == fden * den and q & 1)
-
-    return np.array([[[fixed(x) for x in row] for row in part.tolist()]
-                     for part in (M.real, M.imag)], dtype=object)
-
-
-def _from_fixed(xr, xi, scale):
-    """The mpmath matrix ``(xr + i xi) 2^-scale``, rounded to working precision."""
-    return mp.matrix([[mp.mpc(mp.mpf((a, -scale)), mp.mpf((b, -scale))) for a, b in zip(ra, ia)]
-                      for ra, ia in zip(xr, xi)])
-
-
-def _dot(a, b):
-    return sum(map(operator.mul, a, b))
-
-
-def _jacobi_seeds(points, scale):
-    """Jacobi's eigenvectors of a stack of integer-plane points ``(..., 2, n, n)``
-    in units of ``2^-scale``, rounded to double, from one stacked call."""
-    planes = np.ldexp(np.array(points, dtype=float), -scale)
-    return jacobi_eigh(planes[..., 0, :, :] + 1j * planes[..., 1, :, :])[1]
-
-
-def _refine(xr, xi, scale, seed):
-    """Eigenvalues and eigenvectors of ``X = (xr + i xi) 2^-scale``, or None.
-
-    The eigenvectors ``seed`` that Jacobi finds for ``X`` rounded to double
-    (:func:`_jacobi_seeds`), as integers in units of ``2^-REFINE_BITS``, are
-    refined by Ogita-Aishima steps (Ogita & Aishima, JJIAM 2018): the
-    residuals ``I - V*V`` and ``V*XV`` are exact, and only the small
-    correction ``E`` of ``V <- V + VE`` is formed in double, from exact
-    numerators and eigenvalue gaps.  Convergence is quadratic, so the step
-    whose ``E`` is below ``2^-(REFINE_BITS/2 + 8)`` leaves ``V`` and the
-    Rayleigh quotients good to about ``REFINE_BITS`` bits.  Returns the
-    eigenvalues as exact ratios ``(t_i, g_i 2^scale)`` with the columns of
-    ``V`` (real and imaginary parts), or None when a pair of eigenvalues lies
-    within a step's separation threshold ``2 (||V*XV - D|| + ||X|| ||I - V*V||)``
-    or ``REFINE_STEPS`` steps do not converge.
-    """
-    n, bits = len(xr), REFINE_BITS
-    one = 1 << 2 * bits
-    V = seed.T
-    vr = [[round(x) for x in col] for col in np.ldexp(V.real, bits).tolist()]
-    vi = [[round(x) for x in col] for col in np.ldexp(V.imag, bits).tolist()]
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    for _ in range(REFINE_STEPS):
-        # XV in units of 2^-(scale+bits); the Gram matrix G = V*V in units of
-        # 2^-2bits and T = V*XV in units of 2^-(scale+2bits), so that the
-        # eigenvalue estimates are lam_i = t_i / (g_i 2^scale)
-        wr = [[_dot(a, r) - _dot(b, i) for a, b in zip(xr, xi)] for r, i in zip(vr, vi)]
-        wi = [[_dot(a, i) + _dot(b, r) for a, b in zip(xr, xi)] for r, i in zip(vr, vi)]
-        g = [_dot(r, r) + _dot(i, i) for r, i in zip(vr, vi)]
-        t = [_dot(r, a) + _dot(i, b) for r, i, a, b in zip(vr, vi, wr, wi)]
-        lam = [tp / (gp << scale) for tp, gp in zip(t, g)]
-        r2 = sum(((one - gp) / one) ** 2 for gp in g)
-        s2 = sum((lp * (gp - one) / one) ** 2 for lp, gp in zip(lam, g))
-        er = [[(one - gp) / (2 * one) if p == q else 0.0 for q, gp in enumerate(g)]
-              for p in range(n)]
-        ei = [[0.0] * n for _ in range(n)]
-        off = []
-        for p, q in pairs:
-            Gr = _dot(vr[p], vr[q]) + _dot(vi[p], vi[q])
-            Gi = _dot(vr[p], vi[q]) - _dot(vi[p], vr[q])
-            Tr = _dot(vr[p], wr[q]) + _dot(vi[p], wi[q])
-            Ti = _dot(vr[p], wi[q]) - _dot(vi[p], wr[q])
-            r2 += 2 * (Gr * Gr + Gi * Gi) / one ** 2
-            s2 += 2 * (Tr * Tr + Ti * Ti) / (one << scale) ** 2
-            # (lam_q - lam_p) g_p g_q 2^scale
-            off.append((p, q, Gr, Gi, Tr, Ti, t[q] * g[p] - t[p] * g[q]))
-        delta = 2.0 * (math.sqrt(s2) + max(map(abs, lam)) * math.sqrt(r2))
-        for p, q, Gr, Gi, Tr, Ti, gap in off:
-            if not gap / (g[p] * g[q] << scale) > delta:
-                return None
-            # E_pq = (s_pq + lam_q r_pq) / (lam_q - lam_p), with r_pq = -G_pq
-            den = gap * one
-            er[p][q] = (Tr * g[q] - t[q] * Gr) * g[p] / den
-            ei[p][q] = (Ti * g[q] - t[q] * Gi) * g[p] / den
-            er[q][p] = -(Tr * g[p] - t[p] * Gr) * g[q] / den
-            ei[q][p] = (Ti * g[p] - t[p] * Gi) * g[q] / den
-        Er = [[round(math.ldexp(x, bits)) for x in col] for col in zip(*er)]
-        Ei = [[round(math.ldexp(x, bits)) for x in col] for col in zip(*ei)]
-        rows_r, rows_i = list(zip(*vr)), list(zip(*vi))
-        half = 1 << bits - 1
-        vr = [[v + (_dot(a, cr) - _dot(b, ci) + half >> bits)
-               for v, a, b in zip(col, rows_r, rows_i)] for col, cr, ci in zip(vr, Er, Ei)]
-        vi = [[v + (_dot(a, ci) + _dot(b, cr) + half >> bits)
-               for v, a, b in zip(col, rows_r, rows_i)] for col, cr, ci in zip(vi, Er, Ei)]
-        if max(map(math.hypot, itertools.chain(*er), itertools.chain(*ei))) \
-                <= 2.0 ** -(bits // 2 + 8):
-            return [(tp, gp << scale) for tp, gp in zip(t, g)], vr, vi
-    return None
-
-
-def _refined_point(form, X, scale, seed):
-    """``f`` at a stencil point held as integer planes in units of ``2^-scale``:
-    ``form`` at the eigenvalues refined from the Jacobi eigenvectors ``seed``,
-    through the refined eigenvectors in integer arithmetic, or ``mp.eighe``'s
-    decomposition where :func:`_refine` gives up."""
-    xr, xi = X[0].tolist(), X[1].tolist()
-    refined = _refine(xr, xi, scale, seed)
-    if refined is None:
-        return _eighe_point(form, _from_fixed(xr, xi, scale))
-    ratios, vr, vi = refined
-    values = [mp.mpc(form(mp.mpf(num) / den)) for num, den in ratios]
+    values = [form(e) for e in E]
     if not all(map(mp.isfinite, values)):
         raise EvaluationDomain("the function is not finite at a stencil point's eigenvalue")
-    # the values as integers in units of 2^-bits, so that f(X) = V diag(values) V*
-    # is exact in units of 2^-(bits + 2 REFINE_BITS)
-    top = max(max(abs(v.real), abs(v.imag)) for v in values)
-    bits = max(REFINE_BITS - int(mp.frexp(top)[1]), 0)
-    fr = [int(mp.ldexp(v.real, bits)) for v in values]
-    fi = [int(mp.ldexp(v.imag, bits)) for v in values]
-    rows_r, rows_i = list(zip(*vr)), list(zip(*vi))
-    ar = [[f * a - h * b for f, h, a, b in zip(fr, fi, ra, ia)] for ra, ia in zip(rows_r, rows_i)]
-    ai = [[f * b + h * a for f, h, a, b in zip(fr, fi, ra, ia)] for ra, ia in zip(rows_r, rows_i)]
-    return _from_fixed([[_dot(a, r) + _dot(b, i) for r, i in zip(rows_r, rows_i)]
-                        for a, b in zip(ar, ai)],
-                       [[_dot(b, r) - _dot(a, i) for r, i in zip(rows_r, rows_i)]
-                        for a, b in zip(ar, ai)],
-                       bits + 2 * REFINE_BITS)
+    return Q * mp.diag(values) * Q.transpose_conj()
 
 
 def _stencil_points(base, directions, h):
     """The 2^k points ``base + h * sum s_i B_i``, one per sign vector ``s`` in
     ``itertools.product`` order, in the arithmetic of the operands (numpy
-    arrays, or the integer planes of the extended path)."""
+    arrays, or the mpmath matrices of the extended path)."""
+    # the step on the right: an mpf on the left of an mpmath matrix first
+    # formats the matrix into a TypeError before Python tries __rmul__
     return [base + sum(s * B for s, B in zip(signs, directions)) * h
             for signs in itertools.product((-1, 1), repeat=len(directions))]
 
@@ -316,13 +187,11 @@ def finite_difference_derivative(f, base, directions,
     Richardson cancels does not exist.  In double precision the points of
     both steps are diagonalized by one stacked :func:`jacobi_eigh` call.
     For order >= 3 the alternating sum cancels below the double-precision
-    noise floor, so the stencil runs on exact integer points instead
-    (override with ``extended``): each point's Jacobi eigenvectors, from one
-    stacked call on the points rounded to double, are refined to
-    ``EXTENDED_DPS`` digits by :func:`_refine`, or the point is diagonalized
-    by ``mp.eighe`` where the refinement gives up, and ``f`` is evaluated by
-    its mpmath form, summed in ``EXTENDED_DPS``-digit arithmetic.  Raises :class:`EvaluationDomain`
-    when ``f`` has no mpmath form.
+    noise floor, so the stencil runs in ``EXTENDED_DPS``-digit mpmath
+    arithmetic instead (override with ``extended``): each point is an mpmath
+    matrix, diagonalized by ``mp.eighe``, and ``f`` is evaluated by its
+    mpmath form.  Raises :class:`EvaluationDomain` when ``f`` has no mpmath
+    form or is not finite at a point's eigenvalue.
     """
     base = require_hermitian(base)
     directions = [require_hermitian(b) for b in directions]
@@ -335,21 +204,14 @@ def finite_difference_derivative(f, base, directions,
     steps = (h, h / 2.0)
     if extended:
         form = _mp_form(f)
-        # integer planes in units of 2^-scale, with the entries of every
-        # stencil point below 2^REFINE_BITS; each step is carried by its
-        # directions, so the stencil runs at unit step
-        top = np.abs(base).max() + h * sum(np.abs(B).max() for B in directions)
-        scale = max(REFINE_BITS - math.frexp(top)[1], 0)
-        fixed = _fixed(base, scale)
-        stencils = [_stencil_points(fixed, [_fixed(B, scale, step) for B in directions], 1)
-                    for step in steps]
-        seeds = _jacobi_seeds(stencils, scale)
         with mp.workdps(EXTENDED_DPS):
+            base = mp.matrix(base.tolist())
+            directions = [mp.matrix(B.tolist()) for B in directions]
             coarse, fine = (
-                np.array(_stencil_sum([_refined_point(form, X, scale, seed)
-                                       for X, seed in zip(points, point_seeds)], 1, k).tolist(),
-                         dtype=complex) / step ** k
-                for points, point_seeds, step in zip(stencils, seeds, steps))
+                np.array(_stencil_sum([_eighe_point(form, X)
+                                       for X in _stencil_points(base, directions, step)],
+                                      step, k).tolist(), dtype=complex)
+                for step in map(mp.mpf, steps))
     else:
         # Jacobi, not LAPACK: the oracle shares no eigensolver with the integrals
         lam, V = jacobi_eigh(np.array([_stencil_points(base, directions, step)

@@ -29,6 +29,9 @@ def cos_fn(tmp_path):
                       {"kind": "wiener", "atoms": [[1.0, 0.5, 0.0], [-1.0, 0.5, 0.0]]})
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
 def matrix_file(tmp_path, name, A):
     return write_json(tmp_path / name, matrix_to_dict(np.asarray(A, dtype=complex)))
 
@@ -160,32 +163,68 @@ class TestDerivative:
         assert rel < 1e-4
 
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_check_runs_the_stencil_of_each_precision(self, tmp_path, order):
-        # k = 2 runs the double-precision stencil on the shipped cos fixture,
-        # k = 3 the 30-digit one on |x|^3.5 with a spectrum straddling 0
-        fix = Path(__file__).parent / "fixtures"
-        if order == 2:
-            fn = str(fix / "cos_fn.json")
-            mats = [str(fix / f"cos_k2_{name}.json") for name in ("base", "dir1", "dir2")]
-        else:
-            fn = write_json(tmp_path / "abs_pow.json",
-                            {"kind": "builtin", "name": "abs_pow",
-                             "params": {"exponent": 3.5}})
-            rng = np.random.default_rng(3)
-            mats = [matrix_file(tmp_path, "a.json", np.diag([-0.4, 0.1, 0.3, 0.6]))]
-            for i in range(order):
-                B = rng.standard_normal((4, 4))
-                mats.append(matrix_file(tmp_path, f"b{i}.json", 0.5 * (B + B.T)))
+    COS_K2 = (str(FIXTURES / "cos_fn.json"),
+              [str(FIXTURES / f"cos_k2_{name}.json") for name in ("base", "dir1", "dir2")])
+
+    def run_check(self, tmp_path, fn, mats, *extra):
+        """The exit code and the check row of ``derivative --check`` on the
+        function file ``fn`` and the matrix files ``mats``."""
         out = tmp_path / "d.json"
-        args = ["derivative", "--function", fn, "--order", str(order), "--check",
-                "--out", str(out)]
+        args = ["derivative", "--function", fn, "--order", str(len(mats) - 1), "--check",
+                "--out", str(out), *extra]
         for m in mats:
             args += ["--matrix", m]
-        assert main(args) == 0
-        check = json.loads((tmp_path / "d.json.report.json").read_text())["checks"][0]
-        assert check["passed"] is True
+        code = main(args)
+        return code, json.loads((tmp_path / "d.json.report.json").read_text())["checks"][0]
+
+    def random_case(self, tmp_path, order, base):
+        rng = np.random.default_rng(3)
+        mats = [matrix_file(tmp_path, "a.json", base)]
+        for i in range(order):
+            B = rng.standard_normal((len(base), len(base)))
+            mats.append(matrix_file(tmp_path, f"b{i}.json", 0.5 * (B + B.T)))
+        return mats
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_check_runs_the_block_oracle_where_f_has_a_matrix_form(self, tmp_path, order):
+        # k = 2 on the shipped cos fixture, k = 3 on a random case
+        fn, mats = self.COS_K2
+        if order == 3:
+            A = np.random.default_rng(4).standard_normal((4, 4))
+            mats = self.random_case(tmp_path, order, 0.4 * (A + A.T))
+        code, check = self.run_check(tmp_path, fn, mats)
+        assert code == 0 and check["passed"] is True
+        assert check["name"] == "derivative vs block-triangular oracle"
+        assert check["tolerance"] == 1e-11
+        assert check["residual"] <= 1e-12
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_check_runs_the_stencil_of_each_precision(self, tmp_path, order):
+        # |x|^3.5 has no matrix form: k = 2 runs the double-precision stencil,
+        # k = 3 the 30-digit one, on a spectrum straddling 0
+        fn = write_json(tmp_path / "abs_pow.json",
+                        {"kind": "builtin", "name": "abs_pow", "params": {"exponent": 3.5}})
+        mats = self.random_case(tmp_path, order, np.diag([-0.4, 0.1, 0.3, 0.6]))
+        code, check = self.run_check(tmp_path, fn, mats)
+        assert code == 0 and check["passed"] is True
+        assert check["name"] == "derivative vs stencil oracle"
+        assert check["tolerance"] == 1e-4
         assert check["residual"] <= 1e-6
+
+    def test_block_oracle_tolerance_override(self, tmp_path):
+        code, check = self.run_check(tmp_path, *self.COS_K2,
+                                     "--tolerance", "derivative_block=1e-30")
+        assert code == 1 and check["passed"] is False
+        assert check["tolerance"] == 1e-30
+
+    def test_stencil_strategy_is_gated_at_the_stencil_tolerance(self, tmp_path):
+        # the double-precision stencil misses the exact block oracle by far
+        # more than derivative_block
+        code, check = self.run_check(tmp_path, *self.COS_K2, "--strategy", "fd")
+        assert code == 0 and check["passed"] is True
+        assert check["name"] == "derivative vs block-triangular oracle"
+        assert check["tolerance"] == 1e-4
+        assert check["residual"] > 1e-11
 
 
 class TestRemainder:

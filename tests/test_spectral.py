@@ -325,8 +325,8 @@ class TestValidation:
         report = validate_decomposition(decomp)
         assert report.passed
         assert [c.name for c in report.checks] == [
-            "resolution of identity", "orthogonal idempotents", "hermitian projections",
-            "multiplicities", "reconstruction", "ordering"]
+            "resolution of identity", "orthogonal idempotents", "multiplicities",
+            "reconstruction", "ordering"]
 
     def test_wrong_label_fails(self):
         # the eigenvectors of 1 and 3 swap clusters: the projections are still
