@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -177,20 +178,6 @@ class TestFiniteDifference:
         exact = matrix_function_derivative(DerivativeRequest(COS, a, dirs, 3, "moi"))
         assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) < 1e-9
 
-    @pytest.mark.parametrize("build", [
-        lambda rng: (random_hermitian(rng, 3, norm=0.7),
-                     [random_hermitian(rng, 3) for _ in range(3)]),
-        # every stencil point is 0.3 I: the infinite value sits on a triple
-        # eigenvalue, where its product with the eigenvectors reads NaN
-        lambda rng: (0.3 * np.eye(3), [np.zeros((3, 3))] * 3),
-    ], ids=["random", "0.3I"])
-    def test_non_finite_value_raises(self, build):
-        f = CallableFunction(np.cos, [lambda x: -np.sin(x)] * 3,
-                             mp_evaluator=lambda x: mp.inf if x > 0 else mp.cos(x))
-        a, dirs = build(suite_rng(47, 0))
-        with pytest.raises(EvaluationDomain):
-            finite_difference_derivative(f, a, dirs)
-
     @pytest.mark.parametrize("f", [
         lambda x: np.cos(x),
         CallableFunction(np.cos, [lambda x: -np.sin(x)] * 3),
@@ -250,6 +237,105 @@ class TestBlockTriangular:
         subprocess.run([sys.executable, "-c",
                         "import sys, moikit; assert 'scipy' not in sys.modules"],
                        env=env, check=True)
+
+
+def _conjugated(rng, eigenvalues):
+    """A Hermitian matrix with the given spectrum in a random eigenbasis."""
+    n = len(eigenvalues)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    A = (Q * np.asarray(eigenvalues)) @ Q.conj().T
+    return 0.5 * (A + A.conj().T)
+
+
+def _point_error(f, X):
+    """Scaled distance of one 30-digit stencil point from ``mp.eighe`` at 40
+    digits, both at the same matrix."""
+    form = frechet._mp_form(f)
+    with mp.workdps(frechet.EXTENDED_DPS):
+        value = frechet._eighe_point(form, mp.matrix(X.tolist()))
+    with mp.workdps(40):
+        E, Q = mp.eighe(mp.matrix(X.tolist()))
+        reference = Q * mp.diag([form(e) for e in E]) * Q.transpose_conj()
+        return float(mp.mnorm(value - reference, "F") / (1 + mp.mnorm(reference, "F")))
+
+
+def _eighe_stencil(f, a, dirs, dps):
+    """The Richardson-combined central-difference stencil of
+    :func:`finite_difference_derivative`, assembled here with every point
+    diagonalized by ``mp.eighe`` at ``dps`` digits."""
+    form = frechet._mp_form(f)
+    k = len(dirs)
+    h = 1e-4 * (1.0 + schatten_norm(a, math.inf))
+    with mp.workdps(dps):
+        A = mp.matrix(a.tolist())
+        Bs = [mp.matrix(B.tolist()) for B in dirs]
+
+        def central(step):
+            out = mp.zeros(A.rows, A.cols)
+            for signs in itertools.product((-1, 1), repeat=k):
+                X = A + sum((s * B for s, B in zip(signs, Bs)), mp.zeros(A.rows, A.cols)) * step
+                E, Q = mp.eighe(X)
+                out += math.prod(signs) * (Q * mp.diag([form(e) for e in E]) * Q.transpose_conj())
+            return out / (2 * step) ** k
+
+        coarse, fine = central(mp.mpf(h)), central(mp.mpf(h / 2.0))
+        return np.array(((4 * fine - coarse) / 3).tolist(), dtype=complex)
+
+
+class TestRefinedStencilPoint:
+    """A point of the extended-precision stencil: ``f`` by its mpmath form at
+    the eigenvalues of ``mp.eighe`` in ``EXTENDED_DPS`` digits."""
+
+    CASES = {
+        "n=1": (lambda rng: np.array([[0.7]]), "cos"),
+        "cI": (lambda rng: 0.3 * np.eye(4), "cos"),
+        "exact repeat": (lambda rng: np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.0],
+                                               [0.0, 0.0, 1.5]]), "cos"),
+        **{f"gap {g:g}": (lambda rng, g=g: _conjugated(rng, [-0.3, 0.1, 0.4, 0.4 + g, 0.9]),
+                          "cos")
+           for g in (1e-6, 1e-9, 1e-12, 1e-14)},
+        "norm 30": (lambda rng: random_hermitian(rng, 5, norm=30.0), "exp"),
+        "abs_pow straddling 0": (lambda rng: _conjugated(rng, [-0.2, -1e-5, 2e-5, 0.3]),
+                                 "abs_pow"),
+        "random n=6": (lambda rng: random_hermitian(rng, 6), "sin"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_40_digit_eighe(self, case):
+        build, name = self.CASES[case]
+        f = builtin_function(name, {"exponent": 3.5} if name == "abs_pow" else None)
+        X = build(suite_rng(44, 0)).astype(complex)
+        assert _point_error(f, X) < 1e-27
+
+    def test_non_finite_value_raises(self):
+        f = CallableFunction(np.cos, [lambda x: -np.sin(x)] * 3,
+                             mp_evaluator=lambda x: mp.inf if x > 0 else mp.cos(x))
+        rng = suite_rng(47, 0)
+        a = random_hermitian(rng, 3, norm=0.7)
+        dirs = [random_hermitian(rng, 3) for _ in range(3)]
+        with pytest.raises(EvaluationDomain):
+            finite_difference_derivative(f, a, dirs)
+
+    def test_non_finite_value_on_a_repeated_eigenvalue_raises(self):
+        # every stencil point is 0.3 I: the infinite value sits on a triple
+        # eigenvalue, where its product with the eigenvectors reads NaN
+        f = CallableFunction(np.cos, [lambda x: -np.sin(x)] * 3,
+                             mp_evaluator=lambda x: mp.inf if x > 0 else mp.cos(x))
+        with pytest.raises(EvaluationDomain):
+            finite_difference_derivative(f, 0.3 * np.eye(3), [np.zeros((3, 3))] * 3)
+
+    @pytest.mark.parametrize("f,k", [(COS, 3), (builtin_function("exp"), 3),
+                                     (builtin_function("abs_pow", {"exponent": 3.5}), 3),
+                                     (builtin_function("sin"), 4)])
+    def test_stencil_matches_the_eighe_stencil(self, f, k):
+        # the alternating sum over (2h)^k cancels about 4k digits, so the
+        # 30-digit stencil reads about 5e-15 off the 40-digit one at k = 4
+        rng = suite_rng(46, k)
+        a = random_hermitian(rng, 4, norm=0.7)
+        dirs = [random_hermitian(rng, 4, norm=1.0) for _ in range(k)]
+        stencil = finite_difference_derivative(f, a, dirs)
+        reference = _eighe_stencil(f, a, dirs, 40)
+        assert np.linalg.norm(stencil - reference) / (1.0 + np.linalg.norm(reference)) < 1e-14
 
 
 class TestTaylorRemainders:
