@@ -315,11 +315,16 @@ def _as_nodes(nodes) -> NodeTuple:
     return nodes if isinstance(nodes, NodeTuple) else NodeTuple(nodes)
 
 
+# points per axis of the simplex rule for an integrand of unknown degree
+GAUSS_POINTS = 16
+
+
 @functools.cache
-def _unit_gauss_legendre():
-    """The 16-point Gauss-Legendre abscissae ``u`` and weights moved to [0, 1]:
-    the points per axis of the simplex rule.  Read-only."""
-    x, w = np.polynomial.legendre.leggauss(16)
+def _unit_gauss_legendre(points):
+    """The ``points``-point Gauss-Legendre abscissae ``u`` and weights moved
+    to [0, 1]: the points per axis of the simplex rule, exact to degree
+    ``2 points - 1``.  Read-only."""
+    x, w = np.polynomial.legendre.leggauss(points)
     u, w = 0.5 * (x + 1.0), 0.5 * w
     u.flags.writeable = w.flags.writeable = False
     return u, w
@@ -357,7 +362,6 @@ class SimplexQuadratureRule:
         return float(self.weights.sum())
 
     @classmethod
-    @functools.cache
     def gauss_legendre(cls, dimension: int):
         """Tensor Gauss-Legendre rule of 16 points per axis, cube to simplex,
         built once per order.
@@ -366,11 +370,19 @@ class SimplexQuadratureRule:
         the remaining mass one axis at a time, ``s_j = u_j * prod_{i<j}(1-u_i)``;
         the Jacobian ``prod_j (1-u_j)^(k-j)`` folds into the weights, so the
         rule integrates exactly against the simplex measure.
+        :func:`divided_difference_quadrature` sizes its rule to the degree of
+        a polynomial integrand instead.
         """
-        k = int(dimension)
+        return cls._tensor_rule(int(dimension), GAUSS_POINTS)
+
+    @classmethod
+    @functools.cache
+    def _tensor_rule(cls, k, points):
+        """:meth:`gauss_legendre` with ``points`` points per axis, built once
+        per order and point count."""
         if k == 0:
             return cls(0, [[1.0]], [1.0])
-        u, w = _unit_gauss_legendre()
+        u, w = _unit_gauss_legendre(points)
         grids = np.meshgrid(*([u] * k), indexing="ij")
         wgrids = np.meshgrid(*([w] * k), indexing="ij")
         weight = np.ones_like(grids[0])
@@ -514,8 +526,15 @@ def divided_difference_mp(f, nodes) -> complex:
 def divided_difference_quadrature(f, nodes) -> complex:
     """Simplex-quadrature evaluation ``sum_q w_q f^(k)(t_q . nodes)``.
 
-    The points ``t_q . x`` of the Gauss-Legendre rule come from the nested
-    form of its cube-to-simplex map, over the abscissae ``u`` of one axis:
+    The rule is the tensor Gauss-Legendre rule of
+    :meth:`SimplexQuadratureRule.gauss_legendre`, with 16 points per axis,
+    except where ``f^(k)`` is a :class:`Polynomial` of degree ``d``: the
+    cube-to-simplex map is affine in each cube coordinate and the Jacobian
+    has degree at most ``k - 1`` in each, so ``m = ceil((d + k) / 2)``
+    points per axis, exact to degree ``2m - 1``, integrate it exactly.  Past
+    ``d + k = 32``, ``m`` stays at 16.
+    The points ``t_q . x`` of the rule come from the nested form of its
+    cube-to-simplex map, over the abscissae ``u`` of one axis:
     ``p_k = x_k`` and ``p_j = u (x) x_j + (1 - u) (x) p_{j+1}`` (outer
     products, ``u`` outermost), so that ``p_0`` holds the points in the
     order of ``rule.nodes``, at 2 operations per point rather than 2 per
@@ -525,11 +544,14 @@ def divided_difference_quadrature(f, nodes) -> complex:
     """
     nodes = _as_nodes(nodes)
     k = nodes.order
-    rule = SimplexQuadratureRule.gauss_legendre(k)
     dk = _derivative_or_none(f, k) if k else f
     if dk is None:
         raise InsufficientDerivatives(f"the function does not supply {k} derivatives")
-    u = _unit_gauss_legendre()[0][:, None]
+    m = GAUSS_POINTS
+    if isinstance(dk, Polynomial):
+        m = min(GAUSS_POINTS, max(1, (dk.degree + k + 1) // 2))
+    rule = SimplexQuadratureRule._tensor_rule(k, m)
+    u = _unit_gauss_legendre(m)[0][:, None]
     v = 1.0 - u
     points = np.array([nodes[-1]])
     for x in reversed(nodes.nodes[:-1]):

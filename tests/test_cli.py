@@ -226,6 +226,33 @@ class TestDerivative:
         assert check["tolerance"] == 1e-4
         assert check["residual"] > 1e-11
 
+    def test_oracle_time_leaves_out_the_scipy_import(self, tmp_path):
+        # the block oracle needs scipy.linalg, which moikit imports on first
+        # use: in a fresh process, it must be loaded when the oracle's timer
+        # starts, so that the timer reads the oracle alone
+        script = ("import json, sys, time, types\n"
+                  "from moikit import cli\n"
+                  "loaded = []\n"
+                  "def clock():\n"
+                  "    loaded.append('scipy.linalg' in sys.modules)\n"
+                  "    return time.perf_counter()\n"
+                  "cli.time = types.SimpleNamespace(perf_counter=clock)\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(json.dumps([code, loaded]))\n")
+        fn, mats = self.COS_K2
+        args = ["derivative", "--function", fn, "--order", "2", "--check",
+                "--out", str(tmp_path / "d.json")]
+        for m in mats:
+            args += ["--matrix", m]
+        src = str(Path(moikit.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              check=True, capture_output=True, text=True)
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        # derivative start and end, then oracle start and end
+        assert code == 0 and loaded == [False, False, True, True]
+
 
 class TestRemainder:
     def test_square_second_order_is_b_squared(self, tmp_path, square_fn):

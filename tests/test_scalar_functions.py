@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -147,14 +148,54 @@ class TestQuadrature:
         val = divided_difference_quadrature(f, [0, np.pi])
         assert val == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("k", range(5))
-    def test_nested_points_follow_the_rule(self, k):
-        # the nested points, weighted by the rule, give the rule's own sum
+    @pytest.mark.parametrize("k, f", [
+        *((k, builtin_function("exp")) for k in range(5)),
+        *((k, WienerAtomic([(1.5, 0.3 - 0.4j), (-0.7, 1.1)])) for k in range(5))],
+        ids=[*map(str, range(5)), *(f"wiener-{k}" for k in range(5))])
+    def test_nested_points_follow_the_rule(self, k, f):
+        # the nested points, weighted by the 16-point rule, give its own sum
         rule = SimplexQuadratureRule.gauss_legendre(k)
         nodes = np.random.default_rng(k).uniform(-2.0, 2.0, k + 1)
-        expected = rule.weights @ np.exp(rule.nodes @ nodes)
-        val = divided_difference_quadrature(builtin_function("exp"), nodes)
+        expected = rule.weights @ f.derivative(k)(rule.nodes @ nodes)
+        val = divided_difference_quadrature(f, nodes)
         assert val == pytest.approx(expected, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_polynomial_rule_is_sized_to_the_degree(self, k, monkeypatch):
+        # ceil((deg p^(k) + k) / 2) points per axis: exact, at m^k points
+        sizes = []
+        evaluate = scalar_functions._evaluate
+        monkeypatch.setattr(scalar_functions, "_evaluate",
+                            lambda f, points: sizes.append(np.size(points))
+                            or evaluate(f, points))
+        rng = np.random.default_rng(10 + k)
+        for degree in range(13):
+            p = Polynomial(rng.standard_normal(degree + 1)
+                           + 1j * rng.standard_normal(degree + 1))
+            nodes = rng.uniform(-2.0, 2.0, k + 1)
+            val = divided_difference_quadrature(p, nodes)
+            expected = poly_divided_difference(p, nodes)
+            if degree < k:
+                assert val == 0 and expected == 0
+            else:
+                assert abs(val - expected) <= 1e-13 * abs(expected)
+            m = _sized_points(degree, k)
+            assert sizes.pop() == m**k
+            if k and degree >= k and m > 1:
+                # one point fewer per axis is not exact: the size is tight
+                fewer = _tensor_gauss_legendre(p.derivative(k), nodes, m - 1)
+                assert abs(fewer - expected) > 1e-13 * abs(expected)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_high_degree_stays_on_the_16_point_rule(self, k):
+        # deg p^(k) + k > 32: no rule of at most 16 points is exact, and the
+        # polynomial takes the rule of every other integrand
+        p = Polynomial(np.random.default_rng(k).standard_normal(34))
+        wrapped = CallableFunction(p, [p.derivative(j) for j in range(1, k + 1)])
+        nodes = np.linspace(-1.0, 1.0, k + 1)
+        a = divided_difference_quadrature(p, nodes)
+        b = divided_difference_quadrature(wrapped, nodes)
+        assert a.real.hex() == b.real.hex() and a.imag.hex() == b.imag.hex()
 
     def test_insufficient_derivatives(self):
         f = CallableFunction(np.exp, [np.exp])
@@ -164,6 +205,29 @@ class TestQuadrature:
     def test_plain_callable_has_no_derivatives(self):
         with pytest.raises(InsufficientDerivatives):
             divided_difference_quadrature(lambda x: x**2, [0.0, 1.0])
+
+
+def _sized_points(degree, k):
+    """Points per axis that make the simplex rule exact on a degree-``degree``
+    polynomial's k-th derivative."""
+    return min(16, max(1, math.ceil((max(degree - k, 0) + k) / 2)))
+
+
+def _tensor_gauss_legendre(g, nodes, m):
+    """Simplex integral of ``g(t . nodes)`` by m Gauss-Legendre points per
+    cube axis, the cube-to-simplex map and its Jacobian spelled out per point."""
+    u, w = np.polynomial.legendre.leggauss(m)
+    u, w = 0.5 * (u + 1.0), 0.5 * w
+    k = len(nodes) - 1
+    total = 0j
+    for index in itertools.product(range(m), repeat=k):
+        rest, t, weight = 1.0, 0.0, 1.0
+        for j, i in enumerate(index):
+            t += rest * u[i] * nodes[j]
+            weight *= w[i] * (1.0 - u[i]) ** (k - 1 - j)
+            rest *= 1.0 - u[i]
+        total += weight * g(t + rest * nodes[k])
+    return total
 
 
 def _homogeneous_recurrence(nodes, max_degree):
@@ -342,6 +406,11 @@ class TestSimplexRule:
     def test_total_mass(self, k):
         rule = SimplexQuadratureRule.gauss_legendre(k)
         assert rule.total_weight == pytest.approx(1 / math.factorial(k), rel=1e-13)
+        # every rule the quadrature sizes to a polynomial integrand
+        for m in range(_sized_points(0, k), 17):
+            rule = SimplexQuadratureRule._tensor_rule(k, m)
+            assert rule.weights.size == m**k
+            assert rule.total_weight == pytest.approx(1 / math.factorial(k), rel=1e-13)
 
     def test_nodes_on_simplex(self):
         rule = SimplexQuadratureRule.gauss_legendre(3)
