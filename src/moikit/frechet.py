@@ -22,12 +22,18 @@ from mpmath import mp
 
 from .errors import (
     ConvergenceFailure,
-    DimensionMismatch,
     EvaluationDomain,
     HolderMismatch,
     InvalidP,
 )
-from .moi import MoiOperands, MoiSymbol, _matrix_powers, _power_chain, moi_evaluate
+from .moi import (
+    MoiOperands,
+    MoiSymbol,
+    _matrix_powers,
+    _power_chain,
+    _require_shape,
+    moi_evaluate,
+)
 from .report import VerificationReport, inequality_check
 from .scalar_functions import (
     Polynomial,
@@ -78,9 +84,7 @@ class DerivativeRequest:
             raise ValueError("order must equal the number of directions (>= 1)")
         base = require_hermitian(self.base)
         dirs = tuple(require_hermitian(b) for b in self.directions)
-        for b in dirs:
-            if b.shape != base.shape:
-                raise DimensionMismatch("directions must match the base dimension")
+        _require_shape(base, dirs)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "directions", dirs)
 
@@ -96,9 +100,7 @@ def power_map_derivative(power: int, base: np.ndarray, directions) -> np.ndarray
     if k < 1:
         raise ValueError("at least one direction required")
     a = np.asarray(base, dtype=complex)
-    for b in directions:
-        if b.shape != a.shape:
-            raise DimensionMismatch("directions must match the base dimension")
+    _require_shape(a, directions)
     out = np.zeros(a.shape, dtype=complex)
     if power >= k:
         # every slot is the base: one power list serves all k! orders
@@ -198,6 +200,7 @@ def finite_difference_derivative(f, base, directions,
     k = len(directions)
     if k < 1:
         raise ValueError("at least one direction required")
+    _require_shape(base, directions)
     if extended is None:
         extended = k >= 3
     h = 1e-4 * (1.0 + schatten_norm(base, math.inf))
@@ -241,9 +244,7 @@ def block_triangular_derivative(f, base, directions) -> np.ndarray:
     k, n = len(directions), base.shape[0]
     if k < 1:
         raise ValueError("at least one direction required")
-    for b in directions:
-        if b.shape != base.shape:
-            raise DimensionMismatch("directions must match the base dimension")
+    _require_shape(base, directions)
     form = _matrix_form(f)
     X = np.kron(np.eye(k + 1), base)
     out = np.zeros((n, n), dtype=complex)
@@ -268,6 +269,7 @@ def taylor_remainder_direct(f, order: int, base, perturbation) -> np.ndarray:
     """
     a = require_hermitian(base)
     b = require_hermitian(perturbation)
+    _require_shape(a, [b])
     Da = _decompose(a)
     Dab = _decompose(a + b)
     out = functional_calculus(f, Dab) - functional_calculus(f, Da)
@@ -286,6 +288,7 @@ def taylor_remainder_moi(f, order: int, base, perturbation) -> np.ndarray:
     """
     a = require_hermitian(base)
     b = require_hermitian(perturbation)
+    _require_shape(a, [b])
     Da = _decompose(a)
     Dab = _decompose(a + b)
     symbol = MoiSymbol.from_function(f, order)
@@ -301,6 +304,7 @@ def taylor_remainder_integral(f, order: int, base, perturbation) -> np.ndarray:
     """
     a = require_hermitian(base)
     b = require_hermitian(perturbation)
+    _require_shape(a, [b])
     k = order
     x, w = np.polynomial.legendre.leggauss(REMAINDER_NODES)
     ts = 0.5 * (x + 1.0)

@@ -60,6 +60,14 @@ def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
                  for rest in compositions(total - head, parts - 1))
 
 
+def _require_shape(base, matrices) -> None:
+    """:class:`DimensionMismatch` unless every matrix has the shape of ``base``."""
+    for b in matrices:
+        if np.shape(b) != np.shape(base):
+            raise DimensionMismatch(
+                f"operands must match the base: shape {np.shape(b)} against {np.shape(base)}")
+
+
 class MoiSymbol:
     """Symbol of a multiple operator integral.
 
@@ -321,6 +329,7 @@ def moi_perturbation(f, A: np.ndarray, B: np.ndarray,
     divided difference applied to ``A - B``; passes when the Frobenius
     residual is at most ``tolerance_factor * (1 + ||f(A)||_F)``.
     """
+    _require_shape(A, [B])
     DA = hermitian_eigendecompose(A)
     DB = hermitian_eigendecompose(B)
     fA = functional_calculus(f, DA)

@@ -10,11 +10,11 @@ takes the series of ``f`` about the midpoint of its hull: the simplex
 hull (Opitz 1964, McCurdy, Ng and Parlett 1984 and Higham, *Functions of
 Matrices*, 2008, section 3.2, for confluent tables; Trefethen, *Approximation
 Theory and Approximation Practice*, 2013, for the interpolant).
-:func:`divided_difference_grid` builds the same quantity level by level on
-a product grid of sorted node lists, the symbol tensor of an operator
-integral, with the same step per level; where its slots share one list,
-``f^[j]`` being symmetric, it builds each level only on the nondecreasing
-index tuples and reads every entry at its sorted tuple.
+:func:`divided_difference_grid` reads the same quantity on a product grid of
+node lists, the symbol tensor of an operator integral: ``f^[k]`` being
+symmetric, it builds one table by the same step per level on the
+nondecreasing index tuples of one sorted list, either the slots' shared list
+or the union of their nodes, and reads every entry at its sorted tuple.
 :func:`divided_difference` is the one-tuple case.
 
 The other evaluations stay as independent oracles:
@@ -334,16 +334,12 @@ class SimplexQuadratureRule:
     """Positive quadrature rule on the standard k-simplex.
 
     Nodes live on ``{t in R^(k+1): t_j >= 0, sum t_j = 1}`` and the weights
-    integrate against the simplex measure of total mass ``1/k!``.  The
-    ``(Q, k+1)`` array ``nodes`` is a view of ``columns``, its ``k+1``
-    coordinates held as contiguous arrays.
+    integrate against the simplex measure of total mass ``1/k!``.
     """
 
     def __init__(self, dimension: int, nodes, weights):
         self.dimension = int(dimension)
-        columns = np.ascontiguousarray(np.atleast_2d(np.asarray(nodes, dtype=float)).T)
-        self.nodes = columns.T
-        self.columns = tuple(columns)
+        self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         self.weights = np.asarray(weights, dtype=float)
         k = self.dimension
         if self.nodes.shape != (self.weights.size, k + 1):
@@ -659,150 +655,147 @@ def _level(dj, nodes, lower, upper, order) -> np.ndarray:
     or the row is together (spans at most ``COINCIDENCE_TOL_FACTOR`` times the
     scale), ``f^(j)/j!`` at an exact repeat, and every other row keeps its
     quotient.  Where ``f`` does not supply ``f^(j)`` (``dj`` None) every row
-    keeps its quotient, and :class:`CoincidentNodes` is raised if any row is
-    together, as the recursion would.
+    keeps its quotient and a together row is marked NaN, which every later
+    level carries on; :func:`_unmarked` raises where a caller reads a mark.
     """
     j = nodes.shape[-1] - 1
     lo, hi = nodes[..., 0], nodes[..., -1]
     scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
     together = hi - lo <= COINCIDENCE_TOL_FACTOR * scale
     out = (upper - lower) / np.where(together, 1.0, hi - lo)
-    narrow = hi - lo < confluent_span(order) * scale
     if dj is None:
-        if together.any():
-            raise CoincidentNodes(
-                f"{j + 1} nodes coincide within {COINCIDENCE_TOL_FACTOR:g} (1 + max|x|) "
-                f"and the function does not supply {j} derivatives")
+        out[together] = np.nan
         return out
-    if not narrow.any():
-        return out
-    rows, together, patch = nodes[narrow], together[narrow], out[narrow]
-    apart = rows[:, -1] > rows[:, 0]
-    if apart.any():
-        series, converged = _series_rows(dj, rows[apart])
-        patch[apart] = np.where(converged | together[apart], series, patch[apart])
+    narrow = (hi - lo < confluent_span(order) * scale) & (hi > lo)
+    if narrow.any():
+        series, converged = _series_rows(dj, nodes[narrow])
+        out[narrow] = np.where(converged | together[narrow], series, out[narrow])
     # at an exact repeat the series is its leading term
-    patch[~apart] = _evaluate(dj, rows[~apart, 0]) / math.factorial(j)
-    out[narrow] = patch
+    repeat = hi == lo
+    if repeat.any():
+        out[repeat] = _evaluate(dj, lo[repeat]) / math.factorial(j)
     return out
 
 
-def _table_rows(f, rows, order, derivative) -> np.ndarray:
-    """``f^[k]`` on the rows of a sorted ``(N, k+1)`` array by an order-``order``
-    table, with ``derivative(m)`` memoizing ``f^(m)`` (None where missing):
-    :func:`_level` over the sliding windows of the rows."""
-    table = _evaluate(f, rows)
-    for j in range(1, rows.shape[1]):
-        windows = np.lib.stride_tricks.sliding_window_view(rows, j + 1, axis=1)
-        table = _level(derivative(j), windows, table[:, :-1], table[:, 1:], order)
-    return table[:, 0]
+def _unmarked(values, derivative, order) -> np.ndarray:
+    """``values`` of an order-``order`` table, checked for the mark that
+    :func:`_level` leaves on a together row where ``f`` does not supply a
+    derivative: :class:`CoincidentNodes`, as the recursion would raise, if
+    one carries it."""
+    if derivative(order) is None and np.isnan(values).any():
+        raise CoincidentNodes(
+            f"nodes coincide within {COINCIDENCE_TOL_FACTOR:g} (1 + max|x|) where the "
+            f"function supplies too few derivatives for an order-{order} table")
+    return values
 
 
 def divided_difference_batch(f, nodes) -> np.ndarray:
     """``f^[k]`` on every row of an ``(N, k+1)`` node array.
 
     Every function takes one route: each row is sorted and divided by the
-    span of each sub-tuple; a sub-tuple too narrow for the quotient takes the
-    series of ``f`` about the midpoint of its hull, exact at repeats.
-    A value depends only on the sorted row, so permuted rows agree bit for bit.
+    span of each sub-tuple, by :func:`_level` over its sliding windows; a
+    sub-tuple too narrow for the quotient takes the series of ``f`` about
+    the midpoint of its hull, exact at repeats.  A value depends only on the
+    sorted row, so permuted rows agree bit for bit.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] < 1:
         raise ValueError(f"expected an (N, k+1) node array, got shape {nodes.shape}")
+    k = nodes.shape[1] - 1
     derivative = functools.cache(functools.partial(_derivative_or_none, f))
-    return _table_rows(f, np.sort(nodes, axis=1), nodes.shape[1] - 1, derivative)
+    rows = np.sort(nodes, axis=1)
+    table = _evaluate(f, rows)
+    for j in range(1, k + 1):
+        windows = np.lib.stride_tricks.sliding_window_view(rows, j + 1, axis=1)
+        table = _level(derivative(j), windows, table[:, :-1], table[:, 1:], k)
+    return _unmarked(table[:, 0], derivative, k)
 
 
-# a grid level over mixed lists patches its narrow entries in blocks of at
-# most this many
-GRID_BLOCK = 2 ** 18
-# a shared grid of at most this many entries keeps its plan and rank map
+# a table over n nodes to order k keeps its plan (levels and rank map) where
+# its grid, n^(k+1) entries, has at most this many
 PLAN_CACHE_ENTRIES = 2 ** 15
 
 
 def divided_difference_grid(f, node_lists) -> np.ndarray:
     """``f^[k]`` on the product grid, ``T[i_0..i_k] = f^[k](x_0[i_0], .., x_k[i_k])``.
 
-    Built on the lists sorted, and permuted back if one was not, level by
-    level over the slots ``a..b``; slots with one list share their tables.
-    Where the slots ``a..b`` all hold one list, ``f^[j]`` is symmetric, so
-    :func:`_shared_grid` builds each level only on the nondecreasing index
-    tuples, by the step of :func:`divided_difference_batch`, and reads every
-    entry at its sorted tuple: that tensor is symmetric bit for bit and
-    agrees with the batch at the sorted rows bit for bit.  A level over
-    mixed lists divides ``T[a..b] = (T[a..b-1][.., None] - T[a+1..b][None,
-    ..]) / (x_a - x_b)`` on the whole grid and recomputes each entry whose
-    first and last node lie within the confluent span by the batch's table.
+    ``f^[k]`` is symmetric, so every entry is read from one table of it on
+    the nondecreasing index tuples of one node list, at the colex rank of
+    the entry's sorted index tuple: each level of that table is built by the
+    step of :func:`divided_difference_batch`, so the grid equals the batch at
+    the sorted rows bit for bit.  Where every slot holds the same sorted,
+    distinct list, the table is over that list (:func:`_shared_grid`);
+    otherwise it is over the sorted union of the slots' nodes
+    (:func:`_union_grid`).
     """
     lists = [np.asarray(x, dtype=float) for x in node_lists]
     k = len(lists) - 1
     derivative = functools.cache(functools.partial(_derivative_or_none, f))
-    # each distinct list sorted, keyed by its content, so that slots of equal
-    # lists share one array and their tables; only an unsorted list is argsorted
-    keys = [x.tobytes() for x in lists]
-    by_key = dict(zip(keys, lists))
-    order = {key: np.argsort(x, kind="stable") for key, x in by_key.items()
-             if np.any(x[1:] < x[:-1])}
-    by_key.update((key, by_key[key][o]) for key, o in order.items())
-    slots = [by_key[key] for key in keys]
-    if k and len(set(keys)) == 1:
-        grid = _shared_grid(f, slots[0], k, k, derivative)
-    else:
-        tables = {}
-        for j in range(k + 1):
-            for a in range(k + 1 - j):
-                key = tuple(keys[a:a + j + 1])
-                if key in tables:
-                    continue
-                if j == 0:
-                    tables[key] = _evaluate(f, slots[a])
-                elif len(set(key)) == 1:
-                    tables[key] = _shared_grid(f, slots[a], j, k, derivative)
-                else:
-                    tables[key] = _grid_level(f, slots[a:a + j + 1], tables[key[:-1]],
-                                              tables[key[1:]], k, derivative)
-        grid = tables[key]
-    if not order:
-        return grid
-    return grid[np.ix_(*(np.argsort(order[name]) if name in order
-                         else np.arange(x.size) for name, x in zip(keys, lists)))]
+    x = lists[0]
+    if k and np.all(x[1:] > x[:-1]) and all(np.array_equal(y, x) for y in lists[1:]):
+        return _shared_grid(f, x, k, derivative)
+    return _union_grid(f, lists, derivative)
 
 
-def _shared_grid(f, x, j, order, derivative):
-    """``f^[j]`` on the grid of ``j + 1`` slots of the sorted list ``x``, by an
-    order-``order`` table: each level on the nondecreasing index tuples only,
-    by :func:`_level` from the last level at the colex ranks of each tuple's
-    first and last indices, then gathered at each entry's sorted tuple."""
+def _shared_grid(f, x, k, derivative):
+    """``f^[k]`` on the grid of ``k + 1`` slots of the sorted, distinct list
+    ``x``: :func:`_multiset_table` over ``x``, gathered at each entry's sorted
+    index tuple by the cached rank map of :func:`_small_plan`, or one slab
+    ``T[i]`` at a time on a grid above ``PLAN_CACHE_ENTRIES`` entries.  Every
+    tuple of the table is some entry's, so a mark anywhere in it raises."""
     n = x.size
-    if n ** (j + 1) <= PLAN_CACHE_ENTRIES:
-        levels, ranks = _small_plan(n, j)
-        return _multiset_table(f, x, levels, order, derivative)[ranks]
-    values = _multiset_table(f, x, _multiset_levels(n, j), order, derivative)
-    # slab i holds f^[j] at i and every j-tuple: gathered at the sorted
-    # j-tuples, then spread over the slab by the rank map of j indices, so
+    values = _unmarked(_multiset_table(f, x, k, derivative), derivative, k)
+    if n ** (k + 1) <= PLAN_CACHE_ENTRIES:
+        return values[_small_plan(n, k)[1]]
+    # slab i holds f^[k] at i and every k-tuple: gathered at the sorted
+    # k-tuples, then spread over the slab by the rank map of k indices, so
     # that the scattered reads are the sorted tuples' and not the slab's
-    levels, tail = _plan(n, j - 1)
+    levels, tail = _plan(n, k - 1)
     columns = list(levels[-1][0].T) if levels else [np.arange(n)]
-    binomials = _colex_binomials(n, j)
-    out = np.empty((n,) * (j + 1), dtype=complex)
+    binomials = _colex_binomials(n, k)
+    out = np.empty((n,) * (k + 1), dtype=complex)
     for i in range(n):
         slab = values[_colex_rank(_insert(i, columns), binomials)]
         np.take(slab, tail, out=out[i], mode="clip")
     return out
 
 
-def _multiset_table(f, x, levels, order, derivative):
-    """``f^[j]`` on the last of the ``levels`` of :func:`_multiset_levels`
-    over ``x``, in colex order."""
+def _union_grid(f, lists, derivative):
+    """``f^[k]`` on the product grid of the ``k + 1`` node lists:
+    :func:`_multiset_table` over the sorted union of their nodes, read at the
+    rank of each entry's sorted tuple of union indices.  Equal nodes share
+    one union index, so an unsorted list or a repeated node needs no other
+    step.  The table also holds tuples that no entry reads, such as two
+    nodes of one slot only, so only the entries are checked for marks."""
+    k = len(lists) - 1
+    nodes = np.unique(np.concatenate(lists))
+    n = nodes.size
+    values = _multiset_table(f, nodes, k, derivative)
+    axes = [np.searchsorted(nodes, x).astype(np.min_scalar_type(n)) for x in lists]
+    return _unmarked(values[_sorted_ranks(axes, n)], derivative, k)
+
+
+def _multiset_table(f, x, k, derivative):
+    """``f^[k]`` on the nondecreasing index tuples of the sorted list ``x``, in
+    colex order, level by level over :func:`_multiset_levels`, which are
+    cached with the plan of a grid of at most ``PLAN_CACHE_ENTRIES`` entries."""
+    n = x.size
+    levels = (_small_plan(n, k)[0] if n ** (k + 1) <= PLAN_CACHE_ENTRIES
+              else _multiset_levels(n, k))
     values = _evaluate(f, x)
-    for m, (rows, lower, upper) in enumerate(levels, 1):
-        values = _level(derivative(m), x[rows], values[lower], values[upper], order)
+    for j, (rows, lower, upper) in enumerate(levels, 1):
+        values = _level(derivative(j), x[rows], values[lower], values[upper], k)
     return values
 
 
+@functools.lru_cache(maxsize=64)
 def _colex_binomials(n, k):
-    """``C(v + m, m + 1)`` for ``v < n``, one array per ``m = 0..k``."""
-    return [np.array([math.comb(v + m, m + 1) for v in range(n)]) for m in range(k + 1)]
+    """``C(v + m, m + 1)`` for ``v < n``, one read-only array per ``m = 0..k``."""
+    binomials = tuple(np.array([math.comb(v + m, m + 1) for v in range(n)])
+                      for m in range(k + 1))
+    for b in binomials:
+        b.flags.writeable = False
+    return binomials
 
 
 def _colex_rank(ascending, binomials):
@@ -836,15 +829,22 @@ def _insert(head, ascending):
     return out + [head]
 
 
-def _plan(n, k):
-    """:func:`_multiset_levels` and the rank of each entry's sorted index tuple
-    on the order-``k`` grid over ``n`` indices: the axes are sorted by
+def _sorted_ranks(axes, n):
+    """The colex rank of each entry's sorted index tuple on the product grid
+    of the index arrays ``axes``, over ``n`` indices: the axes are sorted by
     inserting one into the others sorted, with no index array of the grid."""
+    k = len(axes) - 1
     ascending = []
     for m in reversed(range(k + 1)):
-        axis = np.arange(n, dtype=np.min_scalar_type(n))
-        ascending = _insert(axis.reshape((1,) * m + (n,) + (1,) * (k - m)), ascending)
-    return tuple(_multiset_levels(n, k)), _colex_rank(ascending, _colex_binomials(n, k))
+        ascending = _insert(axes[m].reshape((1,) * m + (-1,) + (1,) * (k - m)), ascending)
+    return _colex_rank(ascending, _colex_binomials(n, k))
+
+
+def _plan(n, k):
+    """:func:`_multiset_levels` and the rank map of the order-``k`` grid over
+    ``n`` indices, by :func:`_sorted_ranks`."""
+    axis = np.arange(n, dtype=np.min_scalar_type(n))
+    return tuple(_multiset_levels(n, k)), _sorted_ranks([axis] * (k + 1), n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -855,31 +855,6 @@ def _small_plan(n, k):
     for a in (ranks, *(a for level in levels for a in level)):
         a.flags.writeable = False
     return levels, ranks
-
-
-def _grid_level(f, slots, left, right, k, derivative):
-    """One level of an order-k :func:`divided_difference_grid` over the sorted
-    lists ``slots``, not all one list."""
-    first, last = slots[0], slots[-1]
-    width = confluent_span(k)
-    diff = first[:, None] - last[None, :]
-    narrow = np.abs(diff) < width * (1.0 + np.maximum(np.abs(first)[:, None],
-                                                      np.abs(last)[None, :]))
-    edges = (first.size,) + (1,) * (len(slots) - 2) + (last.size,)
-    out = left[..., None] - right[None, ...]
-    out /= np.where(narrow, 1.0, diff).reshape(edges)
-    # every middle index of each narrow (first, last) pair
-    pair_first, pair_last = np.nonzero(narrow)
-    middle = out.shape[1:-1]
-    count = math.prod(middle)
-    index = (np.repeat(pair_first, count),
-             *(np.tile(i.ravel(), pair_first.size) for i in np.indices(middle)),
-             np.repeat(pair_last, count))
-    for start in range(0, index[0].size, GRID_BLOCK):
-        block = tuple(i[start:start + GRID_BLOCK] for i in index)
-        nodes = np.sort(np.stack([x[i] for x, i in zip(slots, block)], axis=1), axis=1)
-        out[block] = _table_rows(f, nodes, k, derivative)
-    return out
 
 
 def divided_difference(f, nodes) -> complex:

@@ -295,6 +295,16 @@ class TestRemainder:
         assert bound_rows and bound_rows[0]["passed"]
         assert bound_rows[0]["lhs"] < bound_rows[0]["rhs"]  # recorded slack
 
+    def test_perturbation_of_another_size_exits_2(self, tmp_path, caplog, cos_fn):
+        a = matrix_file(tmp_path, "a.json", np.diag([0.3, 1.2, -0.4]))
+        b = matrix_file(tmp_path, "b.json", 0.1 * np.eye(2))
+        out = tmp_path / "r.json"
+        assert main(["remainder", "--function", cos_fn, "--matrix", a,
+                     "--matrix", b, "--order", "2", "--out", str(out)]) == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].name == "moikit"
+        assert not out.exists()
+
 
 class TestVerify:
     def test_filtered_suite_passes(self, tmp_path):

@@ -24,6 +24,7 @@ from moikit import (
     block_triangular_derivative,
     finite_difference_derivative,
     matrix_function_derivative,
+    moi_perturbation,
     moi_schatten_check,
     power_map_derivative,
     remainder_schatten_check,
@@ -42,6 +43,32 @@ COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
 
 def monomial(power):
     return Polynomial([0] * power + [1])
+
+
+class TestOperandShapes:
+    # a direction or perturbation of another size is a violated
+    # precondition at every entry point, not a numpy broadcast error
+    ENTRY_POINTS = {
+        "request": lambda a, b: DerivativeRequest(COS, a, (b,), 1),
+        "power_map": lambda a, b: power_map_derivative(2, a, [b]),
+        "finite_difference": lambda a, b: finite_difference_derivative(COS, a, [b]),
+        "block_triangular": lambda a, b: block_triangular_derivative(COS, a, [b]),
+        "remainder_direct": lambda a, b: taylor_remainder_direct(COS, 2, a, b),
+        "remainder_moi": lambda a, b: taylor_remainder_moi(COS, 2, a, b),
+        "remainder_integral": lambda a, b: taylor_remainder_integral(COS, 2, a, b),
+        "remainder_schatten": lambda a, b: remainder_schatten_check(COS, 2, a, b, 1.0),
+        "perturbation": lambda a, b: moi_perturbation(COS, a, b),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_mismatched_shapes_raise(self, entry):
+        rng = suite_rng(47, 0)
+        with pytest.raises(DimensionMismatch):
+            self.ENTRY_POINTS[entry](random_hermitian(rng, 3), random_hermitian(rng, 2))
+
+    def test_power_map_still_takes_non_hermitian_input(self):
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(power_map_derivative(2, a, [np.eye(2)]), 2 * a)
 
 
 class TestPowerMap:

@@ -221,6 +221,10 @@ class TestBatchedDividedDifference:
 # tuple lies within the confluent span, and one spread across it
 CLUSTERED_LIST = np.array([0.30002, 0.3 + 1e-6, 0.3, 0.3])
 SPREAD_LIST = np.array([0.7, 0.2 + 1e-6, -0.4, 0.2, 1.3, 0.7, 0.25])
+# its distinct nodes sorted: the one list that every slot of a derivative holds
+SORTED_LIST = np.unique(SPREAD_LIST)
+# near and exact repeats of SPREAD_LIST nodes, and nodes of its own
+OTHER_LIST = np.array([-0.4 + 1e-7, 0.2, 0.7 + 1e-5, 1.0])
 
 
 def grid_entries(x, k):
@@ -288,12 +292,13 @@ class TestSharedListGrid:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_slab_gather_matches_the_cached_rank_map(self, k, monkeypatch):
-        # a grid above PLAN_CACHE_ENTRIES is gathered slab by slab
-        expected = {name: divided_difference_grid(f, [SPREAD_LIST] * (k + 1))
+        # a grid over one sorted, distinct list above PLAN_CACHE_ENTRIES is
+        # gathered slab by slab
+        expected = {name: divided_difference_grid(f, [SORTED_LIST] * (k + 1))
                     for name, f in ADVERSARIAL_FUNCTIONS.items()}
         monkeypatch.setattr(scalar_functions, "PLAN_CACHE_ENTRIES", 0)
         for name, f in ADVERSARIAL_FUNCTIONS.items():
-            assert np.array_equal(divided_difference_grid(f, [SPREAD_LIST] * (k + 1)),
+            assert np.array_equal(divided_difference_grid(f, [SORTED_LIST] * (k + 1)),
                                   expected[name])
 
     def test_large_grid_peak_memory_is_about_the_tensor(self):
@@ -312,9 +317,8 @@ class TestSharedListGrid:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_unsorted_lists_permute_the_sorted_grid_back(self, k):
-        # near and exact repeats of SPREAD_LIST nodes, so the mixed levels
-        # patch entries too
-        other = np.array([-0.4 + 1e-7, 0.2, 0.7 + 1e-5, 1.0])
+        # OTHER_LIST repeats SPREAD_LIST nodes nearly and exactly, so the
+        # union table patches entries too
         for x in (CLUSTERED_LIST, SPREAD_LIST):
             order = np.argsort(x, kind="stable")
             back = np.argsort(order)
@@ -322,23 +326,24 @@ class TestSharedListGrid:
                 shared = divided_difference_grid(f, [x[order]] * (k + 1))
                 assert np.array_equal(divided_difference_grid(f, [x] * (k + 1)),
                                       shared[np.ix_(*[back] * (k + 1))])
-                mixed = divided_difference_grid(f, [x[order]] + [other] * k)
-                assert np.array_equal(divided_difference_grid(f, [x] + [other] * k),
+                mixed = divided_difference_grid(f, [x[order]] + [OTHER_LIST] * k)
+                assert np.array_equal(divided_difference_grid(f, [x] + [OTHER_LIST] * k),
                                       mixed[back])
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_equal_lists_share_their_levels(self, k, monkeypatch):
         # slots are matched by content, so a Python list in every slot and
-        # equal copies of one array never reach the mixed-list table
+        # equal copies of one sorted, distinct array never reach the table
+        # over the union of the slots' nodes
         f = ADVERSARIAL_FUNCTIONS["cos"]
-        expected = divided_difference_grid(f, [SPREAD_LIST] * (k + 1))
+        expected = divided_difference_grid(f, [SORTED_LIST] * (k + 1))
 
-        def mixed_table(*args):
-            raise AssertionError("a level over equal lists took the mixed-list table")
+        def union_grid(*args):
+            raise AssertionError("a grid over one sorted list took the union table")
 
-        monkeypatch.setattr(scalar_functions, "_table_rows", mixed_table)
-        for lists in ([SPREAD_LIST.tolist()] * (k + 1),
-                      [SPREAD_LIST.copy() for _ in range(k + 1)]):
+        monkeypatch.setattr(scalar_functions, "_union_grid", union_grid)
+        for lists in ([SORTED_LIST.tolist()] * (k + 1),
+                      [SORTED_LIST.copy() for _ in range(k + 1)]):
             assert np.array_equal(divided_difference_grid(f, lists), expected)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -350,6 +355,44 @@ class TestSharedListGrid:
             divided_difference_grid(f, [SPREAD_LIST] * (k + 1))
         with pytest.raises(CoincidentNodes):
             divided_difference_grid(f, [SPREAD_LIST[:3]] + [SPREAD_LIST[3:]] * k)
+
+
+def product_rows(lists):
+    """The node tuple of every entry of the product grid, in C order."""
+    return np.stack([g.ravel() for g in np.meshgrid(*lists, indexing="ij")], axis=1)
+
+
+class TestMixedListGrid:
+    # slots that hold different lists read every entry from one table over
+    # the union of their nodes
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_entries_match_the_batch_at_their_sorted_rows(self, k):
+        for lists in ([SPREAD_LIST] + [OTHER_LIST] * k, [OTHER_LIST] + [SPREAD_LIST] * k):
+            for f in ADVERSARIAL_FUNCTIONS.values():
+                tensor = divided_difference_grid(f, lists)
+                assert tensor.shape == tuple(x.size for x in lists)
+                assert np.array_equal(tensor.ravel(),
+                                      divided_difference_batch(f, product_rows(lists)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_plain_callable_raises_only_where_an_entry_needs_a_derivative(self, k):
+        def f(x):
+            return np.sin(x) ** 2
+
+        pair = np.array([0.2, 0.2 + 1e-9])
+        # the pair within one slot, the other slots apart: no entry holds two
+        # nodes closer than 0.1
+        lists = [pair] + [np.array([0.5, 0.6]) + 0.4 * m for m in range(k)]
+        assert np.array_equal(divided_difference_grid(f, lists).ravel(),
+                              divided_difference_batch(f, product_rows(lists)))
+        # the pair as the sorted, distinct list of every slot, and split
+        # across two slots
+        with pytest.raises(CoincidentNodes):
+            divided_difference_grid(f, [pair] * (k + 1))
+        with pytest.raises(CoincidentNodes):
+            divided_difference_grid(f, [pair[:1], pair[1:]]
+                                    + [np.array([0.5 + 0.4 * m]) for m in range(k - 1)])
 
 
 class TestHolderClass:
