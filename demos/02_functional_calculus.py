@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Functional calculus through clustered eigenvectors.
+"""Functional calculus on the eigenvalues of a Hermitian matrix.
 
-A Hermitian matrix decomposes into eigenvectors, each labelled with the
-eigenvalue cluster it belongs to.  The orthogonal projection of a cluster
-is derived from its eigenvectors on demand, and a scalar function of the
-matrix is ``V diag(f(lam)) V*`` with one function value per cluster: the
-projection-weighted sum of its values on the distinct eigenvalues.
+A Hermitian matrix decomposes into its ascending eigenvalues, one per
+eigenvector, and a scalar function of the matrix is ``V diag(f(lam)) V*``.
+A grouping view collects eigenvalues within ``cluster_tol`` of each other
+into clusters, each with the mean of its members and the orthogonal
+projection onto their eigenvectors: the projection-weighted sum of the
+function's values on the distinct eigenvalues is the same matrix.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from moikit.verify import random_hermitian, suite_rng
 flip = np.array([[0.0, 1.0], [1.0, 0.0]])
 decomp = hermitian_eigendecompose(flip)
 print("flip matrix [[0,1],[1,0]]:")
+print(f"  eigenvalues, one per eigenvector: {decomp.eigenvalues.tolist()}")
 print(f"  cluster label of each eigenvector: {decomp.labels.tolist()}")
 for cluster in decomp.clusters:
     print(f"  eigenvalue {cluster.eigenvalue:+.1f}, projection from its eigenvectors:")
@@ -32,9 +34,10 @@ square = functional_calculus(Polynomial([0, 0, 1]), decomp)
 print("flip squared (an involution, so the identity):")
 print(np.array_str(square.real, precision=3, suppress_small=True))
 
-# --- a degenerate spectrum merges into one cluster -------------------------
+# --- a degenerate spectrum: three eigenvalues, one cluster ------------------
 decomp_eye = hermitian_eigendecompose(np.eye(3) * 2.0)
-print(f"\n2*I_3 decomposes into {len(decomp_eye.clusters)} cluster "
+print(f"\n2*I_3 has eigenvalues {decomp_eye.eigenvalues.tolist()}, "
+      f"grouped into {len(decomp_eye.clusters)} cluster "
       f"of multiplicity {decomp_eye.clusters[0].multiplicity} "
       f"(labels {decomp_eye.labels.tolist()})")
 

@@ -1,6 +1,6 @@
 """moikit: divided differences, operator integrals, and derivatives of matrix functions.
 
-Evaluate scalar functions of Hermitian matrices through clustered spectral
+Evaluate scalar functions of Hermitian matrices through spectral
 decompositions, their higher Fréchet derivatives through symbol-weighted
 spectral sums, and Taylor remainders in three equivalent forms, with
 finite-difference and block-triangular oracles and certified Schatten-norm

@@ -4,9 +4,9 @@ An order-k multiple operator integral weights the spectral-projection
 sandwich ``P b_1 P b_2 ... b_k P`` by a symbol evaluated on tuples of
 eigenvalues, one from each of k+1 Hermitian matrices.  At matrix scale this
 is the finite Daleckii-Krein sum, evaluated here by one engine: the symbol
-is tabulated once as a tensor over the cluster eigenvalues, expanded to
-the eigenvectors by cluster index where a cluster merged, and contracted
-against the directions rotated into the eigenbases (``V_{j-1}* b_j V_j``).
+is tabulated once as a tensor over the eigenvalues of each slot, one per
+eigenvector, ties included, and contracted against the directions rotated
+into the eigenbases (``V_{j-1}* b_j V_j``).
 The contraction runs on a fixed path and involves no randomness, so outputs
 are bit-stable run to run.  The separated, monomial and oscillatory-sum
 evaluations are kept as independent oracles.
@@ -181,12 +181,11 @@ class MoiOperands:
 def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     """Contract a symbol tensor against the operands in their eigenbases.
 
-    ``tensor[i_0..i_k]`` is the symbol at the cluster eigenvalues of the
-    k+1 decompositions.  With ``A_j = V_j diag(lam_j) V_j*``, the integral is
+    ``tensor[i_0..i_k]`` is the symbol at the eigenvalues
+    ``(lam_0[i_0], .., lam_k[i_k])`` of the k+1 decompositions, one index per
+    eigenvector.  With ``A_j = V_j diag(lam_j) V_j*``, the integral is
     ``V_0 X V_k*`` where ``X[a_0, a_k]`` sums ``T[a_0..a_k] * prod_j
-    (V_{j-1}* b_j V_j)[a_{j-1}, a_j]`` over the inner indices, ``T`` being
-    the tensor expanded from clusters to eigenvectors; that expansion is the
-    identity, and is skipped, when no slot has a merged cluster.  The chain
+    (V_{j-1}* b_j V_j)[a_{j-1}, a_j]`` over the inner indices.  The chain
     is contracted from the left on a fixed path: ``b_1`` and ``b_2`` in one
     pass (three-operand at k = 2, through their ``n^3`` product above), then
     one direction at a time, so no second array of the tensor's size is
@@ -194,12 +193,10 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     """
     k = operands.order
     tensor = np.asarray(tensor, dtype=complex)
-    expected = tuple(len(d.eigenvalues) for d in operands.decomps)
+    expected = (operands.dimension,) * (k + 1)
     if tensor.shape != expected:
-        raise DimensionMismatch(f"tensor shape {tensor.shape} != cluster counts {expected}")
+        raise DimensionMismatch(f"tensor shape {tensor.shape} != {expected}")
     vectors = [d.vectors for d in operands.decomps]
-    if any(m < operands.dimension for m in expected):
-        tensor = tensor[np.ix_(*(d.labels for d in operands.decomps))]
     rotated = [vectors[j].conj().T @ b @ vectors[j + 1]
                for j, b in enumerate(operands.middles)]
     if k == 1:
@@ -221,7 +218,7 @@ def moi_evaluate(symbol: MoiSymbol, operands: MoiOperands,
                  tensor: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a multiple operator integral in the eigenbases of its slots.
 
-    Tabulates the symbol once on the cluster eigenvalues
+    Tabulates the symbol once on the eigenvalues
     (:meth:`MoiSymbol.tensor`) and contracts it with :func:`moi_contract`.
     Calls that share the decompositions may pass the same precomputed
     ``tensor`` to skip the tabulation.
@@ -304,12 +301,12 @@ def moi_wiener(f: WienerAtomic, operands: MoiOperands) -> np.ndarray:
         return out
     Q = rule.weights.size
     for xi, c in f.atoms:
-        # factors[q] = exp(i t_{q,j} xi A_j) = V_j diag(phases[q, labels_j]) V_j*
+        # factors[q] = exp(i t_{q,j} xi A_j) = V_j diag(phases[q]) V_j*
         prod = None
         for j, decomp in enumerate(operands.decomps):
             V = decomp.vectors
-            phases = np.exp(1j * xi * np.outer(rule.nodes[:, j], decomp.eigenvalues))  # (Q, m)
-            factors = (V * phases[:, None, decomp.labels]) @ V.conj().T             # (Q, n, n)
+            phases = np.exp(1j * xi * np.outer(rule.nodes[:, j], decomp.eigenvalues))  # (Q, n)
+            factors = (V * phases[:, None]) @ V.conj().T                            # (Q, n, n)
             if prod is None:
                 prod = factors
             else:

@@ -723,8 +723,9 @@ def divided_difference_grid(f, node_lists) -> np.ndarray:
     the nondecreasing index tuples of one node list, at the colex rank of
     the entry's sorted index tuple: each level of that table is built by the
     step of :func:`divided_difference_batch`, so the grid equals the batch at
-    the sorted rows bit for bit.  Where every slot holds the same sorted,
-    distinct list, the table is over that list (:func:`_shared_grid`);
+    the sorted rows bit for bit.  Where every slot holds the same
+    nondecreasing list, ties included (the eigenvalues of one
+    decomposition), the table is over that list (:func:`_shared_grid`);
     otherwise it is over the sorted union of the slots' nodes
     (:func:`_union_grid`).
     """
@@ -732,17 +733,18 @@ def divided_difference_grid(f, node_lists) -> np.ndarray:
     k = len(lists) - 1
     derivative = functools.cache(functools.partial(_derivative_or_none, f))
     x = lists[0]
-    if k and np.all(x[1:] > x[:-1]) and all(np.array_equal(y, x) for y in lists[1:]):
+    if k and np.all(x[1:] >= x[:-1]) and all(np.array_equal(y, x) for y in lists[1:]):
         return _shared_grid(f, x, k, derivative)
     return _union_grid(f, lists, derivative)
 
 
 def _shared_grid(f, x, k, derivative):
-    """``f^[k]`` on the grid of ``k + 1`` slots of the sorted, distinct list
-    ``x``: :func:`_multiset_table` over ``x``, gathered at each entry's sorted
-    index tuple by the cached rank map of :func:`_small_plan`, or one slab
-    ``T[i]`` at a time on a grid above ``PLAN_CACHE_ENTRIES`` entries.  Every
-    tuple of the table is some entry's, so a mark anywhere in it raises."""
+    """``f^[k]`` on the grid of ``k + 1`` slots of the nondecreasing list
+    ``x``: :func:`_multiset_table` over ``x``, whose levels take ``f^(j)/j!``
+    at a tie, gathered at each entry's sorted index tuple by the cached rank
+    map of :func:`_small_plan`, or one slab ``T[i]`` at a time on a grid
+    above ``PLAN_CACHE_ENTRIES`` entries.  Every tuple of the table is some
+    entry's, so a mark anywhere in it raises."""
     n = x.size
     values = _unmarked(_multiset_table(f, x, k, derivative), derivative, k)
     if n ** (k + 1) <= PLAN_CACHE_ENTRIES:

@@ -1,4 +1,4 @@
-"""Hermitian eigendecomposition with eigenvalue clustering and functional calculus.
+"""Hermitian eigendecomposition, its eigenvalue grouping view, and functional calculus.
 
 Decompositions come from LAPACK's Hermitian eigensolver
 (``numpy.linalg.eigh``), whose eigenvectors are orthonormal to working
@@ -12,13 +12,16 @@ round rotates disjoint pairs in every matrix by elementwise row and column
 updates, with no BLAS or LAPACK call.  Its cost per round is a fixed number
 of numpy calls, so every caller passes a stack: the spectral suite one per
 matrix size, the stencil every point of both its steps.
-Eigenvalues within ``cluster_tol`` of their neighbor are merged into one
-cluster.  A decomposition stores only the unitary of eigenvectors, the
-cluster index of each eigenvector and one eigenvalue per cluster; the
-orthogonal projection of a cluster, the sum of its members' rank-1
-projectors, is derived on demand; validation never builds them, as it reads
-the eigenvectors and their Gram matrix.  A scalar function of the matrix is
-``V diag(f(lam)) V*`` with one function value per cluster.
+
+A decomposition stores the ascending eigenvalues and the unitary of
+eigenvectors, one eigenvalue per column, as LAPACK returns them: every
+result is computed for the decomposed matrix itself, with no eigenvalue
+moved.  Eigenvalues within ``cluster_tol`` of their neighbor form one group
+of a cached grouping view (``labels`` and ``clusters``, each cluster with
+the mean of its members and its orthogonal projection); only reports and
+diagnostics read that view.  Validation never builds the projections, as
+it reads the eigenvectors and their Gram matrix.  A scalar function of the
+matrix is ``V diag(f(lam)) V*``.
 
 Decompositions are frozen after construction and safe to share across
 threads.
@@ -186,64 +189,69 @@ class SpectralCluster:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered eigenvalues of a Hermitian matrix and its eigenvectors.
+    """Eigenvalues of a Hermitian matrix and its eigenvectors.
 
     ``source`` is the decomposed matrix itself (kept so the decomposition
     can be re-validated and so polynomial routes can reuse matrix powers);
     ``source_norm`` is its operator norm (spectral radius).
-    ``eigenvalues`` holds one value per cluster, the mean of its members,
-    in ascending order; ``vectors`` is the unitary of eigenvectors in
-    ascending eigenvalue order and ``labels`` the cluster index of each of
-    its columns.  ``clusters`` is derived from ``vectors[:, labels == i]``
-    on first access.  Construction raises ``ValueError`` unless there is one
-    label per eigenvector, each in ``[0, len(eigenvalues))``.
+    ``eigenvalues`` holds the ``n`` eigenvalues in ascending order, ties
+    included, and ``vectors`` the unitary of eigenvectors, column ``i``
+    belonging to ``eigenvalues[i]``.  Construction raises ``ValueError``
+    unless there is one eigenvalue per eigenvector.
+
+    ``labels`` and ``clusters`` are a grouping view, derived on first
+    access: consecutive eigenvalues at most ``cluster_tol`` apart share a
+    group, so a chain of small gaps forms one, and each cluster holds the
+    mean of its members and the projection onto their eigenvectors.  No
+    computation reads the view; reports and diagnostics do.
     """
 
     source: np.ndarray
     source_norm: float
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    labels: np.ndarray
     cluster_tol: float
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.shape != self.vectors.shape[1:]:
-            raise ValueError(f"{labels.size} labels for {self.vectors.shape[1]} eigenvectors")
-        if labels.size and not 0 <= labels.min() <= labels.max() < len(self.eigenvalues):
-            raise ValueError(f"labels must lie in [0, {len(self.eigenvalues)})")
+        if np.shape(self.eigenvalues) != self.vectors.shape[1:]:
+            raise ValueError(f"{np.size(self.eigenvalues)} eigenvalues for "
+                             f"{self.vectors.shape[1]} eigenvectors")
 
     @property
     def dimension(self) -> int:
         return self.source.shape[0]
 
     @cached_property
+    def labels(self) -> np.ndarray:
+        """The group index of each eigenvector."""
+        return np.concatenate(([0], np.cumsum(np.diff(self.eigenvalues) > self.cluster_tol)))
+
+    @cached_property
     def clusters(self) -> tuple[SpectralCluster, ...]:
-        """One cluster per eigenvalue, with the projection onto its eigenvectors."""
+        """One cluster per group, with the projection onto its eigenvectors."""
         clusters = []
-        for i, eigenvalue in enumerate(self.eigenvalues):
-            members = self.vectors[:, self.labels == i]
-            proj = members @ members.conj().T
+        for i in range(self.labels[-1] + 1):
+            members = self.labels == i
+            vectors = self.vectors[:, members]
+            proj = vectors @ vectors.conj().T
             clusters.append(SpectralCluster(
-                eigenvalue=float(eigenvalue),
+                eigenvalue=float(self.eigenvalues[members].mean()),
                 projection=0.5 * (proj + proj.conj().T),
-                multiplicity=members.shape[1],
+                multiplicity=vectors.shape[1],
             ))
         return tuple(clusters)
 
 
 def hermitian_eigendecompose(A: np.ndarray,
                              cluster_tol: float | None = None) -> SpectralDecomposition:
-    """Decompose a Hermitian matrix into eigenvectors labelled by cluster.
+    """Decompose a Hermitian matrix into its ascending eigenvalues and eigenvectors.
 
-    Consecutive eigenvalues at most ``cluster_tol`` apart share a cluster,
-    so a chain of small gaps merges into one; the default tolerance
-    ``1e-7 * (1 + ||A||_F)`` keeps near-degenerate gaps out of downstream
-    divided-difference quotients (the diagonal derivative form takes over
-    inside a cluster).  Each cluster's eigenvalue is the mean of its
-    members, so a merged cluster of width ``w`` moves results by O(w).
-    Raises :class:`ConvergenceFailure` when LAPACK's eigensolver does not
-    converge.
+    The eigenvalues are LAPACK's, one per eigenvector, and every result
+    built on the decomposition is for ``A`` itself: close or repeated
+    eigenvalues are not merged, as the divided-difference table resolves
+    them.  ``cluster_tol`` (default ``1e-7 * (1 + ||A||_F)``) sets only the
+    grouping view, ``labels`` and ``clusters``.  Raises
+    :class:`ConvergenceFailure` when LAPACK's eigensolver does not converge.
     """
     return _decompose(require_hermitian(A), cluster_tol)
 
@@ -258,13 +266,11 @@ def _decompose(A: np.ndarray, cluster_tol: float | None = None) -> SpectralDecom
         lam, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK eigensolver failed: {exc}") from exc
-    labels = np.concatenate(([0], np.cumsum(np.diff(lam) > cluster_tol)))
     return SpectralDecomposition(
         source=A,
         source_norm=float(np.max(np.abs(lam))),
-        eigenvalues=np.bincount(labels, weights=lam) / np.bincount(labels),
+        eigenvalues=lam,
         vectors=V,
-        labels=labels,
         cluster_tol=float(cluster_tol),
     )
 
@@ -272,27 +278,26 @@ def _decompose(A: np.ndarray, cluster_tol: float | None = None) -> SpectralDecom
 def functional_calculus(f, decomposition: SpectralDecomposition) -> np.ndarray:
     """Apply a scalar function to a decomposed Hermitian matrix.
 
-    Evaluates the function once per cluster eigenvalue and returns
-    ``V diag(f(lam)) V*`` with each eigenvector weighted by the value at
-    its cluster; raises :class:`EvaluationDomain` when the function is
-    undefined (or non-finite) at one of the eigenvalues.
+    Evaluates the function at every eigenvalue and returns
+    ``V diag(f(lam)) V*``; raises :class:`EvaluationDomain` when the
+    function is undefined (or non-finite) at one of the eigenvalues.
     """
     D = decomposition
-    values = _evaluate(f, D.eigenvalues)
-    return (D.vectors * values[D.labels]) @ D.vectors.conj().T
+    return (D.vectors * _evaluate(f, D.eigenvalues)) @ D.vectors.conj().T
 
 
 def validate_decomposition(decomposition: SpectralDecomposition) -> VerificationReport:
     """Re-check every structural invariant of a spectral decomposition.
 
-    The projections ``P_i = V_i V_i*`` of the stored eigenvectors and labels
-    are read through the Gram matrix ``G = V* V - I``, as ``P_i P_j - delta_ij
-    P_i = V_i G_ij V_j*``, so no row forms a ``P_i``; each ``P_i`` is Hermitian
-    by construction.  Non-orthonormal vectors or a wrong labelling fail rows.
+    The rank-one projectors ``P_i = v_i v_i*`` of the stored eigenvectors are
+    read through the Gram matrix ``G = V* V - I``, as ``P_i P_j - delta_ij
+    P_i = G_ij v_i v_j*`` and ``tr P_i - 1 = G_ii``, so no row forms a
+    ``P_i``.  Non-orthonormal vectors, eigenvectors paired with the wrong
+    eigenvalues, or eigenvalues out of order fail rows.
     """
     D = decomposition
     n = D.dimension
-    V, labels = D.vectors, D.labels
+    V = D.vectors
     report = VerificationReport("spectral-decomposition")
     eye = np.eye(n)
 
@@ -300,20 +305,15 @@ def validate_decomposition(decomposition: SpectralDecomposition) -> Verification
         "resolution of identity", "sum of projections equals the identity",
         residual=float(np.linalg.norm(V @ V.conj().T - eye)), tolerance=1e-10 * n))
 
-    m = D.eigenvalues.size
-    gram = V.conj().T @ V - eye
-    pair = (labels[:, None] * m + labels[None, :]).ravel()
-    blocks = np.bincount(pair, weights=np.abs(gram).ravel() ** 2, minlength=m * m)
+    gram = np.abs(V.conj().T @ V - eye)
     report.add(equality_check(
         "orthogonal idempotents", "projections are idempotent and mutually orthogonal",
-        residual=float(np.sqrt(blocks.max(initial=0.0))), tolerance=1e-10))
-
-    traces = np.bincount(labels, weights=np.diagonal(gram).real, minlength=m)
+        residual=float(gram.max()), tolerance=1e-10))
     report.add(equality_check(
-        "multiplicities", "trace of each projection equals its multiplicity",
-        residual=float(np.abs(traces).max(initial=0.0)), tolerance=1e-8))
+        "multiplicities", "each eigenvector's projection has trace one",
+        residual=float(np.diagonal(gram).max()), tolerance=1e-8))
 
-    recon = (V * D.eigenvalues[labels]) @ V.conj().T
+    recon = (V * D.eigenvalues) @ V.conj().T
     report.add(equality_check(
         "reconstruction", "eigenvalue-weighted projection sum reconstructs the matrix",
         residual=float(np.linalg.norm(D.source - recon)),
@@ -321,11 +321,9 @@ def validate_decomposition(decomposition: SpectralDecomposition) -> Verification
 
     gaps = np.diff(D.eigenvalues)
     if gaps.size:
-        # post-clustering, consecutive representatives sit more than
-        # cluster_tol apart by construction
         report.add(inequality_check(
-            "ordering", "cluster eigenvalues are strictly increasing",
-            lhs=D.cluster_tol, rhs=float(gaps.min())))
+            "ordering", "eigenvalues do not decrease",
+            lhs=0.0, rhs=float(gaps.min())))
     return report
 
 

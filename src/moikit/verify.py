@@ -301,7 +301,7 @@ def verify_spectral(seed: int, tolerances=None):
         if denom > 0:
             worst_recon = max(worst_recon, float(np.linalg.norm(A - recon)) / denom)
         by_size.setdefault(n, []).append(
-            (decomp.source, decomp.eigenvalues[decomp.labels], 1.0 + denom))
+            (decomp.source, decomp.eigenvalues, 1.0 + denom))
         all_valid = all_valid and validate_decomposition(decomp).passed
     worst_jacobi = 0.0
     for cases in by_size.values():

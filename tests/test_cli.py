@@ -62,6 +62,21 @@ class TestEval:
                      "--out", str(out)]) == 0
         np.testing.assert_allclose(load_matrix(out), np.eye(2), atol=1e-14)
 
+    def test_triple_eigenvalue_passes_every_row(self, tmp_path, square_fn):
+        # 2 I_3: three equal eigenvalues, one per eigenvector, in order
+        mat = matrix_file(tmp_path, "a.json", 2.0 * np.eye(3))
+        out = tmp_path / "out.json"
+        assert main(["eval", "--function", square_fn, "--matrix", mat,
+                     "--out", str(out)]) == 0
+        np.testing.assert_allclose(load_matrix(out), 4.0 * np.eye(3), atol=1e-12)
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["overall_pass"] is True
+        assert [c["name"] for c in report["checks"]] == [
+            "resolution of identity", "orthogonal idempotents", "multiplicities",
+            "reconstruction", "ordering"]
+        ordering = report["checks"][-1]
+        assert (ordering["lhs"], ordering["rhs"]) == (0.0, 0.0)
+
     def test_non_hermitian_exits_2(self, tmp_path, square_fn):
         mat = matrix_file(tmp_path, "bad.json", [[0.0, 1.0], [0.0, 0.0]])
         assert main(["eval", "--function", square_fn, "--matrix", mat]) == 2

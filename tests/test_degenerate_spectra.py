@@ -1,15 +1,16 @@
 """Stress cases: spectra with tiny gaps, high orders, schema stability.
 
-Near-degenerate eigenvalues above the clustering threshold and tiny
-perturbations produce cross-spectrum node gaps that the difference-quotient
-recursion cannot survive; these tests pin the full pipelines in that
-regime.
+Near-degenerate, chained and repeated eigenvalues and tiny perturbations
+produce node gaps that the difference-quotient recursion cannot survive;
+these tests pin the full pipelines in that regime, on either side of the
+grouping view's ``cluster_tol``.
 """
 
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from moikit import (
     DerivativeRequest,
@@ -17,7 +18,11 @@ from moikit import (
     MoiSymbol,
     Polynomial,
     WienerAtomic,
+    block_triangular_derivative,
+    builtin_function,
     finite_difference_derivative,
+    functional_calculus,
+    hermitian_eigendecompose,
     matrix_function_derivative,
     moi_evaluate,
     moi_perturbation,
@@ -25,7 +30,7 @@ from moikit import (
     taylor_remainder_direct,
     taylor_remainder_moi,
 )
-from moikit.verify import random_hermitian, suite_rng
+from moikit.verify import DEFAULT_TOLERANCES, random_hermitian, suite_rng
 
 COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
 
@@ -68,6 +73,57 @@ class TestNearDegenerateBase:
             mixed = taylor_remainder_moi(COS, k, a, b)
             scale = 1 + np.linalg.norm(direct)
             assert np.linalg.norm(direct - mixed) / scale < 1e-8
+
+
+def adversarial_spectrum(rng, case, n=8):
+    """A Hermitian ``n x n`` matrix whose spectrum is ``case``: ``("pair",
+    gap)``, ``("chain", gap)`` (five eigenvalues ``gap`` apart), ``"triple"``
+    (three eigenvalues set equal in LAPACK's own eigenbasis) or ``"scalar"``
+    (``0.7 I``)."""
+    if case == "scalar":
+        return 0.7 * np.eye(n, dtype=complex)
+    if case == "triple":
+        lam, V = np.linalg.eigh(random_hermitian(rng, n, norm=1.0))
+        lam[2:5] = lam[3]
+        return (V * lam) @ V.conj().T
+    kind, gap = case
+    eigs = np.sort(rng.uniform(-1.0, 1.0, n))
+    members = 2 if kind == "pair" else 5
+    eigs[:members] = eigs[0] + gap * np.arange(members)
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    A = (Q * eigs) @ Q.conj().T
+    return 0.5 * (A + A.conj().T)
+
+
+ADVERSARIAL_CASES = [("pair", gap) for gap in (1e-6, 1e-7, 1e-8, 1e-10, 1e-12)] + [
+    ("chain", 1e-9), "triple", "scalar"]
+
+
+def scaled_gap(value, reference):
+    return np.linalg.norm(value - reference) / (1.0 + np.linalg.norm(value))
+
+
+class TestAdversarialSpectra:
+    # close, chained and repeated eigenvalues are evaluated where they are,
+    # so the derivative meets the exact block oracle at its verify gate
+    @pytest.mark.parametrize("case", ADVERSARIAL_CASES, ids=str)
+    def test_derivative_matches_the_block_oracle(self, case):
+        rng = suite_rng(75, ADVERSARIAL_CASES.index(case))
+        A = adversarial_spectrum(rng, case)
+        gate = DEFAULT_TOLERANCES["derivative_block"]
+        for name in ("exp", "cos"):
+            f = builtin_function(name)
+            for k in (1, 2, 3):
+                dirs = tuple(random_hermitian(rng, 8, norm=1.0) for _ in range(k))
+                via_moi = matrix_function_derivative(DerivativeRequest(f, A, dirs, k, "moi"))
+                gap = scaled_gap(via_moi, block_triangular_derivative(f, A, dirs))
+                assert gap <= gate, (name, k, gap)
+
+    @pytest.mark.parametrize("case", ADVERSARIAL_CASES, ids=str)
+    def test_exp_matches_expm(self, case):
+        A = adversarial_spectrum(suite_rng(76, ADVERSARIAL_CASES.index(case)), case)
+        value = functional_calculus(builtin_function("exp"), hermitian_eigendecompose(A))
+        assert scaled_gap(value, scipy.linalg.expm(A)) <= DEFAULT_TOLERANCES["derivative_block"]
 
 
 class TestOrderFour:

@@ -10,7 +10,6 @@ spectra with exact repeats, gaps at the clustering threshold, n = 1 and
 mixed bases.
 """
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -221,8 +220,11 @@ class TestBatchedDividedDifference:
 # tuple lies within the confluent span, and one spread across it
 CLUSTERED_LIST = np.array([0.30002, 0.3 + 1e-6, 0.3, 0.3])
 SPREAD_LIST = np.array([0.7, 0.2 + 1e-6, -0.4, 0.2, 1.3, 0.7, 0.25])
-# its distinct nodes sorted: the one list that every slot of a derivative holds
+# its distinct nodes sorted
 SORTED_LIST = np.unique(SPREAD_LIST)
+# a nondecreasing list with a triple node and a node 1e-9 above it: the
+# eigenvalues of one decomposition, which every slot of a derivative holds
+REPEATED_LIST = np.sort(np.concatenate([[0.2] * 3, [0.2 + 1e-9], np.linspace(-1.0, 1.0, 5)]))
 # near and exact repeats of SPREAD_LIST nodes, and nodes of its own
 OTHER_LIST = np.array([-0.4 + 1e-7, 0.2, 0.7 + 1e-5, 1.0])
 
@@ -347,6 +349,25 @@ class TestSharedListGrid:
             assert np.array_equal(divided_difference_grid(f, lists), expected)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_repeated_nodes_take_the_shared_table(self, k, monkeypatch):
+        # the list reversed is not nondecreasing, so it takes the union table
+        _, nodes, _ = grid_entries(REPEATED_LIST, k)
+        back = (slice(None, None, -1),) * (k + 1)
+        functions = [builtin_function(name) for name in ("cos", "exp")]
+        union = [divided_difference_grid(f, [REPEATED_LIST[::-1]] * (k + 1))[back]
+                 for f in functions]
+
+        def union_grid(*args):
+            raise AssertionError("a nondecreasing list with ties took the union table")
+
+        monkeypatch.setattr(scalar_functions, "_union_grid", union_grid)
+        for f, expected in zip(functions, union):
+            tensor = divided_difference_grid(f, [REPEATED_LIST] * (k + 1))
+            assert np.array_equal(tensor.ravel(),
+                                  divided_difference_batch(f, np.sort(nodes, axis=1)))
+            assert np.array_equal(tensor, expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_plain_callable_at_a_repeated_node_raises(self, k):
         def f(x):
             return np.sin(x) ** 2
@@ -452,15 +473,17 @@ def hermitian_with(rng, eigenvalues):
 
 
 def projection_sum(symbol, operands):
-    """The Daleckii-Krein sum over cluster tuples, one projection sandwich each."""
-    clusters = [d.clusters for d in operands.decomps]
+    """The Daleckii-Krein sum over eigenvector tuples, one sandwich of
+    rank-one projectors each, weighted by the symbol at their eigenvalues."""
+    slots = [[(lam, np.outer(v, v.conj())) for lam, v in zip(d.eigenvalues, d.vectors.T)]
+             for d in operands.decomps]
     n = operands.dimension
     out = np.zeros((n, n), dtype=complex)
-    for combo in itertools.product(*clusters):
-        term = combo[0].projection
-        for b, cluster in zip(operands.middles, combo[1:]):
-            term = term @ b @ cluster.projection
-        out += symbol(tuple(c.eigenvalue for c in combo)) * term
+    for combo in itertools.product(*slots):
+        term = combo[0][1]
+        for b, (_, projector) in zip(operands.middles, combo[1:]):
+            term = term @ b @ projector
+        out += symbol(tuple(lam for lam, _ in combo)) * term
     return out
 
 
@@ -469,8 +492,10 @@ def mixed_operands(rng, n, k, cluster_tol=1e-8, pair=1.0):
     values, one cluster.
 
     At ``pair = 1`` the computed gap is a few ulps on either side of
-    ``cluster_tol``, so whether the pair merges depends on the eigensolver's
-    rounding; ``pair = 2`` keeps it split and ``pair = 0.5`` merges it.
+    ``cluster_tol``, so whether the grouping view puts the pair in one
+    cluster depends on the eigensolver's rounding; ``pair = 2`` keeps it
+    apart and ``pair = 0.5`` groups it.  The integrals read the eigenvalues
+    themselves either way.
     """
     spectra = [
         np.repeat([-1.0, 0.25, 1.5], [n // 2, n // 4, n - n // 2 - n // 4]),
@@ -500,8 +525,8 @@ class TestEngineAgainstOracles:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("merged", [False, True])
     def test_one_decomposition_in_every_slot(self, k, merged):
-        # the derivative's operands: the tensor is contracted without the
-        # cluster expansion unless a cluster merged
+        # the derivative's operands: the tensor over the eigenvalues, ties
+        # included, is exact for the source matrices
         n = {1: 8, 2: 8, 3: 6, 4: 4}[k]
         rng = suite_rng(105 + k, int(merged))
         spectrum = np.sort(rng.uniform(-1.5, 1.5, n))
@@ -512,17 +537,14 @@ class TestEngineAgainstOracles:
         decomp = hermitian_eigendecompose(hermitian_with(rng, spectrum), cluster_tol=1e-8)
         ops = MoiOperands((decomp,) * (k + 1),
                           tuple(random_hermitian(rng, n) for _ in range(k)))
-        assert len(ops.decomps[0].eigenvalues) == (n - 2 if merged else n)
+        assert len(ops.decomps[0].eigenvalues) == n
+        assert len(ops.decomps[0].clusters) == (n - 2 if merged else n)
         for f in (ROUTES["quadrature"], ROUTES["wiener"]):
             symbol = MoiSymbol.from_function(f, k)
             assert rel(moi_evaluate(symbol, ops), projection_sum(symbol, ops)) < 1e-13
-        represented = MoiOperands(tuple(
-            dataclasses.replace(d, source=(d.vectors * d.eigenvalues[d.labels])
-                                @ d.vectors.conj().T)
-            for d in ops.decomps), ops.middles)
         for power in (k, k + 2, 6):
             symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
-            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, represented)) < 1e-10
+            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, ops)) < 1e-10
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_polynomial_oracle(self, k):
@@ -534,19 +556,16 @@ class TestEngineAgainstOracles:
             assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, ops)) < 1e-10
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_merged_pair_is_exact_for_the_represented_matrices(self, k):
-        # a pair half a cluster_tol apart merges into its mean; the integral is
-        # then exact for V diag(eigenvalues[labels]) V*, not for the source
+    def test_grouped_pair_is_exact_for_the_source_matrices(self, k):
+        # a pair half a cluster_tol apart shares a cluster of the grouping
+        # view, but the integral reads both eigenvalues: it is exact for the
+        # decomposed matrices themselves
         ops = mixed_operands(suite_rng(115 + k, 0), 16, k, pair=0.5)
-        merged = ops.decomps[1]
-        assert len(merged.eigenvalues) == 15 and merged.clusters[0].multiplicity == 2
-        represented = MoiOperands(tuple(
-            dataclasses.replace(d, source=(d.vectors * d.eigenvalues[d.labels])
-                                @ d.vectors.conj().T)
-            for d in ops.decomps), ops.middles)
+        grouped = ops.decomps[1]
+        assert len(grouped.eigenvalues) == 16 and grouped.clusters[0].multiplicity == 2
         for power in (k, k + 2, 6):
             symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
-            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, represented)) < 1e-12
+            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, ops)) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_wiener_oracle(self, k):

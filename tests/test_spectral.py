@@ -73,17 +73,31 @@ class TestEigendecompose:
         assert len(hermitian_eigendecompose(A, cluster_tol=1e-2).clusters) == 2
 
     def test_gap_equal_to_cluster_tol_merges_and_chains(self):
+        # the grouping view merges; the eigenvalues stay one per eigenvector
         decomp = hermitian_eigendecompose(np.diag([1.0, 1.5, 3.0]), cluster_tol=0.5)
-        np.testing.assert_array_equal(decomp.eigenvalues, [1.25, 3.0])
+        np.testing.assert_array_equal(decomp.eigenvalues, [1.0, 1.5, 3.0])
+        assert [c.eigenvalue for c in decomp.clusters] == [1.25, 3.0]
         np.testing.assert_array_equal(decomp.labels, [0, 0, 1])
         # two gaps at the tolerance chain into one cluster spanning 1.0
         chained = hermitian_eigendecompose(np.diag([1.0, 1.5, 2.0]), cluster_tol=0.5)
-        np.testing.assert_array_equal(chained.eigenvalues, [1.5])
+        np.testing.assert_array_equal(chained.eigenvalues, [1.0, 1.5, 2.0])
+        assert [c.eigenvalue for c in chained.clusters] == [1.5]
         np.testing.assert_array_equal(chained.labels, [0, 0, 0])
         np.testing.assert_allclose(chained.clusters[0].projection, np.eye(3), atol=1e-12)
         split = hermitian_eigendecompose(np.diag([1.0, 1.5, 2.0]), cluster_tol=0.4999)
-        np.testing.assert_array_equal(split.eigenvalues, [1.0, 1.5, 2.0])
+        assert [c.eigenvalue for c in split.clusters] == [1.0, 1.5, 2.0]
         np.testing.assert_array_equal(split.labels, [0, 1, 2])
+
+    def test_eigenvalues_are_lapacks_one_per_eigenvector(self):
+        # close and repeated eigenvalues are not merged, whatever cluster_tol
+        A = _conjugated(np.random.default_rng(3), [0.2, 0.2, 0.2 + 1e-12, 0.5, 0.9])
+        lam, V = np.linalg.eigh(A)
+        for tol in (None, 1e-300, 1.0):
+            decomp = hermitian_eigendecompose(A, cluster_tol=tol)
+            assert np.array_equal(decomp.eigenvalues, lam)
+            assert np.array_equal(decomp.vectors, V)
+        assert len(hermitian_eigendecompose(A).clusters) == 3
+        assert len(hermitian_eigendecompose(A, cluster_tol=1.0).clusters) == 1
 
     def test_validated_matrices_and_their_sums_pass_through_unchanged(self):
         # the derivative and the remainder forms decompose a, a + b and
@@ -299,7 +313,6 @@ class TestValidation:
             source_norm=2.0,
             eigenvalues=np.array([1.0, 2.0]),
             vectors=np.hstack([e1, e1]),
-            labels=np.array([0, 1]),
             cluster_tol=1e-8,
         )
         report = validate_decomposition(bogus)
@@ -309,8 +322,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("merged", [False, True])
     def test_rows_read_the_eigenvectors_not_the_clusters(self, monkeypatch, merged):
-        def no_clusters(self):
-            raise AssertionError("validation built the cluster projections")
+        def no_view(self):
+            raise AssertionError("validation read the grouping view")
 
         rng = suite_rng(24, 0)
         A = random_hermitian(rng, 40)
@@ -320,34 +333,47 @@ class TestValidation:
             lam[10:13] = lam[11]
             A = (V * lam) @ V.conj().T
         decomp = hermitian_eigendecompose(A)
-        assert (decomp.eigenvalues.size < 40) == merged
-        monkeypatch.setattr(SpectralDecomposition, "clusters", property(no_clusters))
+        assert decomp.eigenvalues.size == 40
+        assert (decomp.labels[-1] < 39) == merged
+        monkeypatch.setattr(SpectralDecomposition, "clusters", property(no_view))
+        monkeypatch.setattr(SpectralDecomposition, "labels", property(no_view))
         report = validate_decomposition(decomp)
         assert report.passed
         assert [c.name for c in report.checks] == [
             "resolution of identity", "orthogonal idempotents", "multiplicities",
             "reconstruction", "ordering"]
 
-    def test_wrong_label_fails(self):
-        # the eigenvectors of 1 and 3 swap clusters: the projections are still
+    def test_swapped_eigenvectors_fail(self):
+        # the eigenvectors of 1 and 3 swap columns: the projections are still
         # orthogonal idempotents, but they no longer reconstruct the matrix
         decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]))
-        relabelled = SpectralDecomposition(
+        swapped = SpectralDecomposition(
             source=decomp.source, source_norm=decomp.source_norm,
-            eigenvalues=decomp.eigenvalues, vectors=decomp.vectors,
-            labels=np.array([2, 1, 0]), cluster_tol=decomp.cluster_tol)
-        report = validate_decomposition(relabelled)
+            eigenvalues=decomp.eigenvalues, vectors=decomp.vectors[:, [2, 1, 0]],
+            cluster_tol=decomp.cluster_tol)
+        report = validate_decomposition(swapped)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"reconstruction"}
 
-    @pytest.mark.parametrize("labels", [[0, 2], [0, -1], [0]])
-    def test_labels_outside_the_clusters_are_rejected(self, labels):
+    def test_descending_eigenvalues_fail_ordering(self):
+        # eigenvalues and eigenvectors reversed together still reconstruct
+        decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]))
+        reversed_ = SpectralDecomposition(
+            source=decomp.source, source_norm=decomp.source_norm,
+            eigenvalues=decomp.eigenvalues[::-1], vectors=decomp.vectors[:, ::-1],
+            cluster_tol=decomp.cluster_tol)
+        report = validate_decomposition(reversed_)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"ordering"}
+
+    @pytest.mark.parametrize("eigenvalues", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_eigenvalue_count_must_match_the_eigenvectors(self, eigenvalues):
         decomp = hermitian_eigendecompose(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError):
             SpectralDecomposition(
                 source=decomp.source, source_norm=decomp.source_norm,
-                eigenvalues=decomp.eigenvalues, vectors=decomp.vectors,
-                labels=np.array(labels), cluster_tol=decomp.cluster_tol)
+                eigenvalues=np.array(eigenvalues), vectors=decomp.vectors,
+                cluster_tol=decomp.cluster_tol)
 
     def test_non_orthonormal_vectors_fail(self):
         # a sheared eigenbasis reconstructs nothing and resolves no identity
@@ -357,7 +383,7 @@ class TestValidation:
         sheared = SpectralDecomposition(
             source=decomp.source, source_norm=decomp.source_norm,
             eigenvalues=decomp.eigenvalues, vectors=decomp.vectors @ shear,
-            labels=decomp.labels, cluster_tol=decomp.cluster_tol)
+            cluster_tol=decomp.cluster_tol)
         failed = {c.name for c in validate_decomposition(sheared).checks if not c.passed}
         assert {"resolution of identity", "orthogonal idempotents", "multiplicities",
                 "reconstruction"} <= failed
