@@ -3,10 +3,12 @@
 
 A Hermitian matrix decomposes into its ascending eigenvalues, one per
 eigenvector, and a scalar function of the matrix is ``V diag(f(lam)) V*``.
-A grouping view collects eigenvalues within ``cluster_tol`` of each other
-into clusters, each with the mean of its members and the orthogonal
-projection onto their eigenvectors: the projection-weighted sum of the
-function's values on the distinct eigenvalues is the same matrix.
+The decomposition holds the matrix, its eigenvalues and its eigenvectors.
+A grouping view collects eigenvalues within the decomposition's
+``cluster_tol`` (``1e-7 (1 + ||A||_F)``) of each other into clusters, each
+with the mean of its members and the orthogonal projection onto their
+eigenvectors: the projection-weighted sum of the function's values on the
+distinct eigenvalues is the same matrix.
 """
 
 import numpy as np

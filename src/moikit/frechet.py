@@ -41,6 +41,7 @@ from .scalar_functions import (
     _evaluate,
     _matrix_form,
     _mp_form,
+    _unit_gauss_legendre,
     wiener_iptp_bound,
 )
 from .spectral import _decompose, functional_calculus, jacobi_eigh, require_hermitian
@@ -59,7 +60,7 @@ __all__ = [
     "moi_schatten_check",
 ]
 
-# working precision (decimal digits) for the extended finite-difference path
+# working precision (decimal digits) of the finite-difference stencil at order >= 3
 EXTENDED_DPS = 30
 # Gauss-Legendre nodes of the line-integral remainder form
 REMAINDER_NODES = 32
@@ -160,7 +161,7 @@ def _eighe_point(form, X):
 def _stencil_points(base, directions, h):
     """The 2^k points ``base + h * sum s_i B_i``, one per sign vector ``s`` in
     ``itertools.product`` order, in the arithmetic of the operands (numpy
-    arrays, or the mpmath matrices of the extended path)."""
+    arrays, or the mpmath matrices of the 30-digit path)."""
     # the step on the right: an mpf on the left of an mpmath matrix first
     # formats the matrix into a TypeError before Python tries __rmul__
     return [base + sum(s * B for s, B in zip(signs, directions)) * h
@@ -176,8 +177,7 @@ def _stencil_sum(values, h, k):
     return out / (2 * h) ** k
 
 
-def finite_difference_derivative(f, base, directions,
-                                 extended: bool | None = None) -> np.ndarray:
+def finite_difference_derivative(f, base, directions) -> np.ndarray:
     """Tensor central-difference approximation of a k-th derivative.
 
     Evaluates ``f`` by functional calculus at the 2^k stencil points
@@ -189,11 +189,11 @@ def finite_difference_derivative(f, base, directions,
     Richardson cancels does not exist.  In double precision the points of
     both steps are diagonalized by one stacked :func:`jacobi_eigh` call.
     For order >= 3 the alternating sum cancels below the double-precision
-    noise floor, so the stencil runs in ``EXTENDED_DPS``-digit mpmath
-    arithmetic instead (override with ``extended``): each point is an mpmath
-    matrix, diagonalized by ``mp.eighe``, and ``f`` is evaluated by its
-    mpmath form.  Raises :class:`EvaluationDomain` when ``f`` has no mpmath
-    form or is not finite at a point's eigenvalue.
+    noise floor, so there, and only there, the stencil runs in
+    ``EXTENDED_DPS``-digit mpmath arithmetic instead: each point is an
+    mpmath matrix, diagonalized by ``mp.eighe``, and ``f`` is evaluated by
+    its mpmath form.  Raises :class:`EvaluationDomain` when ``f`` has no
+    mpmath form or is not finite at a point's eigenvalue.
     """
     base = require_hermitian(base)
     directions = [require_hermitian(b) for b in directions]
@@ -201,11 +201,9 @@ def finite_difference_derivative(f, base, directions,
     if k < 1:
         raise ValueError("at least one direction required")
     _require_shape(base, directions)
-    if extended is None:
-        extended = k >= 3
     h = 1e-4 * (1.0 + schatten_norm(base, math.inf))
     steps = (h, h / 2.0)
-    if extended:
+    if k >= 3:
         form = _mp_form(f)
         with mp.workdps(EXTENDED_DPS):
             base = mp.matrix(base.tolist())
@@ -259,6 +257,16 @@ def block_triangular_derivative(f, base, directions) -> np.ndarray:
 # Taylor remainders
 # ---------------------------------------------------------------------------
 
+def _remainder_operands(order: int, base, perturbation):
+    """The validated ``(a, b)`` of a Taylor remainder of order >= 1."""
+    if order < 1:
+        raise ValueError(f"remainder order must be >= 1, got {order}")
+    a = require_hermitian(base)
+    b = require_hermitian(perturbation)
+    _require_shape(a, [b])
+    return a, b
+
+
 def taylor_remainder_direct(f, order: int, base, perturbation) -> np.ndarray:
     """Remainder by definition: subtract the Taylor polynomial of the map.
 
@@ -267,9 +275,7 @@ def taylor_remainder_direct(f, order: int, base, perturbation) -> np.ndarray:
     coincide, so each Taylor term is the single operator integral of
     ``f^[j]`` at ``a`` with every middle equal to ``b``.
     """
-    a = require_hermitian(base)
-    b = require_hermitian(perturbation)
-    _require_shape(a, [b])
+    a, b = _remainder_operands(order, base, perturbation)
     Da = _decompose(a)
     Dab = _decompose(a + b)
     out = functional_calculus(f, Dab) - functional_calculus(f, Da)
@@ -286,9 +292,7 @@ def taylor_remainder_moi(f, order: int, base, perturbation) -> np.ndarray:
     remaining ``order`` slots at ``base``; all middles equal the
     perturbation.  Equals the direct form up to rounding.
     """
-    a = require_hermitian(base)
-    b = require_hermitian(perturbation)
-    _require_shape(a, [b])
+    a, b = _remainder_operands(order, base, perturbation)
     Da = _decompose(a)
     Dab = _decompose(a + b)
     symbol = MoiSymbol.from_function(f, order)
@@ -302,17 +306,12 @@ def taylor_remainder_integral(f, order: int, base, perturbation) -> np.ndarray:
     ``REMAINDER_NODES``-point Gauss-Legendre approximation of
     ``k * int_0^1 (1-t)^(k-1) (I[f^[k]] at a + t b)[b..b] dt``.
     """
-    a = require_hermitian(base)
-    b = require_hermitian(perturbation)
-    _require_shape(a, [b])
+    a, b = _remainder_operands(order, base, perturbation)
     k = order
-    x, w = np.polynomial.legendre.leggauss(REMAINDER_NODES)
-    ts = 0.5 * (x + 1.0)
-    ws = 0.5 * w
     n = a.shape[0]
     symbol = MoiSymbol.from_function(f, k)
     out = np.zeros((n, n), dtype=complex)
-    for t, weight in zip(ts, ws):
+    for t, weight in zip(*_unit_gauss_legendre(REMAINDER_NODES)):
         decomp = _decompose(a + t * b)
         operands = MoiOperands((decomp,) * (k + 1), (b,) * k)
         value = moi_evaluate(symbol, operands)

@@ -168,8 +168,8 @@ class MoiOperands:
         return self.decomps[0].dimension
 
     @classmethod
-    def from_matrices(cls, bases, middles, cluster_tol=None) -> "MoiOperands":
-        decomps = tuple(hermitian_eigendecompose(a, cluster_tol) for a in bases)
+    def from_matrices(cls, bases, middles) -> "MoiOperands":
+        decomps = tuple(hermitian_eigendecompose(a) for a in bases)
         mids = tuple(np.asarray(b, dtype=complex) for b in middles)
         return cls(decomps, mids)
 

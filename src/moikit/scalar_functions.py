@@ -322,8 +322,8 @@ GAUSS_POINTS = 16
 @functools.cache
 def _unit_gauss_legendre(points):
     """The ``points``-point Gauss-Legendre abscissae ``u`` and weights moved
-    to [0, 1]: the points per axis of the simplex rule, exact to degree
-    ``2 points - 1``.  Read-only."""
+    to [0, 1], exact to degree ``2 points - 1``: the points per axis of the
+    simplex rule and the nodes of the line-integral remainder.  Read-only."""
     x, w = np.polynomial.legendre.leggauss(points)
     u, w = 0.5 * (x + 1.0), 0.5 * w
     u.flags.writeable = w.flags.writeable = False

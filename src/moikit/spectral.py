@@ -13,15 +13,15 @@ updates, with no BLAS or LAPACK call.  Its cost per round is a fixed number
 of numpy calls, so every caller passes a stack: the spectral suite one per
 matrix size, the stencil every point of both its steps.
 
-A decomposition stores the ascending eigenvalues and the unitary of
-eigenvectors, one eigenvalue per column, as LAPACK returns them: every
-result is computed for the decomposed matrix itself, with no eigenvalue
-moved.  Eigenvalues within ``cluster_tol`` of their neighbor form one group
-of a cached grouping view (``labels`` and ``clusters``, each cluster with
-the mean of its members and its orthogonal projection); only reports and
-diagnostics read that view.  Validation never builds the projections, as
-it reads the eigenvectors and their Gram matrix.  A scalar function of the
-matrix is ``V diag(f(lam)) V*``.
+A decomposition stores the matrix, its ascending eigenvalues and the
+unitary of eigenvectors, one eigenvalue per column, as LAPACK returns them:
+every result is computed for the decomposed matrix itself, with no
+eigenvalue moved.  Eigenvalues within ``cluster_tol`` of their neighbor
+form one group of a cached grouping view (``labels`` and ``clusters``, each
+cluster with the mean of its members and its orthogonal projection); only
+reports and diagnostics read that view.  Validation never builds the
+projections, as it reads the eigenvectors and their Gram matrix.  A scalar
+function of the matrix is ``V diag(f(lam)) V*``.
 
 Decompositions are frozen after construction and safe to share across
 threads.
@@ -192,8 +192,7 @@ class SpectralDecomposition:
     """Eigenvalues of a Hermitian matrix and its eigenvectors.
 
     ``source`` is the decomposed matrix itself (kept so the decomposition
-    can be re-validated and so polynomial routes can reuse matrix powers);
-    ``source_norm`` is its operator norm (spectral radius).
+    can be re-validated and so polynomial routes can reuse matrix powers).
     ``eigenvalues`` holds the ``n`` eigenvalues in ascending order, ties
     included, and ``vectors`` the unitary of eigenvectors, column ``i``
     belonging to ``eigenvalues[i]``.  Construction raises ``ValueError``
@@ -202,20 +201,29 @@ class SpectralDecomposition:
     ``labels`` and ``clusters`` are a grouping view, derived on first
     access: consecutive eigenvalues at most ``cluster_tol`` apart share a
     group, so a chain of small gaps forms one, and each cluster holds the
-    mean of its members and the projection onto their eigenvectors.  No
+    mean of its members and the projection onto their eigenvectors.
+    ``cluster_tol`` defaults to ``1e-7 (1 + ||source||_F)``.  No
     computation reads the view; reports and diagnostics do.
     """
 
     source: np.ndarray
-    source_norm: float
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    cluster_tol: float
+    cluster_tol: float | None = None
 
     def __post_init__(self):
         if np.shape(self.eigenvalues) != self.vectors.shape[1:]:
             raise ValueError(f"{np.size(self.eigenvalues)} eigenvalues for "
                              f"{self.vectors.shape[1]} eigenvectors")
+        tol = self.cluster_tol
+        if tol is None:
+            tol = 1e-7 * (1.0 + np.linalg.norm(self.source))
+        object.__setattr__(self, "cluster_tol", float(tol))
+
+    @property
+    def source_norm(self) -> float:
+        """The operator norm (spectral radius) of ``source``."""
+        return float(np.max(np.abs(self.eigenvalues)))
 
     @property
     def dimension(self) -> int:
@@ -242,37 +250,27 @@ class SpectralDecomposition:
         return tuple(clusters)
 
 
-def hermitian_eigendecompose(A: np.ndarray,
-                             cluster_tol: float | None = None) -> SpectralDecomposition:
+def hermitian_eigendecompose(A: np.ndarray) -> SpectralDecomposition:
     """Decompose a Hermitian matrix into its ascending eigenvalues and eigenvectors.
 
     The eigenvalues are LAPACK's, one per eigenvector, and every result
     built on the decomposition is for ``A`` itself: close or repeated
     eigenvalues are not merged, as the divided-difference table resolves
-    them.  ``cluster_tol`` (default ``1e-7 * (1 + ||A||_F)``) sets only the
-    grouping view, ``labels`` and ``clusters``.  Raises
-    :class:`ConvergenceFailure` when LAPACK's eigensolver does not converge.
+    them.  Raises :class:`ConvergenceFailure` when LAPACK's eigensolver does
+    not converge.
     """
-    return _decompose(require_hermitian(A), cluster_tol)
+    return _decompose(require_hermitian(A))
 
 
-def _decompose(A: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
+def _decompose(A: np.ndarray) -> SpectralDecomposition:
     """:func:`hermitian_eigendecompose` of a matrix that
     :func:`require_hermitian` has already returned, which it would return
     unchanged."""
-    if cluster_tol is None:
-        cluster_tol = 1e-7 * (1.0 + np.linalg.norm(A))
     try:
         lam, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(
-        source=A,
-        source_norm=float(np.max(np.abs(lam))),
-        eigenvalues=lam,
-        vectors=V,
-        cluster_tol=float(cluster_tol),
-    )
+    return SpectralDecomposition(source=A, eigenvalues=lam, vectors=V)
 
 
 def functional_calculus(f, decomposition: SpectralDecomposition) -> np.ndarray:

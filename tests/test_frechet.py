@@ -179,14 +179,13 @@ class TestFiniteDifference:
         fd = finite_difference_derivative(monomial(2), a, [b])
         np.testing.assert_allclose(fd, a @ b + b @ a, atol=1e-8)
 
-    def test_affine_second_order_vanishes(self):
+    def test_affine_third_order_vanishes(self):
         rng = suite_rng(40, 0)
         a = random_hermitian(rng, 3)
-        dirs = [random_hermitian(rng, 3) for _ in range(2)]
-        # double precision leaves ~1e-7 of stencil cancellation noise here;
-        # the extended path reveals the exact zero
-        fd = finite_difference_derivative(Polynomial([1.0, 2.0]), a, dirs,
-                                          extended=True)
+        dirs = [random_hermitian(rng, 3) for _ in range(3)]
+        # double precision would drown the exact zero in stencil cancellation
+        # noise; at k = 3 the stencil runs in 30 digits and reveals it
+        fd = finite_difference_derivative(Polynomial([1.0, 2.0]), a, dirs)
         assert np.linalg.norm(fd) < 1e-8
 
     def test_cos_matches_spectral_sum(self):
@@ -201,7 +200,7 @@ class TestFiniteDifference:
         rng = suite_rng(42, 0)
         a = random_hermitian(rng, 3, norm=0.7)
         dirs = tuple(random_hermitian(rng, 3, norm=1.0) for _ in range(3))
-        fd = finite_difference_derivative(COS, a, dirs)  # extended path by default
+        fd = finite_difference_derivative(COS, a, dirs)  # 30 digits at k = 3
         exact = matrix_function_derivative(DerivativeRequest(COS, a, dirs, 3, "moi"))
         assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) < 1e-9
 
@@ -375,6 +374,16 @@ class TestTaylorRemainders:
         expected = functional_calculus(COS, hermitian_eigendecompose(a + b)) \
             - functional_calculus(COS, hermitian_eigendecompose(a))
         np.testing.assert_allclose(direct, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_is_rejected_by_every_form(self, order):
+        # R_0 is not defined: the direct form must not hand back R_1
+        rng = suite_rng(44, 1)
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        for form in (taylor_remainder_direct, taylor_remainder_moi,
+                     taylor_remainder_integral):
+            with pytest.raises(ValueError, match="order"):
+                form(COS, order, a, b)
 
     def test_square_second_order(self):
         rng = suite_rng(45, 0)

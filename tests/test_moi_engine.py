@@ -13,6 +13,7 @@ mixed bases.
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,6 +369,20 @@ class TestSharedListGrid:
             assert np.array_equal(tensor, expected)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_slab_gather_reads_repeated_nodes_like_the_rank_map(self, k, monkeypatch):
+        # the slab-by-slab gather of a grid above PLAN_CACHE_ENTRIES takes a
+        # nondecreasing list with ties to the same entries as the cached map
+        _, nodes, _ = grid_entries(REPEATED_LIST, k)
+        functions = [builtin_function(name) for name in ("cos", "exp")]
+        cached = [divided_difference_grid(f, [REPEATED_LIST] * (k + 1)) for f in functions]
+        monkeypatch.setattr(scalar_functions, "PLAN_CACHE_ENTRIES", 0)
+        for f, expected in zip(functions, cached):
+            tensor = divided_difference_grid(f, [REPEATED_LIST] * (k + 1))
+            assert np.array_equal(tensor, expected)
+            assert np.array_equal(tensor.ravel(),
+                                  divided_difference_batch(f, np.sort(nodes, axis=1)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_plain_callable_at_a_repeated_node_raises(self, k):
         def f(x):
             return np.sin(x) ** 2
@@ -506,7 +521,9 @@ def mixed_operands(rng, n, k, cluster_tol=1e-8, pair=1.0):
     ]
     bases = [hermitian_with(rng, spectra[j % len(spectra)]) for j in range(k + 1)]
     middles = [random_hermitian(rng, n) for _ in range(k)]
-    return MoiOperands.from_matrices(bases, middles, cluster_tol=cluster_tol)
+    ops = MoiOperands.from_matrices(bases, middles)
+    return MoiOperands(tuple(replace(d, cluster_tol=cluster_tol) for d in ops.decomps),
+                       ops.middles)
 
 
 def rel(a, b):
@@ -534,7 +551,8 @@ class TestEngineAgainstOracles:
             # an exact repeat and a pair half a cluster_tol apart
             spectrum[1] = spectrum[0]
             spectrum[-1] = spectrum[-2] + 0.5e-8
-        decomp = hermitian_eigendecompose(hermitian_with(rng, spectrum), cluster_tol=1e-8)
+        decomp = replace(hermitian_eigendecompose(hermitian_with(rng, spectrum)),
+                         cluster_tol=1e-8)
         ops = MoiOperands((decomp,) * (k + 1),
                           tuple(random_hermitian(rng, n) for _ in range(k)))
         assert len(ops.decomps[0].eigenvalues) == n

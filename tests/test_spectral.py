@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,14 @@ from moikit.verify import random_hermitian, suite_rng
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def grouped(A, cluster_tol):
+    """The decomposition of ``A`` with its grouping view at ``cluster_tol``."""
+    return replace(hermitian_eigendecompose(A), cluster_tol=cluster_tol)
+
+
 class TestEigendecompose:
     def test_diagonal_matrix(self):
-        decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]), cluster_tol=1e-8)
+        decomp = grouped(np.diag([1.0, 2.0, 3.0]), 1e-8)
         assert [c.eigenvalue for c in decomp.clusters] == [1.0, 2.0, 3.0]
         for i, c in enumerate(decomp.clusters):
             expected = np.zeros((3, 3))
@@ -69,22 +76,22 @@ class TestEigendecompose:
 
     def test_cluster_tol_override_splits(self):
         A = np.diag([1.0, 1.0 + 1e-3, 2.0])
-        assert len(hermitian_eigendecompose(A, cluster_tol=1e-6).clusters) == 3
-        assert len(hermitian_eigendecompose(A, cluster_tol=1e-2).clusters) == 2
+        assert len(grouped(A, 1e-6).clusters) == 3
+        assert len(grouped(A, 1e-2).clusters) == 2
 
     def test_gap_equal_to_cluster_tol_merges_and_chains(self):
         # the grouping view merges; the eigenvalues stay one per eigenvector
-        decomp = hermitian_eigendecompose(np.diag([1.0, 1.5, 3.0]), cluster_tol=0.5)
+        decomp = grouped(np.diag([1.0, 1.5, 3.0]), 0.5)
         np.testing.assert_array_equal(decomp.eigenvalues, [1.0, 1.5, 3.0])
         assert [c.eigenvalue for c in decomp.clusters] == [1.25, 3.0]
         np.testing.assert_array_equal(decomp.labels, [0, 0, 1])
         # two gaps at the tolerance chain into one cluster spanning 1.0
-        chained = hermitian_eigendecompose(np.diag([1.0, 1.5, 2.0]), cluster_tol=0.5)
+        chained = grouped(np.diag([1.0, 1.5, 2.0]), 0.5)
         np.testing.assert_array_equal(chained.eigenvalues, [1.0, 1.5, 2.0])
         assert [c.eigenvalue for c in chained.clusters] == [1.5]
         np.testing.assert_array_equal(chained.labels, [0, 0, 0])
         np.testing.assert_allclose(chained.clusters[0].projection, np.eye(3), atol=1e-12)
-        split = hermitian_eigendecompose(np.diag([1.0, 1.5, 2.0]), cluster_tol=0.4999)
+        split = grouped(np.diag([1.0, 1.5, 2.0]), 0.4999)
         assert [c.eigenvalue for c in split.clusters] == [1.0, 1.5, 2.0]
         np.testing.assert_array_equal(split.labels, [0, 1, 2])
 
@@ -93,11 +100,21 @@ class TestEigendecompose:
         A = _conjugated(np.random.default_rng(3), [0.2, 0.2, 0.2 + 1e-12, 0.5, 0.9])
         lam, V = np.linalg.eigh(A)
         for tol in (None, 1e-300, 1.0):
-            decomp = hermitian_eigendecompose(A, cluster_tol=tol)
+            decomp = grouped(A, tol)
             assert np.array_equal(decomp.eigenvalues, lam)
             assert np.array_equal(decomp.vectors, V)
         assert len(hermitian_eigendecompose(A).clusters) == 3
-        assert len(hermitian_eigendecompose(A, cluster_tol=1.0).clusters) == 1
+        assert len(grouped(A, 1.0).clusters) == 1
+
+    def test_stores_the_matrix_its_eigenvalues_and_eigenvectors(self):
+        # the norm is derived and the grouping tolerance is always a float
+        decomp = hermitian_eigendecompose(random_hermitian(suite_rng(4, 0), 5))
+        assert [f.name for f in fields(SpectralDecomposition)] == [
+            "source", "eigenvalues", "vectors", "cluster_tol"]
+        assert decomp.source_norm == float(np.max(np.abs(decomp.eigenvalues)))
+        assert type(decomp.cluster_tol) is float
+        assert decomp.cluster_tol == 1e-7 * (1.0 + np.linalg.norm(decomp.source))
+        assert grouped(decomp.source, 0.25).cluster_tol == 0.25
 
     def test_validated_matrices_and_their_sums_pass_through_unchanged(self):
         # the derivative and the remainder forms decompose a, a + b and
@@ -285,7 +302,7 @@ class TestFunctionalCalculus:
         A = 0.5 * (A + A.conj().T)
         p = Polynomial([0.0, 1.0, 0.5])
         merged = functional_calculus(p, hermitian_eigendecompose(A))
-        split = functional_calculus(p, hermitian_eigendecompose(A, cluster_tol=1e-300))
+        split = functional_calculus(p, grouped(A, 1e-300))
         np.testing.assert_allclose(merged, split, atol=1e-10)
 
     def test_evaluation_domain(self):
@@ -310,7 +327,6 @@ class TestValidation:
         e1 = np.array([[1.0], [0.0]], dtype=complex)
         bogus = SpectralDecomposition(
             source=np.diag([1.0, 2.0]).astype(complex),
-            source_norm=2.0,
             eigenvalues=np.array([1.0, 2.0]),
             vectors=np.hstack([e1, e1]),
             cluster_tol=1e-8,
@@ -348,7 +364,7 @@ class TestValidation:
         # orthogonal idempotents, but they no longer reconstruct the matrix
         decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]))
         swapped = SpectralDecomposition(
-            source=decomp.source, source_norm=decomp.source_norm,
+            source=decomp.source,
             eigenvalues=decomp.eigenvalues, vectors=decomp.vectors[:, [2, 1, 0]],
             cluster_tol=decomp.cluster_tol)
         report = validate_decomposition(swapped)
@@ -359,7 +375,7 @@ class TestValidation:
         # eigenvalues and eigenvectors reversed together still reconstruct
         decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]))
         reversed_ = SpectralDecomposition(
-            source=decomp.source, source_norm=decomp.source_norm,
+            source=decomp.source,
             eigenvalues=decomp.eigenvalues[::-1], vectors=decomp.vectors[:, ::-1],
             cluster_tol=decomp.cluster_tol)
         report = validate_decomposition(reversed_)
@@ -371,7 +387,7 @@ class TestValidation:
         decomp = hermitian_eigendecompose(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError):
             SpectralDecomposition(
-                source=decomp.source, source_norm=decomp.source_norm,
+                source=decomp.source,
                 eigenvalues=np.array(eigenvalues), vectors=decomp.vectors,
                 cluster_tol=decomp.cluster_tol)
 
@@ -381,7 +397,7 @@ class TestValidation:
         decomp = hermitian_eigendecompose(random_hermitian(rng, 6))
         shear = np.eye(6) + 0.1 * np.triu(np.ones((6, 6)), 1)
         sheared = SpectralDecomposition(
-            source=decomp.source, source_norm=decomp.source_norm,
+            source=decomp.source,
             eigenvalues=decomp.eigenvalues, vectors=decomp.vectors @ shear,
             cluster_tol=decomp.cluster_tol)
         failed = {c.name for c in validate_decomposition(sheared).checks if not c.passed}
