@@ -31,6 +31,7 @@ from .moi import (
     MoiSymbol,
     _matrix_powers,
     _power_chain,
+    _require_operands,
     _require_shape,
     moi_evaluate,
 )
@@ -44,7 +45,7 @@ from .scalar_functions import (
     _unit_gauss_legendre,
     wiener_iptp_bound,
 )
-from .spectral import _decompose, functional_calculus, jacobi_eigh, require_hermitian
+from .spectral import _decompose, functional_calculus, jacobi_eigh
 
 __all__ = [
     "DerivativeRequest",
@@ -83,9 +84,7 @@ class DerivativeRequest:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.order != len(self.directions) or self.order < 1:
             raise ValueError("order must equal the number of directions (>= 1)")
-        base = require_hermitian(self.base)
-        dirs = tuple(require_hermitian(b) for b in self.directions)
-        _require_shape(base, dirs)
+        base, dirs = _require_operands(self.base, self.directions)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "directions", dirs)
 
@@ -195,12 +194,8 @@ def finite_difference_derivative(f, base, directions) -> np.ndarray:
     its mpmath form.  Raises :class:`EvaluationDomain` when ``f`` has no
     mpmath form or is not finite at a point's eigenvalue.
     """
-    base = require_hermitian(base)
-    directions = [require_hermitian(b) for b in directions]
+    base, directions = _require_operands(base, directions)
     k = len(directions)
-    if k < 1:
-        raise ValueError("at least one direction required")
-    _require_shape(base, directions)
     h = 1e-4 * (1.0 + schatten_norm(base, math.inf))
     steps = (h, h / 2.0)
     if k >= 3:
@@ -237,12 +232,8 @@ def block_triangular_derivative(f, base, directions) -> np.ndarray:
     and scipy's ``expm``, ``cosm`` or ``sinm`` for the builtin exp, cos and
     sin.  Raises :class:`EvaluationDomain` for any other function.
     """
-    base = require_hermitian(base)
-    directions = [require_hermitian(b) for b in directions]
+    base, directions = _require_operands(base, directions)
     k, n = len(directions), base.shape[0]
-    if k < 1:
-        raise ValueError("at least one direction required")
-    _require_shape(base, directions)
     form = _matrix_form(f)
     X = np.kron(np.eye(k + 1), base)
     out = np.zeros((n, n), dtype=complex)
@@ -261,9 +252,7 @@ def _remainder_operands(order: int, base, perturbation):
     """The validated ``(a, b)`` of a Taylor remainder of order >= 1."""
     if order < 1:
         raise ValueError(f"remainder order must be >= 1, got {order}")
-    a = require_hermitian(base)
-    b = require_hermitian(perturbation)
-    _require_shape(a, [b])
+    a, (b,) = _require_operands(base, [perturbation])
     return a, b
 
 
@@ -308,14 +297,12 @@ def taylor_remainder_integral(f, order: int, base, perturbation) -> np.ndarray:
     """
     a, b = _remainder_operands(order, base, perturbation)
     k = order
-    n = a.shape[0]
     symbol = MoiSymbol.from_function(f, k)
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros(a.shape, dtype=complex)
     for t, weight in zip(*_unit_gauss_legendre(REMAINDER_NODES)):
         decomp = _decompose(a + t * b)
         operands = MoiOperands((decomp,) * (k + 1), (b,) * k)
-        value = moi_evaluate(symbol, operands)
-        out += weight * k * (1.0 - t) ** (k - 1) * value
+        out += weight * k * (1.0 - t) ** (k - 1) * moi_evaluate(symbol, operands)
     return out
 
 
@@ -360,8 +347,7 @@ def remainder_schatten_check(f: WienerAtomic, order: int, base, perturbation,
     p = float(p)
     if math.isnan(p) or p < 1.0 or math.isinf(p):
         raise InvalidP("remainder bound requires p in [1, inf)")
-    a = require_hermitian(base)
-    b = require_hermitian(perturbation)
+    a, b = _remainder_operands(order, base, perturbation)
     remainder = taylor_remainder_direct(f, order, a, b)
     lhs = schatten_norm(remainder, p)
     rhs = wiener_iptp_bound(f, order) * schatten_norm(b, order * p) ** order

@@ -31,7 +31,13 @@ from .scalar_functions import (
     divided_difference_grid,
     wiener_iptp_bound,
 )
-from .spectral import SpectralDecomposition, functional_calculus, hermitian_eigendecompose
+from .spectral import (
+    SpectralDecomposition,
+    _decompose,
+    functional_calculus,
+    hermitian_eigendecompose,
+    require_hermitian,
+)
 
 __all__ = [
     "MoiSymbol",
@@ -66,6 +72,18 @@ def _require_shape(base, matrices) -> None:
         if np.shape(b) != np.shape(base):
             raise DimensionMismatch(
                 f"operands must match the base: shape {np.shape(b)} against {np.shape(base)}")
+
+
+def _require_operands(base, operands):
+    """``base`` and the tuple of ``operands``, each by :func:`require_hermitian`
+    (:class:`NotHermitian`); then ``ValueError`` if there is no operand and
+    :func:`_require_shape` (:class:`DimensionMismatch`)."""
+    base = require_hermitian(base)
+    operands = tuple(require_hermitian(b) for b in operands)
+    if not operands:
+        raise ValueError("at least one direction required")
+    _require_shape(base, operands)
+    return base, operands
 
 
 class MoiSymbol:
@@ -151,13 +169,7 @@ class MoiOperands:
         if len(self.decomps) != len(self.middles) + 1:
             raise DimensionMismatch(
                 f"{len(self.decomps)} decompositions for {len(self.middles)} middles")
-        n = self.decomps[0].dimension
-        for d in self.decomps:
-            if d.dimension != n:
-                raise DimensionMismatch("decompositions have mixed dimensions")
-        for b in self.middles:
-            if b.shape != (n, n):
-                raise DimensionMismatch("middle matrices must match the common dimension")
+        _require_shape(self.decomps[0].source, [d.source for d in self.decomps] + [*self.middles])
 
     @property
     def order(self) -> int:
@@ -297,9 +309,6 @@ def moi_wiener(f: WienerAtomic, operands: MoiOperands) -> np.ndarray:
     n = operands.dimension
     rule = SimplexQuadratureRule.gauss_legendre(k)
     out = np.zeros((n, n), dtype=complex)
-    if not f.atoms:
-        return out
-    Q = rule.weights.size
     for xi, c in f.atoms:
         # factors[q] = exp(i t_{q,j} xi A_j) = V_j diag(phases[q]) V_j*
         prod = None
@@ -307,10 +316,7 @@ def moi_wiener(f: WienerAtomic, operands: MoiOperands) -> np.ndarray:
             V = decomp.vectors
             phases = np.exp(1j * xi * np.outer(rule.nodes[:, j], decomp.eigenvalues))  # (Q, n)
             factors = (V * phases[:, None]) @ V.conj().T                            # (Q, n, n)
-            if prod is None:
-                prod = factors
-            else:
-                prod = prod @ factors
+            prod = factors if prod is None else prod @ factors
             if j < k:
                 prod = prod @ operands.middles[j]
         weighted = np.tensordot(rule.weights, prod, axes=(0, 0))
@@ -326,9 +332,9 @@ def moi_perturbation(f, A: np.ndarray, B: np.ndarray,
     divided difference applied to ``A - B``; passes when the Frobenius
     residual is at most ``tolerance_factor * (1 + ||f(A)||_F)``.
     """
-    _require_shape(A, [B])
-    DA = hermitian_eigendecompose(A)
-    DB = hermitian_eigendecompose(B)
+    A, (B,) = _require_operands(A, [B])
+    DA = _decompose(A)
+    DB = _decompose(B)
     fA = functional_calculus(f, DA)
     fB = functional_calculus(f, DB)
     symbol = MoiSymbol.from_function(f, 1)

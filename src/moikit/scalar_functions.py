@@ -78,6 +78,11 @@ __all__ = [
 # function types
 # ---------------------------------------------------------------------------
 
+def _require_order(order) -> None:
+    if order < 0:
+        raise ValueError(f"derivative order must be nonnegative, got {order}")
+
+
 class Polynomial:
     """Complex polynomial stored by ascending coefficients.
 
@@ -107,6 +112,7 @@ class Polynomial:
         return out[()]
 
     def derivative(self, order: int = 1) -> "Polynomial":
+        _require_order(order)
         c = list(self.coeffs)
         for _ in range(order):
             c = [c[m] * m for m in range(1, len(c))] or [0j]
@@ -154,6 +160,7 @@ class WienerAtomic:
         return out if x.ndim else complex(out)
 
     def derivative(self, order: int = 1) -> "WienerAtomic":
+        _require_order(order)
         return WienerAtomic((xi, c * (1j * xi) ** order) for xi, c in self.atoms)
 
     def moment(self, order: int) -> float:
@@ -193,6 +200,7 @@ class CallableFunction:
         return self.evaluator(x)
 
     def derivative(self, order: int = 1) -> "CallableFunction":
+        _require_order(order)
         if order > self.max_order:
             raise InsufficientDerivatives(
                 f"function supplies {self.max_order} derivatives, {order} requested")
@@ -677,12 +685,11 @@ def _level(dj, nodes, lower, upper, order) -> np.ndarray:
     return out
 
 
-def _unmarked(values, derivative, order) -> np.ndarray:
-    """``values`` of an order-``order`` table, checked for the mark that
-    :func:`_level` leaves on a together row where ``f`` does not supply a
-    derivative: :class:`CoincidentNodes`, as the recursion would raise, if
-    one carries it."""
-    if derivative(order) is None and np.isnan(values).any():
+def _unmarked(values, f, order) -> np.ndarray:
+    """``values`` of an order-``order`` table of ``f``; :class:`CoincidentNodes`,
+    as the recursion would raise, if ``f`` does not supply ``f^(order)`` and a
+    value carries the mark that :func:`_level` leaves on a together row."""
+    if _derivative_or_none(f, order) is None and np.isnan(values).any():
         raise CoincidentNodes(
             f"nodes coincide within {COINCIDENCE_TOL_FACTOR:g} (1 + max|x|) where the "
             f"function supplies too few derivatives for an order-{order} table")
@@ -702,13 +709,12 @@ def divided_difference_batch(f, nodes) -> np.ndarray:
     if nodes.ndim != 2 or nodes.shape[1] < 1:
         raise ValueError(f"expected an (N, k+1) node array, got shape {nodes.shape}")
     k = nodes.shape[1] - 1
-    derivative = functools.cache(functools.partial(_derivative_or_none, f))
     rows = np.sort(nodes, axis=1)
     table = _evaluate(f, rows)
     for j in range(1, k + 1):
         windows = np.lib.stride_tricks.sliding_window_view(rows, j + 1, axis=1)
-        table = _level(derivative(j), windows, table[:, :-1], table[:, 1:], k)
-    return _unmarked(table[:, 0], derivative, k)
+        table = _level(_derivative_or_none(f, j), windows, table[:, :-1], table[:, 1:], k)
+    return _unmarked(table[:, 0], f, k)
 
 
 # a table over n nodes to order k keeps its plan (levels and rank map) where
@@ -727,26 +733,26 @@ def divided_difference_grid(f, node_lists) -> np.ndarray:
     nondecreasing list, ties included (the eigenvalues of one
     decomposition), the table is over that list (:func:`_shared_grid`);
     otherwise it is over the sorted union of the slots' nodes
-    (:func:`_union_grid`).
+    (:func:`_union_grid`).  Only the grid is checked for marks, by
+    :func:`_unmarked`: every tuple of a shared table is some entry's, but a
+    union table also holds tuples that no entry reads, such as two nodes of
+    one slot only, and a mark there does not raise.
     """
     lists = [np.asarray(x, dtype=float) for x in node_lists]
     k = len(lists) - 1
-    derivative = functools.cache(functools.partial(_derivative_or_none, f))
     x = lists[0]
-    if k and np.all(x[1:] >= x[:-1]) and all(np.array_equal(y, x) for y in lists[1:]):
-        return _shared_grid(f, x, k, derivative)
-    return _union_grid(f, lists, derivative)
+    shared = k and np.all(x[1:] >= x[:-1]) and all(np.array_equal(y, x) for y in lists[1:])
+    return _unmarked(_shared_grid(f, x, k) if shared else _union_grid(f, lists), f, k)
 
 
-def _shared_grid(f, x, k, derivative):
+def _shared_grid(f, x, k):
     """``f^[k]`` on the grid of ``k + 1`` slots of the nondecreasing list
     ``x``: :func:`_multiset_table` over ``x``, whose levels take ``f^(j)/j!``
     at a tie, gathered at each entry's sorted index tuple by the cached rank
     map of :func:`_small_plan`, or one slab ``T[i]`` at a time on a grid
-    above ``PLAN_CACHE_ENTRIES`` entries.  Every tuple of the table is some
-    entry's, so a mark anywhere in it raises."""
+    above ``PLAN_CACHE_ENTRIES`` entries.  Marks are left to the caller."""
     n = x.size
-    values = _unmarked(_multiset_table(f, x, k, derivative), derivative, k)
+    values = _multiset_table(f, x, k)
     if n ** (k + 1) <= PLAN_CACHE_ENTRIES:
         return values[_small_plan(n, k)[1]]
     # slab i holds f^[k] at i and every k-tuple: gathered at the sorted
@@ -762,22 +768,21 @@ def _shared_grid(f, x, k, derivative):
     return out
 
 
-def _union_grid(f, lists, derivative):
+def _union_grid(f, lists):
     """``f^[k]`` on the product grid of the ``k + 1`` node lists:
     :func:`_multiset_table` over the sorted union of their nodes, read at the
     rank of each entry's sorted tuple of union indices.  Equal nodes share
     one union index, so an unsorted list or a repeated node needs no other
-    step.  The table also holds tuples that no entry reads, such as two
-    nodes of one slot only, so only the entries are checked for marks."""
+    step.  Marks are left to the caller."""
     k = len(lists) - 1
     nodes = np.unique(np.concatenate(lists))
     n = nodes.size
-    values = _multiset_table(f, nodes, k, derivative)
+    values = _multiset_table(f, nodes, k)
     axes = [np.searchsorted(nodes, x).astype(np.min_scalar_type(n)) for x in lists]
-    return _unmarked(values[_sorted_ranks(axes, n)], derivative, k)
+    return values[_sorted_ranks(axes, n)]
 
 
-def _multiset_table(f, x, k, derivative):
+def _multiset_table(f, x, k):
     """``f^[k]`` on the nondecreasing index tuples of the sorted list ``x``, in
     colex order, level by level over :func:`_multiset_levels`, which are
     cached with the plan of a grid of at most ``PLAN_CACHE_ENTRIES`` entries."""
@@ -786,7 +791,7 @@ def _multiset_table(f, x, k, derivative):
               else _multiset_levels(n, k))
     values = _evaluate(f, x)
     for j, (rows, lower, upper) in enumerate(levels, 1):
-        values = _level(derivative(j), x[rows], values[lower], values[upper], k)
+        values = _level(_derivative_or_none(f, j), x[rows], values[lower], values[upper], k)
     return values
 
 
@@ -911,24 +916,13 @@ class TaylorTruncation:
     max_frequency: float
 
     def tail_bound(self, radius: float) -> float:
+        """``total_mass * sum_{m > n} x^m / m! = total_mass e^x P(n + 1, x)``, ``P``
+        the regularized lower incomplete gamma function, at ``x = radius *
+        max_frequency`` and the degree ``n``; 30 digits whatever ``mp.dps`` is."""
         x = radius * self.max_frequency
-        return self.total_mass * _exp_tail(x, self.degree)
-
-
-def _exp_tail(x: float, n: int) -> float:
-    """sum_{m > n} x^m / m! by forward summation (no cancellation)."""
-    if x == 0:
-        return 0.0
-    term = x ** (n + 1) / math.factorial(n + 1)
-    total = 0.0
-    m = n + 1
-    while term > 1e-40 * (total + term) or m < n + 4:
-        total += term
-        m += 1
-        term *= x / m
-        if m > n + 10_000:
-            break
-    return total
+        with mp.workdps(30):
+            tail = mp.exp(x) * mp.gammainc(self.degree + 1, 0, x, regularized=True)
+        return self.total_mass * float(tail)
 
 
 def wiener_taylor_truncate(f: WienerAtomic, degree: int) -> TaylorTruncation:
@@ -970,37 +964,41 @@ def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
 
     Supported names: ``exp``, ``sin``, ``cos``, ``abs_pow`` (``|x|^s``, with
     ``params={"exponent": s}``; its derivatives are valid away from 0 and
-    for orders below the exponent).
+    for orders below the exponent).  Each also takes ``max_order``, the number
+    of derivatives (12 by default); a missing or unknown parameter is a ValueError.
     """
     params = dict(params or {})
     max_order = int(params.pop("max_order", 12))
+    takes = {"exp": set(), "sin": set(), "cos": set(), "abs_pow": {"exponent"}}
+    if name not in takes:
+        raise ValueError(f"unknown builtin function {name!r}")
+    mismatch = sorted(takes[name] ^ set(params))
+    if mismatch:
+        verb = "does not take" if mismatch[0] in params else "requires"
+        raise ValueError(f"builtin {name!r} {verb} the parameter {mismatch[0]!r}")
     if name == "exp":
         return CallableFunction(np.exp, [np.exp] * max_order,
                                 mp_evaluator=mp.exp, name="exp")
     if name in ("sin", "cos"):
         return _cyclic_trig(name, max_order)
-    if name == "abs_pow":
-        s = float(params.pop("exponent"))
+    s = float(params["exponent"])
 
-        def make(order):
-            factor = 1.0
-            for j in range(order):
-                factor *= s - j
+    def make(order):
+        factor = math.prod(s - j for j in range(order))
 
-            def deriv(x, order=order, factor=factor):
-                x = np.asarray(x, dtype=float)
-                mag = np.where(x == 0, 0.0,
-                               np.abs(x) ** (s - order) * np.sign(x) ** order)
-                out = factor * mag
-                return out if x.ndim else float(out)
+        def deriv(x, order=order, factor=factor):
+            x = np.asarray(x, dtype=float)
+            mag = np.where(x == 0, 0.0,
+                           np.abs(x) ** (s - order) * np.sign(x) ** order)
+            out = factor * mag
+            return out if x.ndim else float(out)
 
-            return deriv
+        return deriv
 
-        order_cap = min(max_order, max(int(math.floor(s)), 0))
-        return CallableFunction(make(0), [make(j) for j in range(1, order_cap + 1)],
-                                mp_evaluator=lambda x: abs(x) ** mp.mpf(s),
-                                name=f"abs_pow[{s}]")
-    raise ValueError(f"unknown builtin function {name!r}")
+    order_cap = min(max_order, max(int(math.floor(s)), 0))
+    return CallableFunction(make(0), [make(j) for j in range(1, order_cap + 1)],
+                            mp_evaluator=lambda x: abs(x) ** mp.mpf(s),
+                            name=f"abs_pow[{s}]")
 
 
 def function_from_spec(spec: dict):
@@ -1022,6 +1020,8 @@ def function_from_spec(spec: dict):
             return builtin_function(spec["name"], spec.get("params"))
     except TypeError as exc:
         raise ValueError(f"malformed {kind} spec: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{kind} spec lacks the key {exc}") from exc
     raise ValueError(f"unknown function kind {kind!r}")
 
 

@@ -1,0 +1,170 @@
+"""Bad inputs map to the documented exceptions.
+
+One row per raise site that the other tests do not reach, called directly
+through the public entry point that owns it, plus the bad inputs of the
+function-spec parser and of ``derivative``.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from mpmath import mp
+
+from moikit import (
+    ArityMismatch,
+    CallableFunction,
+    DerivativeRequest,
+    DimensionMismatch,
+    EvaluationDomain,
+    HolderMismatch,
+    MoiOperands,
+    MoiSymbol,
+    NodeTuple,
+    NotHermitian,
+    Polynomial,
+    SimplexQuadratureRule,
+    WienerAtomic,
+    block_triangular_derivative,
+    builtin_function,
+    divided_difference_sup_bound,
+    finite_difference_derivative,
+    function_from_spec,
+    functional_calculus,
+    hermitian_eigendecompose,
+    matrix_function_derivative,
+    moi_evaluate,
+    moi_opnorm_bound_check,
+    moi_schatten_check,
+    moi_separated,
+    power_map_derivative,
+    wiener_taylor_truncate,
+)
+from moikit.cli import main
+from moikit.spectral import matrix_to_dict
+
+COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
+A = np.diag([1.0, 2.0])
+B = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def operands():
+    D = hermitian_eigendecompose(A)
+    return MoiOperands((D, D), (B,))
+
+
+SYMBOL = MoiSymbol.from_function(COS, 1)
+
+BAD_INPUTS = {
+    # frechet
+    "power_map_no_directions": (ValueError, lambda: power_map_derivative(2, A, [])),
+    "finite_difference_no_directions":
+        (ValueError, lambda: finite_difference_derivative(COS, A, [])),
+    "block_triangular_no_directions":
+        (ValueError, lambda: block_triangular_derivative(COS, A, [])),
+    "power_closed_form_non_polynomial": (ValueError, lambda: matrix_function_derivative(
+        DerivativeRequest(COS, A, (B,), 1, "power_closed_form"))),
+    "schatten_slot_exponent_below_one":
+        (HolderMismatch, lambda: moi_schatten_check(SYMBOL, operands(), [0.5])),
+    # moi
+    "symbol_arity_below_two": (ArityMismatch, lambda: MoiSymbol(1, lambda lam: 1.0)),
+    "tensor_list_count": (ArityMismatch, lambda: SYMBOL.tensor([[1.0]])),
+    "operands_count": (DimensionMismatch, lambda: MoiOperands(operands().decomps * 2, (B,))),
+    "operands_middle_shape":
+        (DimensionMismatch, lambda: MoiOperands(operands().decomps, (np.eye(3),))),
+    "separated_term_length":
+        (ArityMismatch, lambda: moi_separated([(COS,)], [1.0], operands())),
+    "opnorm_zero_probes": (ValueError, lambda: moi_opnorm_bound_check(SYMBOL, operands(), 0)),
+    # scalar_functions
+    "empty_node_tuple": (ValueError, lambda: NodeTuple([])),
+    "rule_weight_count":
+        (ValueError, lambda: SimplexQuadratureRule(1, [[0.5, 0.5]], [0.5, 0.5])),
+    "rule_negative_node": (ValueError, lambda: SimplexQuadratureRule(1, [[-0.5, 1.5]], [1.0])),
+    "rule_node_sum": (ValueError, lambda: SimplexQuadratureRule(1, [[0.25, 0.25]], [1.0])),
+    "sup_bound_radius": (ValueError, lambda: divided_difference_sup_bound(COS, 1, 0.0)),
+    "truncation_degree": (ValueError, lambda: wiener_taylor_truncate(COS, -1)),
+    "unknown_builtin": (ValueError, lambda: builtin_function("tan")),
+    # spectral
+    "non_square_matrix": (NotHermitian, lambda: hermitian_eigendecompose(np.ones((2, 3)))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_INPUTS))
+def test_bad_input_raises_its_exception(site):
+    exception, call = BAD_INPUTS[site]
+    with pytest.raises(exception):
+        call()
+
+
+@pytest.mark.parametrize("f", [builtin_function("cos"), Polynomial([1.0, 2.0, 3.0]),
+                               WienerAtomic([(0.0, 1.0), (1.0, 2.0)])],
+                         ids=["callable", "polynomial", "wiener"])
+def test_negative_derivative_order_is_a_value_error(f):
+    with pytest.raises(ValueError, match="nonnegative"):
+        f.derivative(-1)
+    x = np.array([-0.5, 0.0, 0.7])
+    np.testing.assert_array_equal(f.derivative(0)(x), f(x))
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "polynomial"}, "coeffs"),
+    ({"kind": "wiener"}, "atoms"),
+    ({"kind": "builtin"}, "name"),
+    ({"kind": "builtin", "name": "abs_pow"}, "exponent"),
+    ({"kind": "builtin", "name": "exp", "params": {"exponent": 2}}, "exponent"),
+    ({"kind": "builtin", "name": "cos", "params": {"max_ordr": 3}}, "max_ordr"),
+])
+def test_spec_errors_name_the_key(spec, key):
+    with pytest.raises(ValueError, match=key):
+        function_from_spec(spec)
+
+
+def test_list_middle_evaluates_as_its_array():
+    D = hermitian_eigendecompose(A)
+    listed = MoiOperands((D, D), ([[1, 0], [0, 1]],))
+    np.testing.assert_array_equal(moi_evaluate(SYMBOL, listed),
+                                  moi_evaluate(SYMBOL, MoiOperands((D, D), (np.eye(2),))))
+
+
+def test_tail_bound_ignores_the_callers_precision():
+    trunc = wiener_taylor_truncate(COS, 6)
+    bound = trunc.tail_bound(1.0)
+    with mp.workdps(3):
+        assert trunc.tail_bound(1.0) == bound
+    # sum_{m > 6} 1/m! = e - sum_{m <= 6} 1/m!
+    assert bound == pytest.approx(math.e - sum(1 / math.factorial(m) for m in range(7)),
+                                  rel=1e-12)
+
+
+class TestPointwiseFallback:
+    # a scalar-only callable fails on the array of eigenvalues and is
+    # evaluated point by point
+    def test_scalar_callable_matches_the_builtin(self):
+        D = hermitian_eigendecompose(np.array([[1.0, 0.5], [0.5, -2.0]]))
+        np.testing.assert_allclose(functional_calculus(CallableFunction(math.cos), D),
+                                   functional_calculus(builtin_function("cos"), D),
+                                   rtol=0, atol=1e-15)
+
+    def test_failing_point_is_named(self):
+        D = hermitian_eigendecompose(np.diag([-1.0, 2.0]))
+        with pytest.raises(EvaluationDomain, match=r"-1\.0"):
+            functional_calculus(CallableFunction(lambda x: math.log(x)), D)
+
+
+def test_report_goes_to_stdout_without_out(tmp_path, capsys):
+    fn = tmp_path / "square.json"
+    fn.write_text(json.dumps({"kind": "polynomial", "coeffs": [[0, 0], [0, 0], [1, 0]]}))
+    mat = tmp_path / "a.json"
+    mat.write_text(json.dumps(matrix_to_dict(A.astype(complex))))
+    assert main(["eval", "--function", str(fn), "--matrix", str(mat)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tool"] == "moikit" and report["overall_pass"]
+
+
+def test_spec_without_a_key_exits_3(tmp_path):
+    fn = tmp_path / "poly.json"
+    fn.write_text(json.dumps({"kind": "polynomial"}))
+    mat = tmp_path / "a.json"
+    mat.write_text(json.dumps(matrix_to_dict(A.astype(complex))))
+    assert main(["eval", "--function", str(fn), "--matrix", str(mat)]) == 3

@@ -510,6 +510,12 @@ class TestSpecFormat:
         {"kind": "wiener", "atoms": [[[1.0], 0.5, 0.0]]},
         {"kind": "wiener", "atoms": 3},
         {"kind": "builtin", "name": "exp", "params": [1, 2]},
+        {"kind": "polynomial"},
+        {"kind": "wiener"},
+        {"kind": "builtin"},
+        {"kind": "builtin", "name": "abs_pow"},
+        {"kind": "builtin", "name": "exp", "params": {"exponent": 2}},
+        {"kind": "builtin", "name": "exp", "params": {"max_ordr": 3}},
     ])
     def test_malformed_spec_is_a_value_error(self, spec):
         with pytest.raises(ValueError):
