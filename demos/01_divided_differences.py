@@ -10,7 +10,6 @@ shows the certified bounds that control them.
 import numpy as np
 
 from moikit import (
-    NodeTuple,
     Polynomial,
     WienerAtomic,
     builtin_function,
@@ -24,7 +23,7 @@ from moikit import (
 
 # --- a cubic through two nodes -------------------------------------------
 p3 = Polynomial([0, 0, 0, 1])          # x^3
-nodes = NodeTuple([1.0, 2.0])
+nodes = [1.0, 2.0]
 
 closed = poly_divided_difference(p3, nodes)
 recursive = divided_difference_recursive(p3, nodes)
@@ -56,7 +55,7 @@ f = Polynomial(rng.uniform(-1, 1, 7))
 k, radius = 2, 2.0
 bound = divided_difference_sup_bound(f, k, radius)
 worst = max(
-    abs(poly_divided_difference(f, NodeTuple(rng.uniform(-radius, radius, k + 1))))
+    abs(poly_divided_difference(f, rng.uniform(-radius, radius, k + 1)))
     for _ in range(2000)
 )
 print(f"\nrandom degree-6 polynomial, order {k}, nodes in [-2, 2]:")

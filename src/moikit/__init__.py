@@ -48,9 +48,7 @@ from .moi import (
 from .report import Check, VerificationReport
 from .scalar_functions import (
     CallableFunction,
-    NodeTuple,
     Polynomial,
-    SimplexQuadratureRule,
     TaylorTruncation,
     WienerAtomic,
     builtin_function,
@@ -62,6 +60,7 @@ from .scalar_functions import (
     function_from_spec,
     load_function,
     poly_divided_difference,
+    simplex_rule,
     wiener_divided_difference,
     wiener_iptp_bound,
     wiener_taylor_truncate,

@@ -42,7 +42,7 @@ from .scalar_functions import (
     _evaluate,
     _matrix_form,
     _mp_form,
-    _unit_gauss_legendre,
+    _unit_gauss,
     wiener_iptp_bound,
 )
 from .spectral import _decompose, functional_calculus, jacobi_eigh
@@ -299,7 +299,7 @@ def taylor_remainder_integral(f, order: int, base, perturbation) -> np.ndarray:
     k = order
     symbol = MoiSymbol.from_function(f, k)
     out = np.zeros(a.shape, dtype=complex)
-    for t, weight in zip(*_unit_gauss_legendre(REMAINDER_NODES)):
+    for t, weight in zip(*_unit_gauss(REMAINDER_NODES)):
         decomp = _decompose(a + t * b)
         operands = MoiOperands((decomp,) * (k + 1), (b,) * k)
         out += weight * k * (1.0 - t) ** (k - 1) * moi_evaluate(symbol, operands)

@@ -25,10 +25,10 @@ from .errors import ArityMismatch, DimensionMismatch
 from .report import VerificationReport, equality_check, inequality_check
 from .scalar_functions import (
     Polynomial,
-    SimplexQuadratureRule,
     WienerAtomic,
     divided_difference,
     divided_difference_grid,
+    simplex_rule,
     wiener_iptp_bound,
 )
 from .spectral import (
@@ -300,26 +300,27 @@ def moi_polynomial(power: int, operands: MoiOperands) -> np.ndarray:
 def moi_wiener(f: WienerAtomic, operands: MoiOperands) -> np.ndarray:
     """Oscillatory-sum symbol evaluated through the Fourier-side formula.
 
-    For each atom and simplex quadrature node, multiplies unitary factors
-    ``exp(i t_j xi A_j)`` across the slots with the middles in between; the
-    atom weight carries ``(i xi)^k``.  Agrees with the direct spectral sum
-    of the divided-difference symbol up to quadrature accuracy.
+    For each atom and node ``t`` of the 16-point :func:`simplex_rule`,
+    multiplies unitary factors ``exp(i t_j xi A_j)`` across the slots with
+    the middles in between; the atom weight carries ``(i xi)^k``.  Agrees
+    with the direct spectral sum of the divided-difference symbol up to
+    quadrature accuracy.
     """
     k = operands.order
     n = operands.dimension
-    rule = SimplexQuadratureRule.gauss_legendre(k)
+    nodes, weights = simplex_rule(k)
     out = np.zeros((n, n), dtype=complex)
     for xi, c in f.atoms:
         # factors[q] = exp(i t_{q,j} xi A_j) = V_j diag(phases[q]) V_j*
         prod = None
         for j, decomp in enumerate(operands.decomps):
             V = decomp.vectors
-            phases = np.exp(1j * xi * np.outer(rule.nodes[:, j], decomp.eigenvalues))  # (Q, n)
+            phases = np.exp(1j * xi * np.outer(nodes[:, j], decomp.eigenvalues))    # (Q, n)
             factors = (V * phases[:, None]) @ V.conj().T                            # (Q, n, n)
             prod = factors if prod is None else prod @ factors
             if j < k:
                 prod = prod @ operands.middles[j]
-        weighted = np.tensordot(rule.weights, prod, axes=(0, 0))
+        weighted = np.tensordot(weights, prod, axes=(0, 0))
         out += c * (1j * xi) ** k * weighted
     return out
 

@@ -17,15 +17,20 @@ nondecreasing index tuples of one sorted list, either the slots' shared list
 or the union of their nodes, and reads every entry at its sorted tuple.
 :func:`divided_difference` is the one-tuple case.
 
-The other evaluations stay as independent oracles:
+The other evaluations stay as independent oracles on one node sequence:
 
 * the exact closed form for polynomials (complete homogeneous symmetric sums),
 * the scalar difference-quotient recursion, with a confluent fallback that
   calls derivatives at repeated nodes,
-* quadrature of the k-th derivative over the standard simplex, which for a
-  finite atomic oscillatory sum is its Fourier-side formula, and
+* quadrature of the k-th derivative over the standard simplex by
+  :func:`simplex_rule`, which for a finite atomic oscillatory sum is its
+  Fourier-side formula, and
 * the recursion in mpmath arithmetic at 50 digits plus those its node gaps
   cancel.
+
+Both recursions run one quotient loop, :func:`_recursion`.  A node that is
+not finite is a ``ValueError`` everywhere but the grid, whose callers pass
+checked eigenvalues.
 
 The module also exposes the computable upper bounds attached to these
 representations: the ``sup |f^(k)| / k!`` bound and the moment-based bound
@@ -54,8 +59,7 @@ __all__ = [
     "Polynomial",
     "WienerAtomic",
     "CallableFunction",
-    "NodeTuple",
-    "SimplexQuadratureRule",
+    "simplex_rule",
     "poly_divided_difference",
     "divided_difference_recursive",
     "divided_difference_quadrature",
@@ -293,34 +297,20 @@ def _evaluate(f, points) -> np.ndarray:
     return values
 
 
-class NodeTuple:
-    """Ordered tuple of real evaluation nodes; order ``k = len - 1``."""
-
-    def __init__(self, nodes):
-        nodes = tuple(float(x) for x in nodes)
-        if not nodes:
-            raise ValueError("at least one node required")
-        self.nodes = nodes
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes) - 1
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __getitem__(self, idx):
-        return self.nodes[idx]
-
-    def __repr__(self):
-        return f"NodeTuple({list(self.nodes)!r})"
+def _require_finite(nodes) -> None:
+    """ValueError naming the first node of ``nodes`` that is not finite."""
+    bad = ~np.isfinite(nodes)
+    if bad.any():
+        raise ValueError(f"node {float(np.asarray(nodes)[bad][0])!r} is not finite")
 
 
-def _as_nodes(nodes) -> NodeTuple:
-    return nodes if isinstance(nodes, NodeTuple) else NodeTuple(nodes)
+def _as_nodes(nodes) -> tuple:
+    """``nodes`` as a tuple of floats; ValueError if there is none or one is not finite."""
+    nodes = tuple(float(x) for x in nodes)
+    if not nodes:
+        raise ValueError("at least one node required")
+    _require_finite(nodes)
+    return nodes
 
 
 # points per axis of the simplex rule for an integrand of unknown degree
@@ -328,7 +318,7 @@ GAUSS_POINTS = 16
 
 
 @functools.cache
-def _unit_gauss_legendre(points):
+def _unit_gauss(points):
     """The ``points``-point Gauss-Legendre abscissae ``u`` and weights moved
     to [0, 1], exact to degree ``2 points - 1``: the points per axis of the
     simplex rule and the nodes of the line-integral remainder.  Read-only."""
@@ -338,70 +328,34 @@ def _unit_gauss_legendre(points):
     return u, w
 
 
-class SimplexQuadratureRule:
-    """Positive quadrature rule on the standard k-simplex.
+@functools.cache
+def simplex_rule(k, points=GAUSS_POINTS):
+    """The tensor Gauss-Legendre rule of ``points`` points per axis, cube to
+    simplex, as read-only ``(nodes, weights)``: ``points^k`` rows of nodes
+    ``t_j >= 0``, ``sum t_j = 1``, and weights of total mass ``1/k!``, the
+    simplex measure's.  Built once per order and point count.
 
-    Nodes live on ``{t in R^(k+1): t_j >= 0, sum t_j = 1}`` and the weights
-    integrate against the simplex measure of total mass ``1/k!``.
+    The cube coordinates ``u`` map to simplex coordinates by peeling off the
+    remaining mass one axis at a time, ``s_j = u_j * prod_{i<j}(1-u_i)``;
+    the Jacobian ``prod_j (1-u_j)^(k-j)`` folds into the weights, so the
+    rule integrates exactly against the simplex measure.
     """
-
-    def __init__(self, dimension: int, nodes, weights):
-        self.dimension = int(dimension)
-        self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        self.weights = np.asarray(weights, dtype=float)
-        k = self.dimension
-        if self.nodes.shape != (self.weights.size, k + 1):
-            raise ValueError("nodes must be (Q, k+1) with one weight per node")
-        total = self.weights.sum()
-        expected = 1.0 / math.factorial(k)
-        if abs(total - expected) > 1e-12 * expected:
-            raise ValueError(f"weights sum to {total}, expected 1/{k}! = {expected}")
-        if np.any(self.nodes < -1e-12):
-            raise ValueError("simplex nodes must have nonnegative coordinates")
-        if np.max(np.abs(self.nodes.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("simplex node coordinates must sum to 1")
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
-    @classmethod
-    def gauss_legendre(cls, dimension: int):
-        """Tensor Gauss-Legendre rule of 16 points per axis, cube to simplex,
-        built once per order.
-
-        The cube coordinates ``u`` map to simplex coordinates by peeling off
-        the remaining mass one axis at a time, ``s_j = u_j * prod_{i<j}(1-u_i)``;
-        the Jacobian ``prod_j (1-u_j)^(k-j)`` folds into the weights, so the
-        rule integrates exactly against the simplex measure.
-        :func:`divided_difference_quadrature` sizes its rule to the degree of
-        a polynomial integrand instead.
-        """
-        return cls._tensor_rule(int(dimension), GAUSS_POINTS)
-
-    @classmethod
-    @functools.cache
-    def _tensor_rule(cls, k, points):
-        """:meth:`gauss_legendre` with ``points`` points per axis, built once
-        per order and point count."""
-        if k == 0:
-            return cls(0, [[1.0]], [1.0])
-        u, w = _unit_gauss_legendre(points)
+    if k == 0:
+        nodes, weights = np.ones((1, 1)), np.ones(1)
+    else:
+        u, w = _unit_gauss(points)
         grids = np.meshgrid(*([u] * k), indexing="ij")
         wgrids = np.meshgrid(*([w] * k), indexing="ij")
-        weight = np.ones_like(grids[0])
+        weight = remaining = np.ones_like(grids[0])
+        s = []
         for j in range(k):
             weight = weight * wgrids[j] * (1.0 - grids[j]) ** (k - 1 - j)
-        s = []
-        remaining = np.ones_like(grids[0])
-        for j in range(k):
             s.append(remaining * grids[j])
             remaining = remaining * (1.0 - grids[j])
-        coords = [c.ravel() for c in s] + [remaining.ravel()]
-        return cls(k, np.stack(coords).T, weight.ravel())
-
-    def __repr__(self):
-        return f"SimplexQuadratureRule(k={self.dimension}, points={self.weights.size})"
+        nodes = np.stack([c.ravel() for c in s] + [remaining.ravel()]).T
+        weights = weight.ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +393,23 @@ def poly_divided_difference(p: Polynomial, nodes) -> complex:
     degree (empty sum).
     """
     nodes = _as_nodes(nodes)
-    k = nodes.order
+    k = len(nodes) - 1
     if k > p.degree:
         return 0j
-    h = _homogeneous_sums(nodes.nodes, p.degree - k)
+    h = _homogeneous_sums(nodes, p.degree - k)
     return complex(sum(p.coeffs[n] * h[n - k] for n in range(k, p.degree + 1)))
+
+
+def _recursion(z, table, coefficient):
+    """``f^[k]`` at the sorted nodes ``z`` from the values ``table`` of ``f``
+    there, in their arithmetic: an entry whose ``j + 1`` nodes all equal ``x``
+    takes ``coefficient(x, j)``, the Taylor coefficient ``f^(j)(x)/j!``, and
+    every other the quotient of two entries of the level below."""
+    for j in range(1, len(z)):
+        table = [coefficient(z[i], j) if z[i + j] == z[i]
+                 else (table[i + 1] - table[i]) / (z[i + j] - z[i])
+                 for i in range(len(z) - j)]
+    return table[0]
 
 
 def divided_difference_recursive(f, nodes) -> complex:
@@ -451,13 +417,12 @@ def divided_difference_recursive(f, nodes) -> complex:
 
     Nodes are sorted, and a node within ``COINCIDENCE_TOL_FACTOR * (1 +
     max|x|)`` of its predecessor joins its group; each group is snapped to
-    its mean and the diagonal entries of the recursion table use
+    its mean and the diagonal entries of the table of :func:`_recursion` use
     ``f^(j)(x)/j!``, which requires ``f`` to supply derivatives up to one
     less than the largest multiplicity.  Raises :class:`CoincidentNodes`
     when those derivatives are unavailable.
     """
     nodes = _as_nodes(nodes)
-    k = nodes.order
     tol = COINCIDENCE_TOL_FACTOR * (1.0 + max(abs(x) for x in nodes))
 
     z = sorted(nodes)
@@ -483,18 +448,8 @@ def divided_difference_recursive(f, nodes) -> complex:
                 f"{max_mult - 1} derivatives")
         derivs.append(d)
 
-    m = k + 1
-    table = _evaluate(f, snapped).tolist()
-    for j in range(1, m):
-        nxt = []
-        for i in range(m - j):
-            lo, hi = snapped[i], snapped[i + j]
-            if hi == lo:
-                nxt.append(complex(_evaluate(derivs[j], lo)) / math.factorial(j))
-            else:
-                nxt.append((table[i + 1] - table[i]) / (hi - lo))
-        table = nxt
-    return table[0]
+    return _recursion(snapped, _evaluate(f, snapped).tolist(),
+                      lambda x, j: complex(_evaluate(derivs[j], x)) / math.factorial(j))
 
 
 def divided_difference_mp(f, nodes) -> complex:
@@ -519,52 +474,46 @@ def divided_difference_mp(f, nodes) -> complex:
         z = [mp.mpf(x) for x in nodes]
         taylor = {x: mp.taylor(form, x, z.count(x) - 1)
                   for x in set(z) if z.count(x) > 1}
-        table = [form(x) for x in z]
-        for j in range(1, len(z)):
-            table = [taylor[z[i]][j] if z[i + j] == z[i]
-                     else (table[i + 1] - table[i]) / (z[i + j] - z[i])
-                     for i in range(len(z) - j)]
-        return complex(table[0])
+        return complex(_recursion(z, [form(x) for x in z], lambda x, j: taylor[x][j]))
 
 
 def divided_difference_quadrature(f, nodes) -> complex:
     """Simplex-quadrature evaluation ``sum_q w_q f^(k)(t_q . nodes)``.
 
-    The rule is the tensor Gauss-Legendre rule of
-    :meth:`SimplexQuadratureRule.gauss_legendre`, with 16 points per axis,
-    except where ``f^(k)`` is a :class:`Polynomial` of degree ``d``: the
-    cube-to-simplex map is affine in each cube coordinate and the Jacobian
-    has degree at most ``k - 1`` in each, so ``m = ceil((d + k) / 2)``
-    points per axis, exact to degree ``2m - 1``, integrate it exactly.  Past
-    ``d + k = 32``, ``m`` stays at 16.
+    The rule is :func:`simplex_rule`, with 16 points per axis, except where
+    ``f^(k)`` is a :class:`Polynomial` of degree ``d``: the cube-to-simplex
+    map is affine in each cube coordinate and the Jacobian has degree at
+    most ``k - 1`` in each, so ``m = ceil((d + k) / 2)`` points per axis,
+    exact to degree ``2m - 1``, integrate it exactly.  Past ``d + k = 32``,
+    ``m`` stays at 16.
     The points ``t_q . x`` of the rule come from the nested form of its
     cube-to-simplex map, over the abscissae ``u`` of one axis:
     ``p_k = x_k`` and ``p_j = u (x) x_j + (1 - u) (x) p_{j+1}`` (outer
     products, ``u`` outermost), so that ``p_0`` holds the points in the
-    order of ``rule.nodes``, at 2 operations per point rather than 2 per
+    order of the rule's nodes, at 2 operations per point rather than 2 per
     point and node.  Requires ``k`` derivatives of ``f``; raises
     :class:`InsufficientDerivatives` otherwise.  Stable at (near-)coincident
     nodes, with accuracy set by the rule's degree of exactness.
     """
     nodes = _as_nodes(nodes)
-    k = nodes.order
+    k = len(nodes) - 1
     dk = _derivative_or_none(f, k) if k else f
     if dk is None:
         raise InsufficientDerivatives(f"the function does not supply {k} derivatives")
     m = GAUSS_POINTS
     if isinstance(dk, Polynomial):
         m = min(GAUSS_POINTS, max(1, (dk.degree + k + 1) // 2))
-    rule = SimplexQuadratureRule._tensor_rule(k, m)
-    u = _unit_gauss_legendre(m)[0][:, None]
+    weights = simplex_rule(k, m)[1]
+    u = _unit_gauss(m)[0][:, None]
     v = 1.0 - u
     points = np.array([nodes[-1]])
-    for x in reversed(nodes.nodes[:-1]):
+    for x in reversed(nodes[:-1]):
         points = v * points
         points += u * x
         points = points.ravel()
     vals = _evaluate(dk, points)
-    return complex(np.einsum("q,q->", rule.weights, vals.real),
-                   np.einsum("q,q->", rule.weights, vals.imag))
+    return complex(np.einsum("q,q->", weights, vals.real),
+                   np.einsum("q,q->", weights, vals.imag))
 
 
 def wiener_divided_difference(f: WienerAtomic, nodes) -> complex:
@@ -708,6 +657,7 @@ def divided_difference_batch(f, nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] < 1:
         raise ValueError(f"expected an (N, k+1) node array, got shape {nodes.shape}")
+    _require_finite(nodes)
     k = nodes.shape[1] - 1
     rows = np.sort(nodes, axis=1)
     table = _evaluate(f, rows)

@@ -21,13 +21,15 @@ from moikit import (
     HolderMismatch,
     MoiOperands,
     MoiSymbol,
-    NodeTuple,
     NotHermitian,
     Polynomial,
-    SimplexQuadratureRule,
     WienerAtomic,
     block_triangular_derivative,
     builtin_function,
+    divided_difference,
+    divided_difference_batch,
+    divided_difference_quadrature,
+    divided_difference_recursive,
     divided_difference_sup_bound,
     finite_difference_derivative,
     function_from_spec,
@@ -38,10 +40,12 @@ from moikit import (
     moi_opnorm_bound_check,
     moi_schatten_check,
     moi_separated,
+    poly_divided_difference,
     power_map_derivative,
     wiener_taylor_truncate,
 )
 from moikit.cli import main
+from moikit.scalar_functions import divided_difference_mp
 from moikit.spectral import matrix_to_dict
 
 COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
@@ -77,11 +81,7 @@ BAD_INPUTS = {
         (ArityMismatch, lambda: moi_separated([(COS,)], [1.0], operands())),
     "opnorm_zero_probes": (ValueError, lambda: moi_opnorm_bound_check(SYMBOL, operands(), 0)),
     # scalar_functions
-    "empty_node_tuple": (ValueError, lambda: NodeTuple([])),
-    "rule_weight_count":
-        (ValueError, lambda: SimplexQuadratureRule(1, [[0.5, 0.5]], [0.5, 0.5])),
-    "rule_negative_node": (ValueError, lambda: SimplexQuadratureRule(1, [[-0.5, 1.5]], [1.0])),
-    "rule_node_sum": (ValueError, lambda: SimplexQuadratureRule(1, [[0.25, 0.25]], [1.0])),
+    "empty_node_list": (ValueError, lambda: poly_divided_difference(Polynomial([1.0]), [])),
     "sup_bound_radius": (ValueError, lambda: divided_difference_sup_bound(COS, 1, 0.0)),
     "truncation_degree": (ValueError, lambda: wiener_taylor_truncate(COS, -1)),
     "unknown_builtin": (ValueError, lambda: builtin_function("tan")),
@@ -95,6 +95,25 @@ def test_bad_input_raises_its_exception(site):
     exception, call = BAD_INPUTS[site]
     with pytest.raises(exception):
         call()
+
+
+# every divided-difference entry point that takes nodes from its caller
+NODE_ENTRY_POINTS = {
+    "closed_form": lambda nodes: poly_divided_difference(Polynomial([0, 0, 1]), nodes),
+    "recursion": lambda nodes: divided_difference_recursive(builtin_function("cos"), nodes),
+    "quadrature": lambda nodes: divided_difference_quadrature(builtin_function("cos"), nodes),
+    "mpmath": lambda nodes: divided_difference_mp(builtin_function("cos"), nodes),
+    "table": lambda nodes: divided_difference(builtin_function("cos"), nodes),
+    "batch": lambda nodes: divided_difference_batch(builtin_function("cos"), [nodes]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(NODE_ENTRY_POINTS))
+def test_non_finite_node_is_a_value_error(entry, bad):
+    # the first node that is not finite is named, not blamed on the function
+    with pytest.raises(ValueError, match=f"node {bad!r} is not finite"):
+        NODE_ENTRY_POINTS[entry]([1.0, bad, -bad])
 
 
 @pytest.mark.parametrize("f", [builtin_function("cos"), Polynomial([1.0, 2.0, 3.0]),
