@@ -139,7 +139,7 @@ _FLAGS = {
                           "help": "also run an independent oracle and record the residual"}),
     "tolerances": ("--tolerance", {"action": "append", "metavar": "NAME=VALUE",
                                    "help": "override a named tolerance (repeatable)"}),
-    "seed": ("--seed", {"help": "seed for all randomized suites"}),
+    "seed": ("--seed", {"help": "seed for all randomized suites, 0 <= seed < 2**128"}),
     "out": ("--out", {"help": "output path (matrix or report)"}),
     "filter": ("--filter", {"help": "run only suites whose name contains this"}),
 }
@@ -192,6 +192,8 @@ def _build_config(args) -> RunConfig:
             if not os.path.exists(path):
                 raise FileNotFoundError(f"input file not found: {path}")
     cfg.order, cfg.seed = _integer("order", cfg.order), _integer("seed", cfg.seed)
+    if not 0 <= cfg.seed < 2 ** 128:  # the Philox key range
+        raise ValueError(f"seed must be in [0, 2**128), got {cfg.seed}")
     if "order" in reads and cfg.order < 1:
         raise ValueError(f"{cfg.command} requires order >= 1, got {cfg.order}")
     if not isinstance(cfg.check, bool):

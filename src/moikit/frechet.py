@@ -93,12 +93,14 @@ def power_map_derivative(power: int, base: np.ndarray, directions) -> np.ndarray
     """k-th derivative of ``a -> a^m``: permuted exponent-splitting products.
 
     Valid in any matrix algebra (no Hermiticity needed); the zero matrix
-    when the order exceeds the power.
+    when the order exceeds the power, and ``ValueError`` when it is negative.
     """
     directions = [np.asarray(b, dtype=complex) for b in directions]
     k = len(directions)
     if k < 1:
         raise ValueError("at least one direction required")
+    if power < 0:
+        raise ValueError(f"power must be nonnegative, got {power}")
     a = np.asarray(base, dtype=complex)
     _require_shape(a, directions)
     out = np.zeros(a.shape, dtype=complex)
@@ -158,21 +160,21 @@ def _eighe_point(form, X):
 
 
 def _stencil_points(base, directions, h):
-    """The 2^k points ``base + h * sum s_i B_i``, one per sign vector ``s`` in
-    ``itertools.product`` order, in the arithmetic of the operands (numpy
-    arrays, or the mpmath matrices of the 30-digit path)."""
+    """The 2^k points ``base + h * sum s_i B_i``, one per sign vector
+    ``s = 2 j - 1`` over ``j`` in ``np.ndindex((2,) * k)``, in the arithmetic
+    of the operands (numpy arrays, or the mpmath matrices of the 30-digit path)."""
     # the step on the right: an mpf on the left of an mpmath matrix first
     # formats the matrix into a TypeError before Python tries __rmul__
-    return [base + sum(s * B for s, B in zip(signs, directions)) * h
-            for signs in itertools.product((-1, 1), repeat=len(directions))]
+    return [base + sum((2 * j - 1) * B for j, B in zip(index, directions)) * h
+            for index in np.ndindex((2,) * len(directions))]
 
 
 def _stencil_sum(values, h, k):
     """The alternating sum of ``f`` at the 2^k stencil points of step ``h``,
     over ``(2h)^k``."""
     out = 0
-    for signs, value in zip(itertools.product((-1, 1), repeat=k), values):
-        out = out + math.prod(signs) * value
+    for index, value in zip(np.ndindex((2,) * k), values):
+        out = out + (-1) ** (k - sum(index)) * value
     return out / (2 * h) ** k
 
 

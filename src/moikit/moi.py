@@ -26,7 +26,6 @@ from .report import VerificationReport, equality_check, inequality_check
 from .scalar_functions import (
     Polynomial,
     WienerAtomic,
-    divided_difference,
     divided_difference_grid,
     simplex_rule,
     wiener_iptp_bound,
@@ -89,47 +88,37 @@ def _require_operands(base, operands):
 class MoiSymbol:
     """Symbol of a multiple operator integral.
 
-    ``evaluator`` maps a tuple of k+1 eigenvalues to a complex weight.
+    ``evaluator`` takes the k+1 eigenvalue lists as an open mesh (``np.ix_``,
+    ``lam[j]`` along axis j) and returns the symbol on their product grid or
+    anything that broadcasts to it, such as ``lam[0] + 10 * lam[1]``.
     ``iptp_bound``, when known, is a certified upper bound on the symbol's
     separated-decomposition cost, used by the Schatten-norm checks.
-    ``grid_evaluator``, when present, maps k+1 eigenvalue lists to the
-    symbol on their product grid at once and agrees with ``evaluator``
-    entry by entry.
     """
 
-    def __init__(self, arity: int, evaluator, iptp_bound: float | None = None,
-                 grid_evaluator=None):
+    def __init__(self, arity: int, evaluator, iptp_bound: float | None = None):
         if arity < 2:
             raise ArityMismatch("symbol arity must be at least 2 (order k >= 1)")
         self.arity = int(arity)
         self.evaluator = evaluator
-        self.grid_evaluator = grid_evaluator
         self.iptp_bound = None if iptp_bound is None else float(iptp_bound)
 
     def __call__(self, nodes) -> complex:
-        return complex(self.evaluator(tuple(nodes)))
+        return self.tensor([[x] for x in nodes]).item()
 
     def tensor(self, eigenvalue_lists) -> np.ndarray:
-        """Symbol values on the product grid, ``T[i_0..i_k] = symbol(lam_0[i_0], ..)``.
-
-        Uses the grid evaluator when the symbol has one, else calls the
-        evaluator once per eigenvalue tuple.
-        """
+        """Symbol values on the product grid, ``T[i_0..i_k] = symbol(lam_0[i_0], ..)``,
+        by one evaluator call; ``ValueError`` unless that broadcasts to the grid."""
         lists = [np.asarray(lam, dtype=float) for lam in eigenvalue_lists]
         if len(lists) != self.arity:
             raise ArityMismatch(f"{len(lists)} eigenvalue lists for arity {self.arity}")
         shape = tuple(lam.size for lam in lists)
-        if self.grid_evaluator is not None:
-            values = self.grid_evaluator(lists)
-        else:
-            values = [complex(self.evaluator(lam)) for lam in itertools.product(*lists)]
-        return np.asarray(values, dtype=complex).reshape(shape)
+        values = np.asarray(self.evaluator(np.ix_(*lists)), dtype=complex)
+        return values if values.shape == shape else np.broadcast_to(values, shape)
 
     @classmethod
     def constant(cls, value, arity: int) -> "MoiSymbol":
         value = complex(value)
-        return cls(arity, lambda lam: value, iptp_bound=abs(value),
-                   grid_evaluator=lambda lists: np.full([lam.size for lam in lists], value))
+        return cls(arity, lambda lam: value, iptp_bound=abs(value))
 
     @classmethod
     def from_function(cls, f, order: int, radius: float | None = None) -> "MoiSymbol":
@@ -148,9 +137,8 @@ class MoiSymbol:
             bound = sum(
                 abs(c) * math.comb(n, order) * radius ** (n - order)
                 for n, c in enumerate(f.coeffs) if n >= order)
-
-        return cls(order + 1, lambda lam: divided_difference(f, lam), iptp_bound=bound,
-                   grid_evaluator=lambda lists: divided_difference_grid(f, lists))
+        return cls(order + 1, lambda lam: divided_difference_grid(f, map(np.ravel, lam)),
+                   iptp_bound=bound)
 
     def __repr__(self):
         return f"MoiSymbol(arity={self.arity})"
@@ -184,10 +172,6 @@ class MoiOperands:
         decomps = tuple(hermitian_eigendecompose(a) for a in bases)
         mids = tuple(np.asarray(b, dtype=complex) for b in middles)
         return cls(decomps, mids)
-
-    def with_middles(self, middles) -> "MoiOperands":
-        return MoiOperands(self.decomps, tuple(np.asarray(b, dtype=complex)
-                                               for b in middles))
 
 
 def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
@@ -286,10 +270,11 @@ def moi_polynomial(power: int, operands: MoiOperands) -> np.ndarray:
 
     For the power-map symbol of order k this is the sum over exponent
     splittings ``|gamma| = power - k`` of ``a_0^g0 b_1 a_1^g1 ... b_k a_k^gk``,
-    from one power list per slot; the zero matrix when ``power < k``.
+    from one power list per slot; the zero matrix when ``0 <= power < k``.
     """
-    k = operands.order
-    n = operands.dimension
+    if power < 0:
+        raise ValueError(f"power must be nonnegative, got {power}")
+    k, n = operands.order, operands.dimension
     out = np.zeros((n, n), dtype=complex)
     if power >= k:
         _power_chain(out, [_matrix_powers(d.source, power - k) for d in operands.decomps],
@@ -377,8 +362,8 @@ def moi_opnorm_bound_check(symbol: MoiSymbol, operands: MoiOperands,
         (probes, k, 2, n, n))
     G = parts[:, :, 0] + 1j * parts[:, :, 1]
     dirs = G / np.linalg.svd(G, compute_uv=False)[..., :1, None]
-    values = np.array([moi_evaluate(symbol, operands.with_middles(tuple(probe)), tensor=tensor)
-                       for probe in dirs])
+    values = np.array([moi_evaluate(symbol, MoiOperands(operands.decomps, tuple(probe)),
+                                    tensor=tensor) for probe in dirs])
     estimate = float(np.linalg.svd(values, compute_uv=False)[:, 0].max())
 
     report = VerificationReport("spectral-sum-norm-bound")

@@ -328,7 +328,6 @@ def _unit_gauss(points):
     return u, w
 
 
-@functools.cache
 def simplex_rule(k, points=GAUSS_POINTS):
     """The tensor Gauss-Legendre rule of ``points`` points per axis, cube to
     simplex, as read-only ``(nodes, weights)``: ``points^k`` rows of nodes
@@ -340,6 +339,12 @@ def simplex_rule(k, points=GAUSS_POINTS):
     the Jacobian ``prod_j (1-u_j)^(k-j)`` folds into the weights, so the
     rule integrates exactly against the simplex measure.
     """
+    return _simplex_rule(k, points)
+
+
+@functools.cache
+def _simplex_rule(k, points):
+    """:func:`simplex_rule`, cached on ``(k, points)`` with the default filled in."""
     if k == 0:
         nodes, weights = np.ones((1, 1)), np.ones(1)
     else:
@@ -913,9 +918,11 @@ def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
     """Named analytic function with derivative evaluators attached.
 
     Supported names: ``exp``, ``sin``, ``cos``, ``abs_pow`` (``|x|^s``, with
-    ``params={"exponent": s}``; its derivatives are valid away from 0 and
-    for orders below the exponent).  Each also takes ``max_order``, the number
-    of derivatives (12 by default); a missing or unknown parameter is a ValueError.
+    ``params={"exponent": s}`` and derivatives of order up to ``s``; at 0 those
+    below ``s`` are 0, order ``s`` is ``s!`` where even and 0, the midpoint of
+    its jump, where odd, and ``f`` is infinite for ``s < 0``).  Each also takes
+    ``max_order``, the number of derivatives (12 by default); a missing or
+    unknown parameter is a ValueError.
     """
     params = dict(params or {})
     max_order = int(params.pop("max_order", 12))
@@ -938,9 +945,7 @@ def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
 
         def deriv(x, order=order, factor=factor):
             x = np.asarray(x, dtype=float)
-            mag = np.where(x == 0, 0.0,
-                           np.abs(x) ** (s - order) * np.sign(x) ** order)
-            out = factor * mag
+            out = factor * (np.abs(x) ** (s - order) * (np.sign(x) if order % 2 else 1.0))
             return out if x.ndim else float(out)
 
         return deriv

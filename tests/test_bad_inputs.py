@@ -38,6 +38,7 @@ from moikit import (
     matrix_function_derivative,
     moi_evaluate,
     moi_opnorm_bound_check,
+    moi_polynomial,
     moi_schatten_check,
     moi_separated,
     poly_divided_difference,
@@ -63,6 +64,7 @@ SYMBOL = MoiSymbol.from_function(COS, 1)
 BAD_INPUTS = {
     # frechet
     "power_map_no_directions": (ValueError, lambda: power_map_derivative(2, A, [])),
+    "power_map_negative_power": (ValueError, lambda: power_map_derivative(-1, A, [B])),
     "finite_difference_no_directions":
         (ValueError, lambda: finite_difference_derivative(COS, A, [])),
     "block_triangular_no_directions":
@@ -80,6 +82,7 @@ BAD_INPUTS = {
     "separated_term_length":
         (ArityMismatch, lambda: moi_separated([(COS,)], [1.0], operands())),
     "opnorm_zero_probes": (ValueError, lambda: moi_opnorm_bound_check(SYMBOL, operands(), 0)),
+    "polynomial_negative_power": (ValueError, lambda: moi_polynomial(-2, operands())),
     # scalar_functions
     "empty_node_list": (ValueError, lambda: poly_divided_difference(Polynomial([1.0]), [])),
     "sup_bound_radius": (ValueError, lambda: divided_difference_sup_bound(COS, 1, 0.0)),

@@ -382,6 +382,8 @@ class TestSettings:
         {"seed": True},
         {"order": 2},
         {"filter": ["truncation"]},
+        {"seed": -1, "filter": "truncation"},
+        {"seed": 2**128},
         ["seed", 3],
     ])
     def test_bad_verify_config_exits_3(self, tmp_path, caplog, config):
@@ -410,6 +412,8 @@ class TestSettings:
         ["verify", "--matrix", "x.json"],
         ["verify", "--order", "2"],
         ["verify", "--seed", "abc"],
+        ["verify", "--seed", "-1", "--filter", "truncation"],
+        ["verify", "--seed", str(2**128), "--filter", "truncation"],
         ["verify", "--tolerance", "rule_mass"],
         ["verify", "--tolerance", "rule_mass=tiny"],
         ["eval", "--order", "1"],
@@ -433,6 +437,11 @@ class TestSettings:
 
     def test_missing_function_exits_3(self, caplog, inputs):
         self.assert_exits_3(caplog, ["eval", "--matrix", inputs["matrices"][0]])
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_range_ends_pass(self, tmp_path, seed):
+        assert main(["verify", "--seed", str(seed), "--filter", "truncation",
+                     "--out", str(tmp_path / "r.json")]) == 0
 
     def test_flags_override_the_file_and_tolerances_merge_per_name(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import subprocess
@@ -23,6 +22,8 @@ from moikit import (
     WienerAtomic,
     block_triangular_derivative,
     finite_difference_derivative,
+    functional_calculus,
+    hermitian_eigendecompose,
     matrix_function_derivative,
     moi_perturbation,
     moi_schatten_check,
@@ -36,7 +37,7 @@ from moikit import (
 import moikit
 from moikit import frechet
 from moikit.scalar_functions import builtin_function
-from moikit.verify import random_hermitian, suite_rng
+from moikit.verify import DEFAULT_TOLERANCES, random_hermitian, suite_rng
 
 COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
 
@@ -172,6 +173,33 @@ class TestMatrixFunctionDerivative:
             matrix_function_derivative(DerivativeRequest(f, a, (b,), 1, strategy))
 
 
+class TestAbsPowAtZero:
+    # |x|^s at x = 0 takes the limits of its derivatives: 0 below the
+    # exponent, s! at an even integer exponent, and no finite value for s < 0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_square_at_a_zero_eigenvalue_matches_the_power_map(self, k):
+        rng = suite_rng(40, k)
+        base = np.diag([0.0, 1.0, 2.0])
+        dirs = tuple(random_hermitian(rng, 3) for _ in range(k))
+        f = builtin_function("abs_pow", {"exponent": 2})
+        via_moi = matrix_function_derivative(DerivativeRequest(f, base, dirs, k, "moi"))
+        via_pow = power_map_derivative(2, base, dirs)
+        rel = np.linalg.norm(via_moi - via_pow) / (1.0 + np.linalg.norm(via_pow))
+        assert rel <= DEFAULT_TOLERANCES["derivative_power"]
+
+    def test_top_derivative_of_an_even_power_is_its_factorial(self):
+        assert builtin_function("abs_pow", {"exponent": 4}).derivative(4)(0.0) == 24
+
+    def test_zeroth_power_is_one_at_zero(self):
+        assert builtin_function("abs_pow", {"exponent": 0})(0.0) == 1
+
+    def test_negative_power_at_a_zero_eigenvalue_raises(self):
+        f = builtin_function("abs_pow", {"exponent": -1})
+        with pytest.raises(EvaluationDomain):
+            functional_calculus(f, hermitian_eigendecompose(np.diag([0.0, 1.0])))
+
+
 class TestFiniteDifference:
     def test_square_first_order(self):
         rng = suite_rng(39, 0)
@@ -298,7 +326,8 @@ def _eighe_stencil(f, a, dirs, dps):
 
         def central(step):
             out = mp.zeros(A.rows, A.cols)
-            for signs in itertools.product((-1, 1), repeat=k):
+            for index in np.ndindex((2,) * k):
+                signs = [2 * j - 1 for j in index]
                 X = A + sum((s * B for s, B in zip(signs, Bs)), mp.zeros(A.rows, A.cols)) * step
                 E, Q = mp.eighe(X)
                 out += math.prod(signs) * (Q * mp.diag([form(e) for e in E]) * Q.transpose_conj())

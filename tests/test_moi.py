@@ -79,10 +79,10 @@ class TestMoiEvaluate:
         symbol = MoiSymbol.from_function(COS, 2)
         alpha = 0.7 - 0.3j
         b_new = random_hermitian(rng, 4)
-        lhs = moi_evaluate(symbol, ops.with_middles(
-            (alpha * ops.middles[0] + b_new, ops.middles[1])))
+        lhs = moi_evaluate(symbol, MoiOperands(
+            ops.decomps, (alpha * ops.middles[0] + b_new, ops.middles[1])))
         rhs = alpha * moi_evaluate(symbol, ops) + moi_evaluate(
-            symbol, ops.with_middles((b_new, ops.middles[1])))
+            symbol, MoiOperands(ops.decomps, (b_new, ops.middles[1])))
         scale = 1 + np.linalg.norm(rhs)
         assert np.linalg.norm(lhs - rhs) / scale < 1e-9
 

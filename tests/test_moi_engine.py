@@ -494,7 +494,8 @@ def projection_sum(symbol, operands):
              for d in operands.decomps]
     n = operands.dimension
     out = np.zeros((n, n), dtype=complex)
-    for combo in itertools.product(*slots):
+    for index in np.ndindex(*map(len, slots)):
+        combo = [slot[i] for slot, i in zip(slots, index)]
         term = combo[0][1]
         for b, (_, projector) in zip(operands.middles, combo[1:]):
             term = term @ b @ projector
@@ -592,14 +593,13 @@ class TestEngineAgainstOracles:
         direct = moi_evaluate(MoiSymbol.from_function(f, k), ops)
         assert rel(direct, moi_wiener(f, ops)) < 1e-8
 
-    def test_separated_oracle_through_the_evaluator_fallback(self):
+    def test_separated_oracle_on_an_arithmetic_symbol(self):
         ops = mixed_operands(suite_rng(130, 0), 16, 2)
         ident, square, one = Polynomial([0, 1]), Polynomial([0, 0, 1]), Polynomial([1])
         factors = [(ident, one, square), (one, square, ident)]
         weights = [1.5, -0.5j]
         symbol = MoiSymbol(3, lambda lam: 1.5 * lam[0] * lam[2] ** 2
                            - 0.5j * lam[1] ** 2 * lam[2])
-        assert symbol.grid_evaluator is None
         assert rel(moi_evaluate(symbol, ops), moi_separated(factors, weights, ops)) < 1e-12
 
     def test_dimension_one(self):
@@ -622,14 +622,33 @@ class TestSymbolTensor:
         expected = lists[0][:, None] + 10 * lists[1][None, :]
         np.testing.assert_array_equal(symbol.tensor(lists), expected)
 
-    def test_batch_matches_per_tuple_evaluator(self):
+    def test_call_equals_the_tensor_entry_and_the_divided_difference(self):
         rng = suite_rng(150, 0)
         lists = [np.sort(rng.uniform(-1, 1, 5)), np.array([-0.3, 0.2]),
                  np.sort(rng.uniform(-1, 1, 4))]
         for f in ROUTES.values():
             symbol = MoiSymbol.from_function(f, 2)
-            plain = MoiSymbol(3, symbol.evaluator)
-            assert scaled(symbol.tensor(lists), plain.tensor(lists)).max() < 1e-13
+            tensor = symbol.tensor(lists)
+            for index in [(0, 0, 0), (4, 1, 3), (2, 0, 1), (3, 1, 0)]:
+                t = [lam[i] for lam, i in zip(lists, index)]
+                assert symbol(t) == tensor[index] == divided_difference(f, t)
+
+    def test_evaluator_runs_once_per_tensor(self):
+        calls = []
+
+        def evaluator(lam):
+            calls.append(lam)
+            return lam[0] * lam[1] - lam[2]
+
+        symbol = MoiSymbol(3, evaluator)
+        tensor = symbol.tensor([[0.0, 1.0], [2.0, 3.0, 5.0], [-1.0, 4.0, 0.5, 7.0]])
+        assert len(calls) == 1 and tensor.shape == (2, 3, 4)
+        assert tensor[1, 2, 3] == 1.0 * 5.0 - 7.0
+
+    def test_result_that_does_not_broadcast_raises(self):
+        symbol = MoiSymbol(2, lambda lam: np.ones(7))
+        with pytest.raises(ValueError):
+            symbol.tensor([[0.0, 1.0], [2.0, 3.0, 5.0]])
 
     def test_constant_tensor(self):
         tensor = MoiSymbol.constant(2.5, 3).tensor([[0.0, 1.0], [2.0], [3.0, 4.0]])

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -219,7 +218,7 @@ def _tensor_gauss(g, nodes, m):
     u, w = 0.5 * (u + 1.0), 0.5 * w
     k = len(nodes) - 1
     total = 0j
-    for index in itertools.product(range(m), repeat=k):
+    for index in np.ndindex((m,) * k):
         rest, t, weight = 1.0, 0.0, 1.0
         for j, i in enumerate(index):
             t += rest * u[i] * nodes[j]
@@ -417,6 +416,7 @@ class TestSimplexRule:
         np.testing.assert_allclose(nodes.sum(axis=1), 1.0, atol=1e-12)
 
     def test_read_only_and_built_once(self):
+        assert simplex_rule(2) is simplex_rule(2, 16)
         for k, m in [(0, 16), (2, 3), (3, 16)]:
             nodes, weights = simplex_rule(k, m)
             assert not nodes.flags.writeable and not weights.flags.writeable
