@@ -4,11 +4,11 @@
 A Hermitian matrix decomposes into its ascending eigenvalues, one per
 eigenvector, and a scalar function of the matrix is ``V diag(f(lam)) V*``.
 The decomposition holds the matrix, its eigenvalues and its eigenvectors.
-A grouping view collects eigenvalues within the decomposition's
-``cluster_tol`` (``1e-7 (1 + ||A||_F)``) of each other into clusters, each
-with the mean of its members and the orthogonal projection onto their
-eigenvectors: the projection-weighted sum of the function's values on the
-distinct eigenvalues is the same matrix.
+Its view ``clusters`` groups the indices of eigenvalues within
+``1e-7 (1 + ||A||_F)`` of each other; the orthogonal projection onto a
+group's eigenvectors is ``V[:, g] V[:, g]*``, and the projection-weighted
+sum of the function's values on the distinct eigenvalues is the same
+matrix.
 """
 
 import numpy as np
@@ -27,28 +27,29 @@ flip = np.array([[0.0, 1.0], [1.0, 0.0]])
 decomp = hermitian_eigendecompose(flip)
 print("flip matrix [[0,1],[1,0]]:")
 print(f"  eigenvalues, one per eigenvector: {decomp.eigenvalues.tolist()}")
-print(f"  cluster label of each eigenvector: {decomp.labels.tolist()}")
-for cluster in decomp.clusters:
-    print(f"  eigenvalue {cluster.eigenvalue:+.1f}, projection from its eigenvectors:")
-    print(np.array_str(cluster.projection.real, precision=3, suppress_small=True))
+print(f"  eigenvector indices of each group: {[g.tolist() for g in decomp.clusters]}")
+for g in decomp.clusters:
+    vectors = decomp.vectors[:, g]
+    print(f"  eigenvalue {decomp.eigenvalues[g].mean():+.1f}, "
+          "projection from its eigenvectors:")
+    print(np.array_str((vectors @ vectors.conj().T).real, precision=3, suppress_small=True))
 
 square = functional_calculus(Polynomial([0, 0, 1]), decomp)
 print("flip squared (an involution, so the identity):")
 print(np.array_str(square.real, precision=3, suppress_small=True))
 
-# --- a degenerate spectrum: three eigenvalues, one cluster ------------------
+# --- a degenerate spectrum: three eigenvalues, one group --------------------
 decomp_eye = hermitian_eigendecompose(np.eye(3) * 2.0)
 print(f"\n2*I_3 has eigenvalues {decomp_eye.eigenvalues.tolist()}, "
-      f"grouped into {len(decomp_eye.clusters)} cluster "
-      f"of multiplicity {decomp_eye.clusters[0].multiplicity} "
-      f"(labels {decomp_eye.labels.tolist()})")
+      f"grouped into {len(decomp_eye.clusters)} group "
+      f"of eigenvector indices {decomp_eye.clusters[0].tolist()}")
 
 # --- structural invariants, re-checked numerically --------------------------
 rng = suite_rng(2024, 0)
 A = random_hermitian(rng, 6)
 decomp = hermitian_eigendecompose(A)
 report = validate_decomposition(decomp)
-print(f"\nrandom 6x6 Hermitian: {len(decomp.clusters)} clusters")
+print(f"\nrandom 6x6 Hermitian: {len(decomp.clusters)} groups")
 print(report.summary())
 
 # --- cos of a matrix --------------------------------------------------------

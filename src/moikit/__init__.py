@@ -66,7 +66,6 @@ from .scalar_functions import (
     wiener_taylor_truncate,
 )
 from .spectral import (
-    SpectralCluster,
     SpectralDecomposition,
     functional_calculus,
     hermitian_eigendecompose,

@@ -318,13 +318,17 @@ def schatten_norm(M: np.ndarray, p: float) -> float:
     The singular values come from LAPACK's SVD of ``M`` itself, so each
     is accurate to rounding relative to the largest; going through the
     eigenvalues of ``M* M`` would square the condition number and lose the
-    singular values below ``sqrt(eps)`` times the largest.
+    singular values below ``sqrt(eps)`` times the largest.  ``M`` must be
+    2-D: a stack of matrices is a ``ValueError``, not one norm over all.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise InvalidP(f"Schatten exponent must be in [1, inf], got {p}")
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {M.shape}")
     try:
-        sigma = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
+        sigma = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK SVD failed: {exc}") from exc
     if math.isinf(p):

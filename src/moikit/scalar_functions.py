@@ -588,7 +588,10 @@ def _series_rows(dj, nodes):
     r = 0.5 * (nodes[:, -1] - nodes[:, 0])
     values = _evaluate(dj, c + r * _CHEBYSHEV[:, None])
     coeffs = _ascending_product(_CHEBYSHEV_FIT, values)
-    h = _homogeneous_sums(((nodes - c[:, None]) / r[:, None]).T, SERIES_DEGREE)
+    # the endpoints map to -1 and 1 exactly: scaled about the rounded c, a
+    # pair one ulp apart would map to {0, 2}, outside the series' interval
+    lo, hi = nodes[:, :1], nodes[:, -1:]
+    h = _homogeneous_sums((2.0 * (nodes - lo) / (hi - lo) - 1.0).T, SERIES_DEGREE)
     moments = h * _moment_factors(j)
     # the simplex integral of T_q(t . u), through the monomials of T_q
     integrals = _ascending_product(_CHEBYSHEV_MONOMIALS, moments)
@@ -921,11 +924,13 @@ def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
     ``params={"exponent": s}`` and derivatives of order up to ``s``; at 0 those
     below ``s`` are 0, order ``s`` is ``s!`` where even and 0, the midpoint of
     its jump, where odd, and ``f`` is infinite for ``s < 0``).  Each also takes
-    ``max_order``, the number of derivatives (12 by default); a missing or
-    unknown parameter is a ValueError.
+    ``max_order``, the number of derivatives (a nonnegative int, 12 by
+    default); a missing, unknown or malformed parameter is a ValueError.
     """
     params = dict(params or {})
-    max_order = int(params.pop("max_order", 12))
+    max_order = params.pop("max_order", 12)
+    if type(max_order) is not int or max_order < 0:
+        raise ValueError(f"max_order must be a nonnegative int, got {max_order!r}")
     takes = {"exp": set(), "sin": set(), "cos": set(), "abs_pow": {"exponent"}}
     if name not in takes:
         raise ValueError(f"unknown builtin function {name!r}")

@@ -1,4 +1,4 @@
-"""Hermitian eigendecomposition, its eigenvalue grouping view, and functional calculus.
+"""Hermitian eigendecomposition, its eigenvalue index groups, and functional calculus.
 
 Decompositions come from LAPACK's Hermitian eigensolver
 (``numpy.linalg.eigh``), whose eigenvectors are orthonormal to working
@@ -16,10 +16,9 @@ matrix size, the stencil every point of both its steps.
 A decomposition stores the matrix, its ascending eigenvalues and the
 unitary of eigenvectors, one eigenvalue per column, as LAPACK returns them:
 every result is computed for the decomposed matrix itself, with no
-eigenvalue moved.  Eigenvalues within ``cluster_tol`` of their neighbor
-form one group of a cached grouping view (``labels`` and ``clusters``, each
-cluster with the mean of its members and its orthogonal projection); only
-reports and diagnostics read that view.  Validation never builds the
+eigenvalue moved.  Its one derived view, ``clusters``, groups the indices
+of eigenvalues within ``CLUSTER_TOL_FACTOR (1 + ||A||_F)`` of their
+neighbor; no computation reads it.  Validation never builds the
 projections, as it reads the eigenvectors and their Gram matrix.  A scalar
 function of the matrix is ``V diag(f(lam)) V*``.
 
@@ -41,7 +40,6 @@ from .report import VerificationReport, equality_check, inequality_check
 from .scalar_functions import _evaluate
 
 __all__ = [
-    "SpectralCluster",
     "SpectralDecomposition",
     "hermitian_eigendecompose",
     "functional_calculus",
@@ -55,6 +53,8 @@ __all__ = [
 
 JACOBI_SWEEP_BUDGET = 30
 JACOBI_OFFDIAG_FACTOR = 1e-13
+# consecutive eigenvalues at most this times 1 + ||A||_F apart share a group
+CLUSTER_TOL_FACTOR = 1e-7
 
 
 def require_hermitian(A: np.ndarray) -> np.ndarray:
@@ -181,13 +181,6 @@ def jacobi_eigh(A: np.ndarray, vectors: bool = True):
 
 
 @dataclass(frozen=True)
-class SpectralCluster:
-    eigenvalue: float
-    projection: np.ndarray
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues of a Hermitian matrix and its eigenvectors.
 
@@ -195,30 +188,26 @@ class SpectralDecomposition:
     can be re-validated and so polynomial routes can reuse matrix powers).
     ``eigenvalues`` holds the ``n`` eigenvalues in ascending order, ties
     included, and ``vectors`` the unitary of eigenvectors, column ``i``
-    belonging to ``eigenvalues[i]``.  Construction raises ``ValueError``
-    unless there is one eigenvalue per eigenvector.
+    belonging to ``eigenvalues[i]``.  Each field is held as an array, and
+    construction raises ``ValueError`` unless there is one eigenvalue per
+    eigenvector.
 
-    ``labels`` and ``clusters`` are a grouping view, derived on first
-    access: consecutive eigenvalues at most ``cluster_tol`` apart share a
-    group, so a chain of small gaps forms one, and each cluster holds the
-    mean of its members and the projection onto their eigenvectors.
-    ``cluster_tol`` defaults to ``1e-7 (1 + ||source||_F)``.  No
-    computation reads the view; reports and diagnostics do.
+    ``clusters`` groups the eigenvector indices, derived on first access:
+    consecutive eigenvalues at most ``CLUSTER_TOL_FACTOR (1 + ||source||_F)``
+    apart share a group, so a chain of small gaps forms one.  No computation
+    reads the groups; ``len(clusters)`` counts them.
     """
 
     source: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    cluster_tol: float | None = None
 
     def __post_init__(self):
-        if np.shape(self.eigenvalues) != self.vectors.shape[1:]:
-            raise ValueError(f"{np.size(self.eigenvalues)} eigenvalues for "
-                             f"{self.vectors.shape[1]} eigenvectors")
-        tol = self.cluster_tol
-        if tol is None:
-            tol = 1e-7 * (1.0 + np.linalg.norm(self.source))
-        object.__setattr__(self, "cluster_tol", float(tol))
+        for name in ("source", "eigenvalues", "vectors"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        if self.eigenvalues.shape != self.vectors.shape[1:]:
+            raise ValueError(f"eigenvalues of shape {self.eigenvalues.shape} for "
+                             f"eigenvectors of shape {self.vectors.shape}")
 
     @property
     def source_norm(self) -> float:
@@ -230,24 +219,14 @@ class SpectralDecomposition:
         return self.source.shape[0]
 
     @cached_property
-    def labels(self) -> np.ndarray:
-        """The group index of each eigenvector."""
-        return np.concatenate(([0], np.cumsum(np.diff(self.eigenvalues) > self.cluster_tol)))
-
-    @cached_property
-    def clusters(self) -> tuple[SpectralCluster, ...]:
-        """One cluster per group, with the projection onto its eigenvectors."""
-        clusters = []
-        for i in range(self.labels[-1] + 1):
-            members = self.labels == i
-            vectors = self.vectors[:, members]
-            proj = vectors @ vectors.conj().T
-            clusters.append(SpectralCluster(
-                eigenvalue=float(self.eigenvalues[members].mean()),
-                projection=0.5 * (proj + proj.conj().T),
-                multiplicity=vectors.shape[1],
-            ))
-        return tuple(clusters)
+    def clusters(self) -> tuple[np.ndarray, ...]:
+        """The read-only ascending eigenvector indices of each group."""
+        tol = CLUSTER_TOL_FACTOR * (1.0 + np.linalg.norm(self.source))
+        breaks = np.flatnonzero(np.diff(self.eigenvalues) > tol) + 1
+        groups = np.split(np.arange(self.eigenvalues.size), breaks)
+        for group in groups:
+            group.flags.writeable = False
+        return tuple(groups)
 
 
 def hermitian_eigendecompose(A: np.ndarray) -> SpectralDecomposition:

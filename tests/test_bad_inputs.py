@@ -43,6 +43,7 @@ from moikit import (
     moi_separated,
     poly_divided_difference,
     power_map_derivative,
+    schatten_norm,
     wiener_taylor_truncate,
 )
 from moikit.cli import main
@@ -73,6 +74,8 @@ BAD_INPUTS = {
         DerivativeRequest(COS, A, (B,), 1, "power_closed_form"))),
     "schatten_slot_exponent_below_one":
         (HolderMismatch, lambda: moi_schatten_check(SYMBOL, operands(), [0.5])),
+    "schatten_norm_of_a_vector": (ValueError, lambda: schatten_norm(np.ones(3), 2.0)),
+    "schatten_norm_of_a_stack": (ValueError, lambda: schatten_norm(np.zeros((2, 2, 2)), 2.0)),
     # moi
     "symbol_arity_below_two": (ArityMismatch, lambda: MoiSymbol(1, lambda lam: 1.0)),
     "tensor_list_count": (ArityMismatch, lambda: SYMBOL.tensor([[1.0]])),
@@ -136,6 +139,9 @@ def test_negative_derivative_order_is_a_value_error(f):
     ({"kind": "builtin", "name": "abs_pow"}, "exponent"),
     ({"kind": "builtin", "name": "exp", "params": {"exponent": 2}}, "exponent"),
     ({"kind": "builtin", "name": "cos", "params": {"max_ordr": 3}}, "max_ordr"),
+    ({"kind": "builtin", "name": "exp", "params": {"max_order": -1}}, "max_order"),
+    ({"kind": "builtin", "name": "sin", "params": {"max_order": 2.7}}, "max_order"),
+    ({"kind": "builtin", "name": "cos", "params": {"max_order": True}}, "max_order"),
 ])
 def test_spec_errors_name_the_key(spec, key):
     with pytest.raises(ValueError, match=key):

@@ -3,7 +3,8 @@
 Near-degenerate, chained and repeated eigenvalues and tiny perturbations
 produce node gaps that the difference-quotient recursion cannot survive;
 these tests pin the full pipelines in that regime, on either side of the
-grouping view's ``cluster_tol``.
+gap ``CLUSTER_TOL_FACTOR (1 + ||A||_F)`` at which the index groups of
+``SpectralDecomposition.clusters`` merge.
 """
 
 import json

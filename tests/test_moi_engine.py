@@ -13,7 +13,6 @@ mixed bases.
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +47,7 @@ from moikit.scalar_functions import (
     divided_difference_grid,
     divided_difference_mp,
 )
+from moikit.spectral import CLUSTER_TOL_FACTOR
 from moikit.verify import DEFAULT_TOLERANCES, random_hermitian, suite_rng
 
 WIENER = WienerAtomic([(1.0, 0.5), (-1.0, 0.5), (2.3, 0.2 - 0.1j)])
@@ -189,6 +189,16 @@ class TestBatchedDividedDifference:
                 rows.append(x0 + gap * np.sort(rng.uniform(0.0, 1.0, k + 1)))
         reference = [divided_difference_mp(f, row) for row in rows]
         assert scaled(divided_difference_batch(f, np.array(rows)), reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.7, -1.3, 0.01, 2.5, 1.0])
+    def test_one_ulp_pair_reads_the_series_on_its_interval(self, x):
+        # the midpoint of a pair one ulp apart rounds to an endpoint; the
+        # series patch must still map the pair to -1 and 1, or its Chebyshev
+        # series is read at 2, where T_8(2) ~ 2e4 amplifies its rounding
+        p = Polynomial([0] * 6 + [1])
+        nodes = [x, np.nextafter(x, np.inf)]
+        reference = complex(divided_difference_mp(p, nodes))
+        assert abs(divided_difference(p, nodes) - reference) <= 1e-13 * abs(reference)
 
     def test_generic_callable_per_row(self):
         # no declared derivatives: every row keeps the quotients
@@ -503,28 +513,34 @@ def projection_sum(symbol, operands):
     return out
 
 
-def mixed_operands(rng, n, k, cluster_tol=1e-8, pair=1.0):
-    """Slots with exact repeats, a pair ``pair * cluster_tol`` apart, distinct
-    values, one cluster.
+def own_tolerance(spectrum):
+    """The grouping tolerance of a matrix with this spectrum, up to the
+    rounding of its Frobenius norm."""
+    return CLUSTER_TOL_FACTOR * (1.0 + np.linalg.norm(spectrum))
 
-    At ``pair = 1`` the computed gap is a few ulps on either side of
-    ``cluster_tol``, so whether the grouping view puts the pair in one
-    cluster depends on the eigensolver's rounding; ``pair = 2`` keeps it
-    apart and ``pair = 0.5`` groups it.  The integrals read the eigenvalues
-    themselves either way.
+
+def mixed_operands(rng, n, k, pair=1.0):
+    """Slots with exact repeats, a pair ``pair`` times its matrix's grouping
+    tolerance apart, distinct values, one group.
+
+    At ``pair = 1`` the computed gap is a few ulps on either side of the
+    tolerance, so whether the grouping view puts the pair in one group
+    depends on the eigensolver's rounding; ``pair = 2`` keeps it apart and
+    ``pair = 0.5`` groups it.  The integrals read the eigenvalues themselves
+    either way.
     """
+    paired = np.concatenate([[0.1, 0.1, 0.1], np.linspace(0.5, 1.8, n - 3)])
+    tol = own_tolerance(paired)
+    paired[1:3] += np.array([pair, pair + 1.5]) * tol
     spectra = [
         np.repeat([-1.0, 0.25, 1.5], [n // 2, n // 4, n - n // 2 - n // 4]),
-        np.concatenate([[0.1, 0.1 + pair * cluster_tol, 0.1 + (pair + 1.5) * cluster_tol],
-                        np.linspace(0.5, 1.8, n - 3)]),
+        paired,
         np.sort(rng.uniform(-1.5, 1.5, n)),
         np.full(n, 0.7),
     ]
     bases = [hermitian_with(rng, spectra[j % len(spectra)]) for j in range(k + 1)]
     middles = [random_hermitian(rng, n) for _ in range(k)]
-    ops = MoiOperands.from_matrices(bases, middles)
-    return MoiOperands(tuple(replace(d, cluster_tol=cluster_tol) for d in ops.decomps),
-                       ops.middles)
+    return MoiOperands.from_matrices(bases, middles)
 
 
 def rel(a, b):
@@ -549,11 +565,10 @@ class TestEngineAgainstOracles:
         rng = suite_rng(105 + k, int(merged))
         spectrum = np.sort(rng.uniform(-1.5, 1.5, n))
         if merged:
-            # an exact repeat and a pair half a cluster_tol apart
+            # an exact repeat and a pair half its grouping tolerance apart
             spectrum[1] = spectrum[0]
-            spectrum[-1] = spectrum[-2] + 0.5e-8
-        decomp = replace(hermitian_eigendecompose(hermitian_with(rng, spectrum)),
-                         cluster_tol=1e-8)
+            spectrum[-1] = spectrum[-2] + 0.5 * own_tolerance(spectrum)
+        decomp = hermitian_eigendecompose(hermitian_with(rng, spectrum))
         ops = MoiOperands((decomp,) * (k + 1),
                           tuple(random_hermitian(rng, n) for _ in range(k)))
         assert len(ops.decomps[0].eigenvalues) == n
@@ -567,7 +582,7 @@ class TestEngineAgainstOracles:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_polynomial_oracle(self, k):
-        # a split pair 2 * cluster_tol apart: the divided differences resolve it
+        # a split pair twice the tolerance apart: the divided differences resolve it
         ops = mixed_operands(suite_rng(110 + k, 0), 16, k, pair=2.0)
         assert len(ops.decomps[1].eigenvalues) == 16
         for power in (k, k + 2, 6):
@@ -576,12 +591,12 @@ class TestEngineAgainstOracles:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_grouped_pair_is_exact_for_the_source_matrices(self, k):
-        # a pair half a cluster_tol apart shares a cluster of the grouping
+        # a pair half the tolerance apart shares a group of the grouping
         # view, but the integral reads both eigenvalues: it is exact for the
         # decomposed matrices themselves
         ops = mixed_operands(suite_rng(115 + k, 0), 16, k, pair=0.5)
         grouped = ops.decomps[1]
-        assert len(grouped.eigenvalues) == 16 and grouped.clusters[0].multiplicity == 2
+        assert len(grouped.eigenvalues) == 16 and len(grouped.clusters[0]) == 2
         for power in (k, k + 2, 6):
             symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
             assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, ops)) < 1e-12

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,39 +14,51 @@ from moikit import (
 )
 from moikit.errors import ConvergenceFailure, EvaluationDomain
 from moikit import spectral
-from moikit.spectral import SpectralDecomposition, jacobi_eigh
+from moikit.spectral import CLUSTER_TOL_FACTOR, SpectralDecomposition, jacobi_eigh
 from moikit.verify import random_hermitian, suite_rng
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def grouped(A, cluster_tol):
-    """The decomposition of ``A`` with its grouping view at ``cluster_tol``."""
-    return replace(hermitian_eigendecompose(A), cluster_tol=cluster_tol)
+def tolerance(A):
+    """The gap at or below which eigenvalues of ``A`` share a group."""
+    return CLUSTER_TOL_FACTOR * (1.0 + np.linalg.norm(A))
+
+
+def projection(decomp, group):
+    """The orthogonal projection onto the eigenvectors of one group."""
+    vectors = decomp.vectors[:, group]
+    return vectors @ vectors.conj().T
+
+
+def group_means(decomp):
+    return [float(decomp.eigenvalues[g].mean()) for g in decomp.clusters]
 
 
 class TestEigendecompose:
     def test_diagonal_matrix(self):
-        decomp = grouped(np.diag([1.0, 2.0, 3.0]), 1e-8)
-        assert [c.eigenvalue for c in decomp.clusters] == [1.0, 2.0, 3.0]
-        for i, c in enumerate(decomp.clusters):
+        decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]))
+        assert group_means(decomp) == [1.0, 2.0, 3.0]
+        for i, g in enumerate(decomp.clusters):
             expected = np.zeros((3, 3))
             expected[i, i] = 1.0
-            np.testing.assert_allclose(c.projection, expected, atol=1e-12)
+            np.testing.assert_allclose(projection(decomp, g), expected, atol=1e-12)
 
     def test_identity_single_cluster(self):
         decomp = hermitian_eigendecompose(np.eye(2))
         assert len(decomp.clusters) == 1
-        assert decomp.clusters[0].multiplicity == 2
-        np.testing.assert_allclose(decomp.clusters[0].projection, np.eye(2), atol=1e-12)
+        np.testing.assert_array_equal(decomp.clusters[0], [0, 1])
+        np.testing.assert_allclose(projection(decomp, decomp.clusters[0]), np.eye(2),
+                                   atol=1e-12)
 
     def test_flip_matrix_projections(self):
         decomp = hermitian_eigendecompose(FLIP)
-        assert [c.eigenvalue for c in decomp.clusters] == pytest.approx([-1.0, 1.0])
+        assert group_means(decomp) == pytest.approx([-1.0, 1.0])
         p_minus = 0.5 * np.array([[1, -1], [-1, 1]])
         p_plus = 0.5 * np.array([[1, 1], [1, 1]])
-        np.testing.assert_allclose(decomp.clusters[0].projection, p_minus, atol=1e-12)
-        np.testing.assert_allclose(decomp.clusters[1].projection, p_plus, atol=1e-12)
+        minus, plus = decomp.clusters
+        np.testing.assert_allclose(projection(decomp, minus), p_minus, atol=1e-12)
+        np.testing.assert_allclose(projection(decomp, plus), p_plus, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -72,49 +84,75 @@ class TestEigendecompose:
     def test_near_degenerate_pair_merges(self):
         A = np.diag([1.0, 1.0 + 1e-12, 2.0])
         decomp = hermitian_eigendecompose(A)
-        assert [c.multiplicity for c in decomp.clusters] == [2, 1]
+        assert [len(g) for g in decomp.clusters] == [2, 1]
 
-    def test_cluster_tol_override_splits(self):
-        A = np.diag([1.0, 1.0 + 1e-3, 2.0])
-        assert len(grouped(A, 1e-6).clusters) == 3
-        assert len(grouped(A, 1e-2).clusters) == 2
+    def test_gap_at_the_fixed_tolerance(self):
+        # the groups read the source only through its norm, 5 here, so the
+        # records below keep one source and set the gaps exactly
+        tol = CLUSTER_TOL_FACTOR * 6.0
 
-    def test_gap_equal_to_cluster_tol_merges_and_chains(self):
-        # the grouping view merges; the eigenvalues stay one per eigenvector
-        decomp = grouped(np.diag([1.0, 1.5, 3.0]), 0.5)
-        np.testing.assert_array_equal(decomp.eigenvalues, [1.0, 1.5, 3.0])
-        assert [c.eigenvalue for c in decomp.clusters] == [1.25, 3.0]
-        np.testing.assert_array_equal(decomp.labels, [0, 0, 1])
-        # two gaps at the tolerance chain into one cluster spanning 1.0
-        chained = grouped(np.diag([1.0, 1.5, 2.0]), 0.5)
-        np.testing.assert_array_equal(chained.eigenvalues, [1.0, 1.5, 2.0])
-        assert [c.eigenvalue for c in chained.clusters] == [1.5]
-        np.testing.assert_array_equal(chained.labels, [0, 0, 0])
-        np.testing.assert_allclose(chained.clusters[0].projection, np.eye(3), atol=1e-12)
-        split = grouped(np.diag([1.0, 1.5, 2.0]), 0.4999)
-        assert [c.eigenvalue for c in split.clusters] == [1.0, 1.5, 2.0]
-        np.testing.assert_array_equal(split.labels, [0, 1, 2])
+        def groups(eigenvalues):
+            n = len(eigenvalues)
+            source = np.diag(np.r_[3.0, 4.0, np.zeros(n - 2)])
+            decomp = SpectralDecomposition(source, np.array(eigenvalues), np.eye(n))
+            assert tolerance(source) == tol
+            return [g.tolist() for g in decomp.clusters]
+
+        assert groups([0.0, tol]) == [[0, 1]]
+        assert groups([0.0, np.nextafter(tol, np.inf)]) == [[0], [1]]
+        assert groups([0.0, tol, 2.0 * tol]) == [[0, 1, 2]]
+        assert groups([-1.0, 0.5, 0.5]) == [[0], [1, 2]]
+        single = hermitian_eigendecompose(np.array([[2.0]])).clusters
+        assert len(single) == 1 and np.array_equal(single[0], [0])
+
+    def test_close_eigenvalues_group_but_stay_one_per_eigenvector(self):
+        tol = tolerance(np.diag([1.0, 1.0, 3.0]))
+        lam = [1.0, 1.0 + 0.5 * tol, 3.0]
+        decomp = hermitian_eigendecompose(np.diag(lam))
+        np.testing.assert_array_equal(decomp.eigenvalues, lam)
+        assert [g.tolist() for g in decomp.clusters] == [[0, 1], [2]]
+        assert group_means(decomp) == pytest.approx([1.0 + 0.25 * tol, 3.0], rel=0, abs=1e-15)
+        # two gaps below the tolerance chain into one group wider than it
+        tol = tolerance(np.eye(3))
+        lam = [1.0, 1.0 + 0.75 * tol, 1.0 + 1.5 * tol]
+        chained = hermitian_eigendecompose(np.diag(lam))
+        np.testing.assert_array_equal(chained.eigenvalues, lam)
+        assert [g.tolist() for g in chained.clusters] == [[0, 1, 2]]
+        np.testing.assert_allclose(projection(chained, chained.clusters[0]), np.eye(3),
+                                   atol=1e-12)
+        split = hermitian_eigendecompose(np.diag([1.0, 1.0 + 2 * tol, 1.0 + 4 * tol]))
+        assert [g.tolist() for g in split.clusters] == [[0], [1], [2]]
 
     def test_eigenvalues_are_lapacks_one_per_eigenvector(self):
-        # close and repeated eigenvalues are not merged, whatever cluster_tol
+        # close and repeated eigenvalues are not merged, though they group
         A = _conjugated(np.random.default_rng(3), [0.2, 0.2, 0.2 + 1e-12, 0.5, 0.9])
         lam, V = np.linalg.eigh(A)
-        for tol in (None, 1e-300, 1.0):
-            decomp = grouped(A, tol)
-            assert np.array_equal(decomp.eigenvalues, lam)
-            assert np.array_equal(decomp.vectors, V)
-        assert len(hermitian_eigendecompose(A).clusters) == 3
-        assert len(grouped(A, 1.0).clusters) == 1
+        decomp = hermitian_eigendecompose(A)
+        assert np.array_equal(decomp.eigenvalues, lam)
+        assert np.array_equal(decomp.vectors, V)
+        assert len(decomp.clusters) == 3
 
     def test_stores_the_matrix_its_eigenvalues_and_eigenvectors(self):
-        # the norm is derived and the grouping tolerance is always a float
+        # the norm and the groups are derived; the groups are read-only
+        # index arrays that cover the eigenvectors in order
         decomp = hermitian_eigendecompose(random_hermitian(suite_rng(4, 0), 5))
         assert [f.name for f in fields(SpectralDecomposition)] == [
-            "source", "eigenvalues", "vectors", "cluster_tol"]
+            "source", "eigenvalues", "vectors"]
         assert decomp.source_norm == float(np.max(np.abs(decomp.eigenvalues)))
-        assert type(decomp.cluster_tol) is float
-        assert decomp.cluster_tol == 1e-7 * (1.0 + np.linalg.norm(decomp.source))
-        assert grouped(decomp.source, 0.25).cluster_tol == 0.25
+        assert type(decomp.clusters) is tuple and decomp.clusters is decomp.clusters
+        np.testing.assert_array_equal(np.concatenate(decomp.clusters), np.arange(5))
+        for g in decomp.clusters:
+            assert g.dtype.kind == "i" and not g.flags.writeable
+
+    def test_nested_lists_are_held_as_arrays(self):
+        decomp = SpectralDecomposition(np.eye(2), [1.0, 1.0], [[1, 0], [0, 1]])
+        assert all(isinstance(a, np.ndarray)
+                   for a in (decomp.source, decomp.eigenvalues, decomp.vectors))
+        np.testing.assert_allclose(functional_calculus(Polynomial([0, 3]), decomp),
+                                   3 * np.eye(2), atol=0)
+        assert [g.tolist() for g in decomp.clusters] == [[0, 1]]
+        with pytest.raises(ValueError, match="eigenvalues of shape"):
+            SpectralDecomposition([[1.0]], [1.0, 2.0], [[1.0]])
 
     def test_validated_matrices_and_their_sums_pass_through_unchanged(self):
         # the derivative and the remainder forms decompose a, a + b and
@@ -278,8 +316,8 @@ class TestFunctionalCalculus:
         p = Polynomial([1.0, 0.5, -2.0])
         decomp = hermitian_eigendecompose(A)
         image = functional_calculus(p, decomp)
-        mapped = np.sort(np.real([p(c.eigenvalue) for c in decomp.clusters
-                                  for _ in range(c.multiplicity)]))
+        mapped = np.sort(np.real([p(decomp.eigenvalues[g].mean()) for g in decomp.clusters
+                                  for _ in g]))
         eigs = np.sort(jacobi_eigh(0.5 * (image + image.conj().T))[0])
         np.testing.assert_allclose(eigs, mapped, atol=1e-8)
 
@@ -293,17 +331,6 @@ class TestFunctionalCalculus:
         lhs = functional_calculus(Polynomial(pq), decomp)
         rhs = functional_calculus(p, decomp) @ functional_calculus(q, decomp)
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
-
-    def test_clustering_invariance_for_exact_degeneracy(self):
-        rng = suite_rng(17, 0)
-        Q = np.linalg.qr(rng.standard_normal((3, 3))
-                         + 1j * rng.standard_normal((3, 3)))[0]
-        A = Q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ Q.conj().T
-        A = 0.5 * (A + A.conj().T)
-        p = Polynomial([0.0, 1.0, 0.5])
-        merged = functional_calculus(p, hermitian_eigendecompose(A))
-        split = functional_calculus(p, grouped(A, 1e-300))
-        np.testing.assert_allclose(merged, split, atol=1e-10)
 
     def test_evaluation_domain(self):
         decomp = hermitian_eigendecompose(np.diag([0.0, 1.0]))
@@ -329,7 +356,6 @@ class TestValidation:
             source=np.diag([1.0, 2.0]).astype(complex),
             eigenvalues=np.array([1.0, 2.0]),
             vectors=np.hstack([e1, e1]),
-            cluster_tol=1e-8,
         )
         report = validate_decomposition(bogus)
         assert not report.passed
@@ -344,15 +370,14 @@ class TestValidation:
         rng = suite_rng(24, 0)
         A = random_hermitian(rng, 40)
         if merged:
-            # a triple eigenvalue, one cluster of three eigenvectors
+            # a triple eigenvalue, one group of three eigenvectors
             lam, V = np.linalg.eigh(A)
             lam[10:13] = lam[11]
             A = (V * lam) @ V.conj().T
         decomp = hermitian_eigendecompose(A)
         assert decomp.eigenvalues.size == 40
-        assert (decomp.labels[-1] < 39) == merged
+        assert (len(decomp.clusters) < 40) == merged
         monkeypatch.setattr(SpectralDecomposition, "clusters", property(no_view))
-        monkeypatch.setattr(SpectralDecomposition, "labels", property(no_view))
         report = validate_decomposition(decomp)
         assert report.passed
         assert [c.name for c in report.checks] == [
@@ -365,8 +390,7 @@ class TestValidation:
         decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]))
         swapped = SpectralDecomposition(
             source=decomp.source,
-            eigenvalues=decomp.eigenvalues, vectors=decomp.vectors[:, [2, 1, 0]],
-            cluster_tol=decomp.cluster_tol)
+            eigenvalues=decomp.eigenvalues, vectors=decomp.vectors[:, [2, 1, 0]])
         report = validate_decomposition(swapped)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"reconstruction"}
@@ -376,8 +400,7 @@ class TestValidation:
         decomp = hermitian_eigendecompose(np.diag([1.0, 2.0, 3.0]))
         reversed_ = SpectralDecomposition(
             source=decomp.source,
-            eigenvalues=decomp.eigenvalues[::-1], vectors=decomp.vectors[:, ::-1],
-            cluster_tol=decomp.cluster_tol)
+            eigenvalues=decomp.eigenvalues[::-1], vectors=decomp.vectors[:, ::-1])
         report = validate_decomposition(reversed_)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"ordering"}
@@ -388,8 +411,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpectralDecomposition(
                 source=decomp.source,
-                eigenvalues=np.array(eigenvalues), vectors=decomp.vectors,
-                cluster_tol=decomp.cluster_tol)
+                eigenvalues=np.array(eigenvalues), vectors=decomp.vectors)
 
     def test_non_orthonormal_vectors_fail(self):
         # a sheared eigenbasis reconstructs nothing and resolves no identity
@@ -398,8 +420,7 @@ class TestValidation:
         shear = np.eye(6) + 0.1 * np.triu(np.ones((6, 6)), 1)
         sheared = SpectralDecomposition(
             source=decomp.source,
-            eigenvalues=decomp.eigenvalues, vectors=decomp.vectors @ shear,
-            cluster_tol=decomp.cluster_tol)
+            eigenvalues=decomp.eigenvalues, vectors=decomp.vectors @ shear)
         failed = {c.name for c in validate_decomposition(sheared).checks if not c.passed}
         assert {"resolution of identity", "orthogonal idempotents", "multiplicities",
                 "reconstruction"} <= failed
