@@ -6,8 +6,9 @@ names the settings each subcommand reads; they come from its flags and from
 a ``--config`` JSON object keyed by the setting names, the flags winning
 (tolerances per name), and each is checked after that merge, so a bad one
 exits 3 whichever source it came from.  Inputs are JSON files (matrix and
-function-spec formats from the core modules); reports are JSON with a
-stable key order, with timings kept outside the deterministic body.
+function-spec formats from the core modules).  Each subcommand returns its
+check rows, timings and result matrix, and :func:`_finish` writes every
+report: JSON with a stable key order, timings outside the deterministic body.
 
 Exit codes: 0 success, 1 failed checks, 2 violated preconditions
 (e.g. non-Hermitian input), 3 unreadable inputs.
@@ -37,7 +38,7 @@ from .frechet import (
     taylor_remainder_integral,
     taylor_remainder_moi,
 )
-from .report import Check, equality_check
+from .report import equality_check
 from .scalar_functions import WienerAtomic, _matrix_form, load_function
 from .spectral import (
     functional_calculus,
@@ -73,36 +74,20 @@ class RunConfig:
     filter: str | None = None
 
 
-@dataclass
-class ReportDocument:
-    """Run report: config echo, check rows, and (non-deterministic) timings."""
-
-    config: RunConfig
-    checks: list[Check] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def body_dict(self) -> dict:
-        """Everything that must be byte-identical across reruns."""
-        return {
-            "tool": "moikit",
-            "version": __version__,
-            "config": asdict(self.config),
-            "overall_pass": self.overall_pass,
-            "checks": [asdict(c) for c in self.checks],
-        }
-
-
-def _finish(doc: ReportDocument, value=None) -> int:
+def _finish(cfg: RunConfig, checks, timings, value=None) -> int:
     """Write the result matrix ``value`` to the ``out`` setting and the report
     beside it (or the report alone to ``out``), or the report to stdout when
     ``out`` is unset; return the exit code."""
-    body = doc.body_dict()
-    text = json.dumps({**body, "timings_seconds": doc.timings}, indent=2) + "\n"
-    path = doc.config.out
+    passed = all(c.passed for c in checks)
+    body = {
+        "tool": "moikit",
+        "version": __version__,
+        "config": asdict(cfg),
+        "overall_pass": passed,
+        "checks": [asdict(c) for c in checks],
+    }
+    text = json.dumps({**body, "timings_seconds": timings}, indent=2) + "\n"
+    path = cfg.out
     if not path:
         sys.stdout.write(text)
     else:
@@ -113,13 +98,10 @@ def _finish(doc: ReportDocument, value=None) -> int:
             fh.write(text)
         with open(path + ".body", "w") as fh:
             fh.write(json.dumps(body, indent=2) + "\n")
-    return EXIT_OK if doc.overall_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-_STRATEGY_ALIASES = {"moi": "moi", "fd": "finite_difference",
-                     "finite_difference": "finite_difference",
-                     "power": "power_closed_form",
-                     "power_closed_form": "power_closed_form"}
+_STRATEGY_ALIASES = {"moi": "moi", "fd": "finite_difference", "power": "power_closed_form"}
 
 # the settings each subcommand reads: its flags, and the keys its --config may hold
 SETTINGS = {
@@ -217,27 +199,29 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: RunConfig):
     f = load_function(cfg.function)
     A = load_matrix(cfg.matrices[0])
     t0 = time.perf_counter()
     decomp = hermitian_eigendecompose(A)
     value = functional_calculus(f, decomp)
-    doc = ReportDocument(cfg, timings={"eval": time.perf_counter() - t0})
-    doc.checks.extend(validate_decomposition(decomp).checks)
-    return _finish(doc, value)
+    timings = {"eval": time.perf_counter() - t0}
+    return validate_decomposition(decomp).checks, timings, value
 
 
-def _derivative_oracle(f):
+def _derivative_oracle(f, strategy):
     """The ``--check`` oracle, a function of ``(f, base, directions)``, with
     its row name, claim and tolerance name: the exact block-triangular
     identity where ``f`` has a matrix form (polynomials, atomic Fourier sums,
-    builtin exp, cos and sin), else the tensor central-difference stencil.
-    Resolving the matrix form imports scipy, so that the oracle's timer,
-    started after this, reads the oracle alone."""
+    builtin exp, cos and sin), else the tensor central-difference stencil,
+    :class:`EvaluationDomain` if that is the ``strategy`` itself.  Resolving
+    the matrix form imports scipy, so the oracle's timer reads the oracle alone."""
     try:
         _matrix_form(f)
     except EvaluationDomain:
+        if strategy == "finite_difference":
+            raise EvaluationDomain(f"{f!r} has no matrix form, so --check has no "
+                                   "oracle but the stencil the fd strategy ran") from None
         return (finite_difference_derivative, "derivative vs stencil oracle",
                 "requested strategy agrees with tensor central differences",
                 "derivative_fd")
@@ -246,7 +230,7 @@ def _derivative_oracle(f):
             "block-bidiagonal matrices", "derivative_block")
 
 
-def cmd_derivative(cfg: RunConfig) -> int:
+def cmd_derivative(cfg: RunConfig):
     f = load_function(cfg.function)
     matrices = [load_matrix(p) for p in cfg.matrices]
     if len(matrices) != cfg.order + 1:
@@ -259,9 +243,9 @@ def cmd_derivative(cfg: RunConfig) -> int:
     request = DerivativeRequest(f, base, dirs, cfg.order, strategy)
     value = matrix_function_derivative(request)
     timings = {"derivative": time.perf_counter() - t0}
-    doc = ReportDocument(cfg, timings=timings)
+    checks = []
     if cfg.check:
-        oracle, name, claim, tol_name = _derivative_oracle(f)
+        oracle, name, claim, tol_name = _derivative_oracle(f, strategy)
         t0 = time.perf_counter()
         expected = oracle(f, base, dirs)
         timings["oracle"] = time.perf_counter() - t0
@@ -271,11 +255,11 @@ def cmd_derivative(cfg: RunConfig) -> int:
         tol = cfg.tolerances.get(tol_name, DEFAULT_TOLERANCES[tol_name])
         # scaled residual: stays absolute when the exact derivative vanishes
         rel = float(np.linalg.norm(value - expected) / (1.0 + np.linalg.norm(value)))
-        doc.checks.append(equality_check(name, claim, residual=rel, tolerance=tol))
-    return _finish(doc, value)
+        checks.append(equality_check(name, claim, residual=rel, tolerance=tol))
+    return checks, timings, value
 
 
-def cmd_remainder(cfg: RunConfig) -> int:
+def cmd_remainder(cfg: RunConfig):
     f = load_function(cfg.function)
     a = load_matrix(cfg.matrices[0])
     b = load_matrix(cfg.matrices[1])
@@ -287,35 +271,36 @@ def cmd_remainder(cfg: RunConfig) -> int:
     via_int = taylor_remainder_integral(f, k, a, b)
     timings = {"remainder": time.perf_counter() - t0}
     scale = 1.0 + float(np.linalg.norm(direct))
-    doc = ReportDocument(cfg, timings=timings)
-    doc.checks.append(equality_check(
-        "direct vs mixed-base integral",
-        "remainder as an integral with the first slot at the shifted point",
-        residual=float(np.linalg.norm(direct - via_moi)) / scale,
-        tolerance=tols["remainder_moi"]))
-    doc.checks.append(equality_check(
-        "direct vs line-integral form",
-        "remainder as the weighted line integral of the k-th derivative",
-        residual=float(np.linalg.norm(direct - via_int)) / scale,
-        tolerance=tols["remainder_integral"]))
+    checks = [
+        equality_check(
+            "direct vs mixed-base integral",
+            "remainder as an integral with the first slot at the shifted point",
+            residual=float(np.linalg.norm(direct - via_moi)) / scale,
+            tolerance=tols["remainder_moi"]),
+        equality_check(
+            "direct vs line-integral form",
+            "remainder as the weighted line integral of the k-th derivative",
+            residual=float(np.linalg.norm(direct - via_int)) / scale,
+            tolerance=tols["remainder_integral"]),
+    ]
     if isinstance(f, WienerAtomic):
-        doc.checks.extend(remainder_schatten_check(f, k, a, b, p=1.0).checks)
-    return _finish(doc, direct)
+        checks.extend(remainder_schatten_check(f, k, a, b, p=1.0).checks)
+    return checks, timings, direct
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    doc = ReportDocument(cfg)
+def cmd_verify(cfg: RunConfig):
+    checks, timings = [], {}
     t_total = time.perf_counter()
     for name, suite in SUITES.items():
         if cfg.filter and cfg.filter not in name:
             continue
         t0 = time.perf_counter()
-        doc.checks.extend(suite(cfg.seed, tolerances=cfg.tolerances or None).checks)
-        doc.timings[name] = time.perf_counter() - t0
-    doc.timings["total"] = time.perf_counter() - t_total
-    logger.info("verify: %d checks, overall pass = %s", len(doc.checks),
-                doc.overall_pass)
-    return _finish(doc)
+        checks.extend(suite(cfg.seed, tolerances=cfg.tolerances or None).checks)
+        timings[name] = time.perf_counter() - t0
+    timings["total"] = time.perf_counter() - t_total
+    logger.info("verify: %d checks, overall pass = %s", len(checks),
+                all(c.passed for c in checks))
+    return checks, timings, None
 
 
 _COMMANDS = {
@@ -354,7 +339,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = _build_config(build_parser().parse_args(argv))
-        return _COMMANDS[cfg.command](cfg)
+        return _finish(cfg, *_COMMANDS[cfg.command](cfg))
     except (OSError, ValueError, KeyError) as exc:
         logger.error("cannot parse inputs: %s", exc)
         return EXIT_PARSE

@@ -45,6 +45,7 @@ split them by thread count.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -91,11 +92,15 @@ class Polynomial:
     """Complex polynomial stored by ascending coefficients.
 
     Trailing zero coefficients are trimmed on construction so the leading
-    coefficient is nonzero unless the polynomial is identically zero.
+    coefficient is nonzero unless the polynomial is identically zero; a
+    coefficient that is not finite is a ValueError.
     """
 
     def __init__(self, coeffs):
         coeffs = [complex(c) for c in coeffs]
+        for c in coeffs:
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c!r} is not finite")
         if not coeffs:
             coeffs = [0j]
         while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -138,14 +143,16 @@ class WienerAtomic:
     Atoms are ``(frequency, weight)`` pairs.  Atoms with exactly equal
     frequencies are merged on construction (no tolerance: silently merging
     nearby frequencies would change the moments), and exact-zero weights
-    are dropped.
+    are dropped.  A frequency or weight that is not finite is a ValueError.
     """
 
     def __init__(self, atoms):
         merged: dict[float, complex] = {}
         for xi, c in atoms:
-            xi = float(xi)
-            merged[xi] = merged.get(xi, 0j) + complex(c)
+            xi, c = float(xi), complex(c)
+            if not (math.isfinite(xi) and cmath.isfinite(c)):
+                raise ValueError(f"atom (frequency {xi!r}, weight {c!r}) is not finite")
+            merged[xi] = merged.get(xi, 0j) + c
         self.atoms = tuple(sorted((xi, c) for xi, c in merged.items() if c != 0))
 
     @property
@@ -227,7 +234,8 @@ class CallableFunction:
 
 
 def _derivative_or_none(f, order):
-    """``f.derivative(order)``, or None for a plain callable or too few derivatives."""
+    """``f.derivative(order)``, or None for a plain callable or too few derivatives;
+    :class:`EvaluationDomain` where a coefficient or weight of it overflows."""
     derivative = getattr(f, "derivative", None)
     if derivative is None:
         return None
@@ -235,6 +243,8 @@ def _derivative_or_none(f, order):
         return derivative(order)
     except InsufficientDerivatives:
         return None
+    except ValueError as exc:  # not the input's fault, which the constructor checked
+        raise EvaluationDomain(f"{f!r} has no finite derivative of order {order}: {exc}") from None
 
 
 def _mp_form(f):
@@ -266,7 +276,7 @@ def _matrix_form(f):
     if isinstance(f, WienerAtomic):
         return lambda X: sum((c * scipy.linalg.expm(1j * xi * X) for xi, c in f.atoms),
                              np.zeros(X.shape, dtype=complex))
-    named = {np.exp: scipy.linalg.expm, np.cos: scipy.linalg.cosm, np.sin: scipy.linalg.sinm}
+    named = {cycle[0]: getattr(scipy.linalg, form) for cycle, form in _ANALYTIC.values()}
     form = named.get(f.evaluator) if isinstance(f, CallableFunction) else None
     if form is None:
         raise EvaluationDomain(f"{f!r} has no matrix form")
@@ -903,18 +913,13 @@ def wiener_taylor_truncate(f: WienerAtomic, degree: int) -> TaylorTruncation:
 # builtins and the JSON function-spec format
 # ---------------------------------------------------------------------------
 
-def _cyclic_trig(name, max_order):
-    cycles = {
-        "sin": [np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)],
-        "cos": [np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin],
-    }
-    cyc = cycles[name]
-    return CallableFunction(
-        cyc[0],
-        [cyc[(j + 1) % 4] for j in range(max_order)],
-        mp_evaluator=getattr(mp, name),
-        name=name,
-    )
+# each analytic builtin's derivatives f, f', f'', ..., a cycle, and the name
+# of its scipy.linalg matrix form
+_ANALYTIC = {
+    "exp": ((np.exp,), "expm"),
+    "sin": ((np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)), "sinm"),
+    "cos": ((np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin), "cosm"),
+}
 
 
 def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
@@ -925,25 +930,28 @@ def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
     below ``s`` are 0, order ``s`` is ``s!`` where even and 0, the midpoint of
     its jump, where odd, and ``f`` is infinite for ``s < 0``).  Each also takes
     ``max_order``, the number of derivatives (a nonnegative int, 12 by
-    default); a missing, unknown or malformed parameter is a ValueError.
+    default); a missing, unknown or malformed parameter, an exponent that is
+    not finite among them, is a ValueError.
     """
     params = dict(params or {})
     max_order = params.pop("max_order", 12)
     if type(max_order) is not int or max_order < 0:
         raise ValueError(f"max_order must be a nonnegative int, got {max_order!r}")
-    takes = {"exp": set(), "sin": set(), "cos": set(), "abs_pow": {"exponent"}}
+    takes = {**dict.fromkeys(_ANALYTIC, set()), "abs_pow": {"exponent"}}
     if name not in takes:
         raise ValueError(f"unknown builtin function {name!r}")
     mismatch = sorted(takes[name] ^ set(params))
     if mismatch:
         verb = "does not take" if mismatch[0] in params else "requires"
         raise ValueError(f"builtin {name!r} {verb} the parameter {mismatch[0]!r}")
-    if name == "exp":
-        return CallableFunction(np.exp, [np.exp] * max_order,
-                                mp_evaluator=mp.exp, name="exp")
-    if name in ("sin", "cos"):
-        return _cyclic_trig(name, max_order)
+    if name in _ANALYTIC:
+        cycle = _ANALYTIC[name][0]
+        return CallableFunction(cycle[0],
+                                [cycle[(j + 1) % len(cycle)] for j in range(max_order)],
+                                mp_evaluator=getattr(mp, name), name=name)
     s = float(params["exponent"])
+    if not math.isfinite(s):
+        raise ValueError(f"abs_pow exponent must be finite, got {s!r}")
 
     def make(order):
         factor = math.prod(s - j for j in range(order))

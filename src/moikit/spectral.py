@@ -189,8 +189,8 @@ class SpectralDecomposition:
     ``eigenvalues`` holds the ``n`` eigenvalues in ascending order, ties
     included, and ``vectors`` the unitary of eigenvectors, column ``i``
     belonging to ``eigenvalues[i]``.  Each field is held as an array, and
-    construction raises ``ValueError`` unless there is one eigenvalue per
-    eigenvector.
+    construction raises ``ValueError`` unless ``source`` and ``vectors`` have
+    one shape and there is one eigenvalue per eigenvector.
 
     ``clusters`` groups the eigenvector indices, derived on first access:
     consecutive eigenvalues at most ``CLUSTER_TOL_FACTOR (1 + ||source||_F)``
@@ -205,6 +205,9 @@ class SpectralDecomposition:
     def __post_init__(self):
         for name in ("source", "eigenvalues", "vectors"):
             object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        if self.source.shape != self.vectors.shape:
+            raise ValueError(f"source of shape {self.source.shape} for "
+                             f"eigenvectors of shape {self.vectors.shape}")
         if self.eigenvalues.shape != self.vectors.shape[1:]:
             raise ValueError(f"eigenvalues of shape {self.eigenvalues.shape} for "
                              f"eigenvectors of shape {self.vectors.shape}")

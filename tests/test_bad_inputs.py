@@ -23,6 +23,7 @@ from moikit import (
     MoiSymbol,
     NotHermitian,
     Polynomial,
+    SpectralDecomposition,
     WienerAtomic,
     block_triangular_derivative,
     builtin_function,
@@ -91,8 +92,15 @@ BAD_INPUTS = {
     "sup_bound_radius": (ValueError, lambda: divided_difference_sup_bound(COS, 1, 0.0)),
     "truncation_degree": (ValueError, lambda: wiener_taylor_truncate(COS, -1)),
     "unknown_builtin": (ValueError, lambda: builtin_function("tan")),
+    # finite inputs whose first derivative overflows, read at a repeated node
+    "polynomial_derivative_overflow": (EvaluationDomain, lambda: divided_difference(
+        Polynomial([0.0, 0.0, 1.5e308]), [0.5, 0.5])),
+    "wiener_derivative_overflow": (EvaluationDomain, lambda: divided_difference(
+        WienerAtomic([(1e300, 1e10)]), [0.5, 0.5])),
     # spectral
     "non_square_matrix": (NotHermitian, lambda: hermitian_eigendecompose(np.ones((2, 3)))),
+    "decomposition_source_shape": (ValueError, lambda: SpectralDecomposition(
+        np.array([[1.0]]), [1.0, 1.0], np.eye(2))),
 }
 
 

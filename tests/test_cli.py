@@ -241,6 +241,23 @@ class TestDerivative:
         assert check["tolerance"] == 1e-4
         assert check["residual"] > 1e-11
 
+    def test_stencil_strategy_without_a_matrix_form_has_no_oracle_exits_2(
+            self, tmp_path, caplog):
+        # |x|^2 has no matrix form, and the stencil oracle would be the very
+        # computation the fd strategy ran, agreeing at residual 0
+        mats = [str(FIXTURES / name) for name in
+                ("zero_eig_base.json", "cos_k2_dir1.json", "cos_k2_dir2.json")]
+        out = tmp_path / "d.json"
+        argv = ["derivative", "--function", str(FIXTURES / "abs_pow2_fn.json"),
+                "--order", "2", "--check", "--strategy", "fd", "--out", str(out)]
+        for m in mats:
+            argv += ["--matrix", m]
+        assert main(argv) == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].name == "moikit"
+        assert "no matrix form" in errors[0].getMessage()
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_time_leaves_out_the_scipy_import(self, tmp_path):
         # the block oracle needs scipy.linalg, which moikit imports on first
         # use: in a fresh process, it must be loaded when the oracle's timer
@@ -398,6 +415,8 @@ class TestSettings:
         ("derivative", {"check": "yes"}),
         ("derivative", {"strategy": "nope"}),
         ("derivative", {"strategy": ["moi"]}),
+        ("derivative", {"strategy": "finite_difference"}),
+        ("derivative", {"strategy": "power_closed_form"}),
         ("derivative", {"seed": 1}),
         ("derivative", {"matrices": "a.json"}),
         ("derivative", {"out": 3}),
@@ -484,7 +503,8 @@ class TestMalformedFunctionSpec:
     @pytest.mark.parametrize("spec", [
         {"kind": "polynomial", "coeffs": [1, 2]},
         [1, 2],
-    ], ids=["bare_coefficients", "not_an_object"])
+        {"kind": "builtin", "name": "abs_pow", "params": {"exponent": float("inf")}},
+    ], ids=["bare_coefficients", "not_an_object", "infinite_exponent"])
     def test_exits_3_with_one_error_line(self, tmp_path, spec):
         fn = write_json(tmp_path / "f.json", spec)
         a = matrix_file(tmp_path, "a.json", np.diag([0.5, 1.5]))
@@ -501,9 +521,13 @@ class TestMalformedFunctionSpec:
 
 
 class TestEvaluationDomain:
+    # finite numbers whose function values overflow on the spectrum; a
+    # number that is not finite is a malformed spec, which exits 3
     @pytest.mark.parametrize("spec", [
-        {"kind": "wiener", "atoms": [[float("nan"), 0.5, 0.0]]},
-        {"kind": "polynomial", "coeffs": [[0, 0], [1, 0], [float("inf"), 0]]},
+        {"kind": "wiener", "atoms": [[0.0, sys.float_info.max, 0.0],
+                                     [1e-300, sys.float_info.max, 0.0]]},
+        {"kind": "polynomial",
+         "coeffs": [[sys.float_info.max, 0], [0, 0], [sys.float_info.max / 2, 0]]},
     ])
     @pytest.mark.parametrize("command", ["eval", "derivative"])
     def test_non_finite_function_exits_2(self, tmp_path, command, spec):

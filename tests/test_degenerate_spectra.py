@@ -8,6 +8,7 @@ gap ``CLUSTER_TOL_FACTOR (1 + ||A||_F)`` at which the index groups of
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,15 +153,32 @@ class TestOrderFour:
 
 
 class TestReportSchema:
-    def test_body_key_order_is_frozen(self, tmp_path):
+    FIXTURES = Path(__file__).parent / "fixtures"
+    COS = ["--function", str(FIXTURES / "cos_fn.json"),
+           "--matrix", str(FIXTURES / "cos_k2_base.json")]
+    DIR1 = ["--matrix", str(FIXTURES / "cos_k2_dir1.json")]
+    DIR2 = ["--matrix", str(FIXTURES / "cos_k2_dir2.json")]
+    # each command's arguments and the path of its report beside --out
+    COMMANDS = {
+        "eval": (["eval", *COS], ".report.json"),
+        "derivative": (["derivative", "--order", "2", "--check", *COS, *DIR1, *DIR2],
+                       ".report.json"),
+        "remainder": (["remainder", "--order", "2", *COS, *DIR1], ".report.json"),
+        "verify": (["verify", "--seed", "1", "--filter", "truncation"], ""),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_body_key_order_is_frozen(self, tmp_path, command):
         from moikit.cli import main
+        argv, suffix = self.COMMANDS[command]
         out = tmp_path / "r.json"
-        assert main(["verify", "--seed", "1", "--filter", "truncation",
-                     "--out", str(out)]) == 0
-        body = json.loads((tmp_path / "r.json.body").read_text())
+        assert main([*argv, "--out", str(out)]) == 0
+        report = Path(f"{out}{suffix}")
+        body = json.loads(Path(f"{report}.body").read_text())
         assert list(body) == ["tool", "version", "config", "overall_pass", "checks"]
-        assert list(body["checks"][0]) == [
+        assert body["checks"] and all(list(check) == [
             "name", "identity", "lhs", "rhs", "residual", "tolerance", "passed"]
-        full = json.loads(out.read_text())
-        assert list(full)[:-1] == list(body)
-        assert list(full)[-1] == "timings_seconds"
+            for check in body["checks"])
+        full = json.loads(report.read_text())
+        assert list(full) == [*body, "timings_seconds"]
+        assert {key: full[key] for key in body} == body

@@ -163,8 +163,11 @@ class TestMatrixFunctionDerivative:
         with pytest.raises(ValueError):
             DerivativeRequest(COS, a, (a,), 1, "bogus")
 
-    @pytest.mark.parametrize("f", [WienerAtomic([(math.nan, 0.5)]),
-                                   Polynomial([0.0, 1.0, math.inf])])
+    # finite numbers whose values overflow wherever the spectrum lies: the
+    # constructors reject a number that is not finite
+    @pytest.mark.parametrize("f", [
+        WienerAtomic([(0.0, sys.float_info.max), (1e-300, sys.float_info.max)]),
+        Polynomial([sys.float_info.max, 0.0, sys.float_info.max / 2])])
     @pytest.mark.parametrize("strategy", ["moi", "finite_difference"])
     def test_non_finite_function_raises(self, f, strategy):
         rng = suite_rng(39, 0)

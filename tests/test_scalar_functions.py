@@ -520,9 +520,31 @@ class TestSpecFormat:
         {"kind": "builtin", "name": "abs_pow"},
         {"kind": "builtin", "name": "exp", "params": {"exponent": 2}},
         {"kind": "builtin", "name": "exp", "params": {"max_ordr": 3}},
+        {"kind": "builtin", "name": "abs_pow", "params": {"exponent": math.inf}},
+        {"kind": "builtin", "name": "abs_pow", "params": {"exponent": math.nan}},
+        {"kind": "polynomial", "coeffs": [[1, 0], [math.nan, 0]]},
+        {"kind": "polynomial", "coeffs": [[1, -math.inf]]},
+        {"kind": "wiener", "atoms": [[math.inf, 0.5, 0.0]]},
+        {"kind": "wiener", "atoms": [[1.0, 0.5, math.nan]]},
     ])
     def test_malformed_spec_is_a_value_error(self, spec):
         with pytest.raises(ValueError):
+            function_from_spec(spec)
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"kind": "builtin", "name": "abs_pow", "params": {"exponent": math.inf}},
+         "exponent must be finite, got inf"),
+        ({"kind": "polynomial", "coeffs": [[1, 0], [math.nan, 0]]},
+         r"coefficient \(nan\+0j\) is not finite"),
+        ({"kind": "wiener", "atoms": [[0.5, 1.0, 0.0], [math.inf, 0.5, 0.0]]},
+         r"atom \(frequency inf, weight \(0\.5\+0j\)\) is not finite"),
+        ({"kind": "wiener", "atoms": [[1.0, 0.5, -math.inf]]},
+         r"atom \(frequency 1\.0, weight \(0\.5-infj\)\) is not finite"),
+    ], ids=["exponent", "coefficient", "frequency", "weight"])
+    def test_non_finite_number_is_named(self, spec, named):
+        # JSON reads Infinity and NaN; the spec error names the number, not
+        # an eigenvalue at which the function later fails
+        with pytest.raises(ValueError, match=named):
             function_from_spec(spec)
 
 
