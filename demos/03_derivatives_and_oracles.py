@@ -42,7 +42,7 @@ A = random_hermitian(rng, 5, norm=0.8)
 dirs = tuple(random_hermitian(rng, 5, norm=1.0) for _ in range(2))
 
 spectral = matrix_function_derivative(DerivativeRequest(p, A, dirs, 2, "moi"))
-closed = matrix_function_derivative(DerivativeRequest(p, A, dirs, 2, "power_closed_form"))
+closed = matrix_function_derivative(DerivativeRequest(p, A, dirs, 2, "power"))
 stencil = finite_difference_derivative(p, A, dirs)
 print("\ndegree-5 polynomial, second derivative (3 strategies):")
 print(f"  spectral sum vs closed form: rel = {rel(spectral, closed):.2e}")

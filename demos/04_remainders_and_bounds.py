@@ -3,7 +3,8 @@
 
 The order-k remainder of a matrix function can be computed by definition,
 as a single mixed-base operator integral, or as a weighted line integral;
-its Schatten norms are controlled by certified moment bounds.
+its Schatten norms are controlled by the Hoelder bound for operator
+integrals, applied to the mixed-base integral with the certified moment bound.
 """
 
 import numpy as np
@@ -42,7 +43,7 @@ print("\nSchatten norms of diag(3, 4):")
 for p in (1.0, 2.0, np.inf):
     print(f"  p = {p:<4}: {schatten_norm(M, p):.4f}")
 
-# --- remainder bound via the certified moment factor ------------------------
+# --- remainder bound: the operator-integral bound on the mixed-base form ----
 report = remainder_schatten_check(cos, 2, a, b, p=1.0)
 check = report.checks[0]
 print("\nremainder bound ||R_2(b)||_1 <= (moment_2/2!) ||b||_2^2:")

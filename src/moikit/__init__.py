@@ -37,7 +37,6 @@ from .frechet import (
 from .moi import (
     MoiOperands,
     MoiSymbol,
-    moi_contract,
     moi_evaluate,
     moi_opnorm_bound_check,
     moi_perturbation,

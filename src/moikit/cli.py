@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -29,6 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import DimensionMismatch, EvaluationDomain, MoikitError
 from .frechet import (
+    STRATEGIES,
     DerivativeRequest,
     block_triangular_derivative,
     finite_difference_derivative,
@@ -101,8 +103,6 @@ def _finish(cfg: RunConfig, checks, timings, value=None) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-_STRATEGY_ALIASES = {"moi": "moi", "fd": "finite_difference", "power": "power_closed_form"}
-
 # the settings each subcommand reads: its flags, and the keys its --config may hold
 SETTINGS = {
     "eval": ("function", "matrices", "out"),
@@ -116,7 +116,7 @@ _FLAGS = {
     "function": ("--function", {"help": "function-spec JSON path"}),
     "matrices": ("--matrix", {"action": "append", "help": "matrix JSON path (repeatable)"}),
     "order": ("--order", {"help": "derivative/remainder order k"}),
-    "strategy": ("--strategy", {"help": "|".join(sorted(_STRATEGY_ALIASES))}),
+    "strategy": ("--strategy", {"help": "|".join(sorted(STRATEGIES))}),
     "check": ("--check", {"action": "store_const", "const": True,
                           "help": "also run an independent oracle and record the residual"}),
     "tolerances": ("--tolerance", {"action": "append", "metavar": "NAME=VALUE",
@@ -180,8 +180,8 @@ def _build_config(args) -> RunConfig:
         raise ValueError(f"{cfg.command} requires order >= 1, got {cfg.order}")
     if not isinstance(cfg.check, bool):
         raise ValueError(f"check must be true or false, got {cfg.check!r}")
-    if not isinstance(cfg.strategy, str) or cfg.strategy not in _STRATEGY_ALIASES:
-        raise ValueError(f"strategy must be one of {', '.join(sorted(_STRATEGY_ALIASES))}, "
+    if not isinstance(cfg.strategy, str) or cfg.strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {', '.join(sorted(STRATEGIES))}, "
                          f"got {cfg.strategy!r}")
     for name, value in cfg.tolerances.items():
         if name not in DEFAULT_TOLERANCES:
@@ -189,6 +189,8 @@ def _build_config(args) -> RunConfig:
                              f"known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"tolerance {name} must be a number, got {value!r}")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
     cfg.tolerances = {name: float(cfg.tolerances[name]) for name in sorted(cfg.tolerances)}
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ValueError(f"out must be a path, got {cfg.out!r}")
@@ -219,7 +221,7 @@ def _derivative_oracle(f, strategy):
     try:
         _matrix_form(f)
     except EvaluationDomain:
-        if strategy == "finite_difference":
+        if strategy == "fd":
             raise EvaluationDomain(f"{f!r} has no matrix form, so --check has no "
                                    "oracle but the stencil the fd strategy ran") from None
         return (finite_difference_derivative, "derivative vs stencil oracle",
@@ -238,18 +240,17 @@ def cmd_derivative(cfg: RunConfig):
             f"derivative of order {cfg.order} needs 1 base + {cfg.order} "
             f"direction matrices, got {len(matrices)}")
     base, dirs = matrices[0], tuple(matrices[1:])
-    strategy = _STRATEGY_ALIASES[cfg.strategy]
     t0 = time.perf_counter()
-    request = DerivativeRequest(f, base, dirs, cfg.order, strategy)
+    request = DerivativeRequest(f, base, dirs, cfg.order, cfg.strategy)
     value = matrix_function_derivative(request)
     timings = {"derivative": time.perf_counter() - t0}
     checks = []
     if cfg.check:
-        oracle, name, claim, tol_name = _derivative_oracle(f, strategy)
+        oracle, name, claim, tol_name = _derivative_oracle(f, cfg.strategy)
         t0 = time.perf_counter()
         expected = oracle(f, base, dirs)
         timings["oracle"] = time.perf_counter() - t0
-        if strategy == "finite_difference":
+        if cfg.strategy == "fd":
             # a stencil on either side is gated at the stencil's tolerance
             tol_name = "derivative_fd"
         tol = cfg.tolerances.get(tol_name, DEFAULT_TOLERANCES[tol_name])

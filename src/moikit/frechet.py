@@ -8,14 +8,15 @@ identity, which reads the ordered integrals off ``f`` of block-bidiagonal
 matrices with no eigensolver, and a tensor central-difference stencil in
 double precision (Jacobi at each point) or in 30 digits (``mp.eighe`` at
 each point).  It also holds the three equivalent Taylor-remainder forms
-and the Schatten-norm inequalities that control them.
+and the one Hölder-Schatten estimate for operator integrals, which bounds
+the remainder written as a single mixed-base integral.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import mp
@@ -32,6 +33,7 @@ from .moi import (
     _matrix_powers,
     _power_chain,
     _require_operands,
+    _require_power,
     _require_shape,
     moi_evaluate,
 )
@@ -43,7 +45,6 @@ from .scalar_functions import (
     _matrix_form,
     _mp_form,
     _unit_gauss,
-    wiener_iptp_bound,
 )
 from .spectral import _decompose, functional_calculus, jacobi_eigh
 
@@ -66,7 +67,7 @@ EXTENDED_DPS = 30
 # Gauss-Legendre nodes of the line-integral remainder form
 REMAINDER_NODES = 32
 
-STRATEGIES = ("moi", "finite_difference", "power_closed_form")
+STRATEGIES = ("moi", "fd", "power")
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,14 @@ def power_map_derivative(power: int, base: np.ndarray, directions) -> np.ndarray
     """k-th derivative of ``a -> a^m``: permuted exponent-splitting products.
 
     Valid in any matrix algebra (no Hermiticity needed); the zero matrix
-    when the order exceeds the power, and ``ValueError`` when it is negative.
+    when the order exceeds the power, and ``ValueError`` unless the power is
+    a nonnegative integer.
     """
     directions = [np.asarray(b, dtype=complex) for b in directions]
     k = len(directions)
     if k < 1:
         raise ValueError("at least one direction required")
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
+    _require_power(power)
     a = np.asarray(base, dtype=complex)
     _require_shape(a, directions)
     out = np.zeros(a.shape, dtype=complex)
@@ -119,8 +120,8 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
     point's eigenvalues and contracts it in the eigenbasis for every
     permutation of the directions, summing the k! results (symmetric in the
     directions by construction);
-    ``power_closed_form`` expands a polynomial monomial by monomial;
-    ``finite_difference`` defers to the stencil oracle.
+    ``power`` expands a polynomial monomial by monomial;
+    ``fd`` defers to the stencil oracle.
     """
     f, k = request.f, request.order
     if request.strategy == "moi":
@@ -133,9 +134,9 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
         for middles in itertools.permutations(request.directions):
             out += moi_evaluate(symbol, MoiOperands(decomps, middles), tensor=tensor)
         return out
-    if request.strategy == "power_closed_form":
+    if request.strategy == "power":
         if not isinstance(f, Polynomial):
-            raise ValueError("power_closed_form requires a polynomial")
+            raise ValueError("the power strategy requires a polynomial")
         n = request.base.shape[0]
         out = np.zeros((n, n), dtype=complex)
         for m, c in enumerate(f.coeffs):
@@ -276,6 +277,16 @@ def taylor_remainder_direct(f, order: int, base, perturbation) -> np.ndarray:
     return out
 
 
+def _remainder_integral(f, order: int, base, perturbation):
+    """The symbol and operands of the remainder as one mixed-base operator
+    integral: ``f^[order]``, with the first slot decomposed at
+    ``base + perturbation``, the remaining ``order`` slots at ``base``, and
+    every middle equal to the perturbation."""
+    a, b = _remainder_operands(order, base, perturbation)
+    return (MoiSymbol.from_function(f, order),
+            MoiOperands((_decompose(a + b),) + (_decompose(a),) * order, (b,) * order))
+
+
 def taylor_remainder_moi(f, order: int, base, perturbation) -> np.ndarray:
     """Remainder as a single mixed-base operator integral.
 
@@ -283,12 +294,7 @@ def taylor_remainder_moi(f, order: int, base, perturbation) -> np.ndarray:
     remaining ``order`` slots at ``base``; all middles equal the
     perturbation.  Equals the direct form up to rounding.
     """
-    a, b = _remainder_operands(order, base, perturbation)
-    Da = _decompose(a)
-    Dab = _decompose(a + b)
-    symbol = MoiSymbol.from_function(f, order)
-    operands = MoiOperands((Dab,) + (Da,) * order, (b,) * order)
-    return moi_evaluate(symbol, operands)
+    return moi_evaluate(*_remainder_integral(f, order, base, perturbation))
 
 
 def taylor_remainder_integral(f, order: int, base, perturbation) -> np.ndarray:
@@ -336,35 +342,24 @@ def schatten_norm(M: np.ndarray, p: float) -> float:
     return float(np.sum(sigma ** p) ** (1.0 / p))
 
 
-def _segment_radius(a: np.ndarray, b: np.ndarray) -> float:
-    """max ||a + t b|| over [0, 1]: the norm is convex in t, so the larger of
-    its values at the endpoints."""
-    return max(schatten_norm(a, math.inf), schatten_norm(a + b, math.inf))
-
-
 def remainder_schatten_check(f: WienerAtomic, order: int, base, perturbation,
                              p: float) -> VerificationReport:
     """Schatten bound on a Taylor remainder with the certified moment bound.
 
-    Verifies ``||R_k(b)||_p <= (moment_k / k!) * ||b||_{kp}^k``; the
-    moment-based factor dominates the (uncomputable) separated cost of the
-    k-th divided difference, so the inequality is implied by the exact one.
+    Verifies ``||R_k(b)||_p <= (moment_k / k!) * ||b||_{kp}^k``: the
+    remainder is the mixed-base integral of :func:`taylor_remainder_moi`,
+    and this is :func:`moi_schatten_check` on it with every slot exponent
+    ``k p``.  ``ValueError`` when ``f`` has no certified bound (it is not an
+    atomic Fourier sum).
     """
     p = float(p)
     if math.isnan(p) or p < 1.0 or math.isinf(p):
         raise InvalidP("remainder bound requires p in [1, inf)")
-    a, b = _remainder_operands(order, base, perturbation)
-    remainder = taylor_remainder_direct(f, order, a, b)
-    lhs = schatten_norm(remainder, p)
-    rhs = wiener_iptp_bound(f, order) * schatten_norm(b, order * p) ** order
-    radius = _segment_radius(a, b)
-    report = VerificationReport("taylor-remainder-schatten-bound")
-    report.add(inequality_check(
-        f"remainder bound (order {order}, p={p:g})",
-        "||R_k(b)||_p <= (moment_k/k!) * ||b||_{kp}^k "
-        f"(spectra within radius {radius:.3g})",
-        lhs=lhs, rhs=rhs, slack=1e-9 * (1.0 + rhs)))
-    return report
+    (check,) = moi_schatten_check(*_remainder_integral(f, order, base, perturbation),
+                                  [order * p] * order).checks
+    return VerificationReport("taylor-remainder-schatten-bound", [replace(
+        check, name=f"remainder bound (order {order}, p={p:g})",
+        identity="||R_k(b)||_p <= (moment_k/k!) * ||b||_{kp}^k")])
 
 
 def moi_schatten_check(symbol: MoiSymbol, operands: MoiOperands,
@@ -385,7 +380,8 @@ def moi_schatten_check(symbol: MoiSymbol, operands: MoiOperands,
     inv = sum(0.0 if math.isinf(q) else 1.0 / q for q in ps)
     if inv > 1.0 + 1e-12:
         raise HolderMismatch("slot exponents sum to a target below p = 1")
-    p = math.inf if inv == 0.0 else 1.0 / inv
+    # a sum of reciprocals such as nine of 1/9 rounds above 1: the target is p = 1
+    p = math.inf if inv == 0.0 else 1.0 / min(inv, 1.0)
     if symbol.iptp_bound is None:
         raise ValueError("symbol carries no certified separated-cost bound")
 

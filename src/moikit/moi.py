@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,27 +43,22 @@ __all__ = [
     "MoiSymbol",
     "MoiOperands",
     "moi_evaluate",
-    "moi_contract",
     "moi_separated",
     "moi_polynomial",
     "moi_wiener",
     "moi_perturbation",
     "moi_opnorm_bound_check",
-    "compositions",
 ]
 
 
 @functools.cache
-def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """Nonnegative integer tuples of the given length summing to ``total``,
-    lexicographically ascending and built once per argument pair; empty when
-    ``total`` is negative."""
-    if total < 0:
-        return ()
+def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Nonnegative integer tuples of the given length summing to ``total >= 0``,
+    lexicographically ascending and built once per argument pair."""
     if parts == 1:
         return ((total,),)
     return tuple((head,) + rest for head in range(total + 1)
-                 for rest in compositions(total - head, parts - 1))
+                 for rest in _compositions(total - head, parts - 1))
 
 
 def _require_shape(base, matrices) -> None:
@@ -174,12 +170,15 @@ class MoiOperands:
         return cls(decomps, mids)
 
 
-def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
-    """Contract a symbol tensor against the operands in their eigenbases.
+def moi_evaluate(symbol: MoiSymbol, operands: MoiOperands,
+                 tensor: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate a multiple operator integral in the eigenbases of its slots.
 
-    ``tensor[i_0..i_k]`` is the symbol at the eigenvalues
-    ``(lam_0[i_0], .., lam_k[i_k])`` of the k+1 decompositions, one index per
-    eigenvector.  With ``A_j = V_j diag(lam_j) V_j*``, the integral is
+    The symbol is tabulated once as ``tensor[i_0..i_k]``, its value at the
+    eigenvalues ``(lam_0[i_0], .., lam_k[i_k])`` of the k+1 decompositions,
+    one index per eigenvector (:meth:`MoiSymbol.tensor`); calls that share
+    the decompositions may pass the same precomputed ``tensor`` to skip the
+    tabulation.  With ``A_j = V_j diag(lam_j) V_j*``, the integral is
     ``V_0 X V_k*`` where ``X[a_0, a_k]`` sums ``T[a_0..a_k] * prod_j
     (V_{j-1}* b_j V_j)[a_{j-1}, a_j]`` over the inner indices.  The chain
     is contracted from the left on a fixed path: ``b_1`` and ``b_2`` in one
@@ -188,6 +187,10 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     built.
     """
     k = operands.order
+    if symbol.arity != k + 1:
+        raise ArityMismatch(f"symbol arity {symbol.arity} != k+1 = {k + 1}")
+    if tensor is None:
+        tensor = symbol.tensor([d.eigenvalues for d in operands.decomps])
     tensor = np.asarray(tensor, dtype=complex)
     expected = (operands.dimension,) * (k + 1)
     if tensor.shape != expected:
@@ -208,23 +211,6 @@ def moi_contract(tensor: np.ndarray, operands: MoiOperands) -> np.ndarray:
     for b in rotated[2:]:
         core = np.einsum("abc...,bc->ac...", core, b)
     return vectors[0] @ core @ vectors[k].conj().T
-
-
-def moi_evaluate(symbol: MoiSymbol, operands: MoiOperands,
-                 tensor: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate a multiple operator integral in the eigenbases of its slots.
-
-    Tabulates the symbol once on the eigenvalues
-    (:meth:`MoiSymbol.tensor`) and contracts it with :func:`moi_contract`.
-    Calls that share the decompositions may pass the same precomputed
-    ``tensor`` to skip the tabulation.
-    """
-    k = operands.order
-    if symbol.arity != k + 1:
-        raise ArityMismatch(f"symbol arity {symbol.arity} != k+1 = {k + 1}")
-    if tensor is None:
-        tensor = symbol.tensor([d.eigenvalues for d in operands.decomps])
-    return moi_contract(tensor, operands)
 
 
 def moi_separated(factors, weights, operands: MoiOperands) -> np.ndarray:
@@ -248,6 +234,12 @@ def moi_separated(factors, weights, operands: MoiOperands) -> np.ndarray:
     return out
 
 
+def _require_power(power) -> None:
+    """``ValueError`` unless ``power`` is a nonnegative integer."""
+    if not isinstance(power, numbers.Integral) or power < 0:
+        raise ValueError(f"power must be a nonnegative integer, got {power!r}")
+
+
 def _matrix_powers(a: np.ndarray, top: int) -> list[np.ndarray]:
     """``[I, a, a^2, .., a^top]``, each by one product with the last."""
     return list(itertools.accumulate([a] * top, np.matmul,
@@ -257,7 +249,7 @@ def _matrix_powers(a: np.ndarray, top: int) -> list[np.ndarray]:
 def _power_chain(out: np.ndarray, powers, middles) -> None:
     """Add ``P_0[g_0] b_1 P_1[g_1] .. b_k P_k[g_k]`` into ``out`` for every
     splitting ``|g| = len(P_j) - 1`` in ascending order, ``P_j = powers[j]``."""
-    for gamma in compositions(len(powers[0]) - 1, len(powers)):
+    for gamma in _compositions(len(powers[0]) - 1, len(powers)):
         term = powers[0][gamma[0]]
         for j, b in enumerate(middles):
             term = term @ b
@@ -272,8 +264,7 @@ def moi_polynomial(power: int, operands: MoiOperands) -> np.ndarray:
     splittings ``|gamma| = power - k`` of ``a_0^g0 b_1 a_1^g1 ... b_k a_k^gk``,
     from one power list per slot; the zero matrix when ``0 <= power < k``.
     """
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
+    _require_power(power)
     k, n = operands.order, operands.dimension
     out = np.zeros((n, n), dtype=complex)
     if power >= k:

@@ -349,6 +349,8 @@ def simplex_rule(k, points=GAUSS_POINTS):
     the Jacobian ``prod_j (1-u_j)^(k-j)`` folds into the weights, so the
     rule integrates exactly against the simplex measure.
     """
+    if k < 0:
+        raise ValueError(f"simplex order must be nonnegative, got {k!r}")
     return _simplex_rule(k, points)
 
 
@@ -847,8 +849,8 @@ def divided_difference_sup_bound(f, order: int, radius: float) -> float:
     Dominates ``|f^[k]|`` on the cube ``[-radius, radius]^(k+1)`` up to the
     grid resolution error.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     dk = _derivative_or_none(f, order) if order else f
     if dk is None:
         raise InsufficientDerivatives(f"the function does not supply {order} derivatives")

@@ -45,6 +45,7 @@ from moikit import (
     poly_divided_difference,
     power_map_derivative,
     schatten_norm,
+    simplex_rule,
     wiener_taylor_truncate,
 )
 from moikit.cli import main
@@ -67,12 +68,13 @@ BAD_INPUTS = {
     # frechet
     "power_map_no_directions": (ValueError, lambda: power_map_derivative(2, A, [])),
     "power_map_negative_power": (ValueError, lambda: power_map_derivative(-1, A, [B])),
+    "power_map_fractional_power": (ValueError, lambda: power_map_derivative(2.5, A, [B])),
     "finite_difference_no_directions":
         (ValueError, lambda: finite_difference_derivative(COS, A, [])),
     "block_triangular_no_directions":
         (ValueError, lambda: block_triangular_derivative(COS, A, [])),
     "power_closed_form_non_polynomial": (ValueError, lambda: matrix_function_derivative(
-        DerivativeRequest(COS, A, (B,), 1, "power_closed_form"))),
+        DerivativeRequest(COS, A, (B,), 1, "power"))),
     "schatten_slot_exponent_below_one":
         (HolderMismatch, lambda: moi_schatten_check(SYMBOL, operands(), [0.5])),
     "schatten_norm_of_a_vector": (ValueError, lambda: schatten_norm(np.ones(3), 2.0)),
@@ -87,9 +89,13 @@ BAD_INPUTS = {
         (ArityMismatch, lambda: moi_separated([(COS,)], [1.0], operands())),
     "opnorm_zero_probes": (ValueError, lambda: moi_opnorm_bound_check(SYMBOL, operands(), 0)),
     "polynomial_negative_power": (ValueError, lambda: moi_polynomial(-2, operands())),
+    "polynomial_fractional_power": (ValueError, lambda: moi_polynomial(2.5, operands())),
     # scalar_functions
     "empty_node_list": (ValueError, lambda: poly_divided_difference(Polynomial([1.0]), [])),
     "sup_bound_radius": (ValueError, lambda: divided_difference_sup_bound(COS, 1, 0.0)),
+    "sup_bound_radius_nan": (ValueError, lambda: divided_difference_sup_bound(COS, 1, math.nan)),
+    "sup_bound_radius_inf": (ValueError, lambda: divided_difference_sup_bound(COS, 1, math.inf)),
+    "simplex_rule_negative_order": (ValueError, lambda: simplex_rule(-1)),
     "truncation_degree": (ValueError, lambda: wiener_taylor_truncate(COS, -1)),
     "unknown_builtin": (ValueError, lambda: builtin_function("tan")),
     # finite inputs whose first derivative overflows, read at a repeated node

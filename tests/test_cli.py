@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -394,6 +395,7 @@ class TestSettings:
         {"tolerances": {"rule_mass": "1e-12"}},
         {"tolerances": {"nonsense": 1e-3}},
         {"tolerances": [["rule_mass", 1e-12]]},
+        {"tolerances": {"rule_mass": math.nan}},
         {"sed": 3},
         {"seed": 3.9},
         {"seed": True},
@@ -435,6 +437,9 @@ class TestSettings:
         ["verify", "--seed", str(2**128), "--filter", "truncation"],
         ["verify", "--tolerance", "rule_mass"],
         ["verify", "--tolerance", "rule_mass=tiny"],
+        ["verify", "--tolerance", "rule_mass=nan"],
+        ["verify", "--tolerance", "rule_mass=-1"],
+        ["verify", "--tolerance", "rule_mass=inf"],
         ["eval", "--order", "1"],
         ["eval", "--check"],
         ["remainder", "--strategy", "moi"],
@@ -445,6 +450,13 @@ class TestSettings:
     ])
     def test_flags_not_read_or_malformed_exit_3(self, caplog, argv):
         self.assert_exits_3(caplog, argv)
+
+    def test_tolerance_out_of_range_is_named(self, tmp_path, caplog):
+        # NaN would also reach the body as a token that strict JSON rejects
+        self.assert_exits_3(caplog, ["verify", "--filter", "quadrature", "--tolerance",
+                                     "rule_mass=nan", "--out", str(tmp_path / "r.json")])
+        assert "tolerance rule_mass" in caplog.records[-1].getMessage()
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("command, count", [("eval", 2), ("remainder", 1),
                                                 ("remainder", 3)])
