@@ -119,7 +119,12 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
     ``moi`` tabulates the divided difference ``f^[k]`` once on the base
     point's eigenvalues and contracts it in the eigenbasis for every
     permutation of the directions, summing the k! results (symmetric in the
-    directions by construction);
+    directions by construction).  For a function marked real (its
+    ``is_real`` is true) at k >= 2 the table is real and symmetric and the
+    directions are Hermitian, so the integral of a direction order reversed
+    is the adjoint of the integral of the order: only the k!/2 orders that
+    precede their reversal (as tuples of direction indices) are contracted,
+    and their sum ``X`` gives ``X + X*``, exactly Hermitian;
     ``power`` expands a polynomial monomial by monomial;
     ``fd`` defers to the stencil oracle.
     """
@@ -130,10 +135,15 @@ def matrix_function_derivative(request: DerivativeRequest) -> np.ndarray:
         decomps = (decomp,) * (k + 1)
         # every permutation shares the eigenvalue grid: tabulate f^[k] once
         tensor = symbol.tensor([decomp.eigenvalues] * (k + 1))
+        orders = itertools.permutations(range(k))
+        reversal_pairs = k >= 2 and getattr(f, "is_real", False)
+        if reversal_pairs:
+            orders = (order for order in orders if order < order[::-1])
         out = np.zeros((decomp.dimension, decomp.dimension), dtype=complex)
-        for middles in itertools.permutations(request.directions):
+        for order in orders:
+            middles = tuple(request.directions[i] for i in order)
             out += moi_evaluate(symbol, MoiOperands(decomps, middles), tensor=tensor)
-        return out
+        return out + out.conj().T if reversal_pairs else out
     if request.strategy == "power":
         if not isinstance(f, Polynomial):
             raise ValueError("the power strategy requires a polynomial")
@@ -230,10 +240,11 @@ def block_triangular_derivative(f, base, directions) -> np.ndarray:
     top-right ``n x n`` block, the ordered operator integral of ``f^[k]``
     against ``b_1 .. b_k`` (Mathias, SIMAX 1996; Higham and Relton, SIMAX
     2014); the sum of that block over the k! orders of the directions is the
-    derivative.  ``f`` is applied to the block matrix by its matrix form:
-    Horner for a polynomial, matrix exponentials for an atomic Fourier sum,
-    and scipy's ``expm``, ``cosm`` or ``sinm`` for the builtin exp, cos and
-    sin.  Raises :class:`EvaluationDomain` for any other function.
+    derivative.  All k! orders are evaluated, for a real ``f`` too, so the
+    oracle checks the halving of :func:`matrix_function_derivative`.  ``f``
+    is applied to the block matrix by its matrix form: Horner for a
+    polynomial, matrix exponentials for an atomic Fourier sum, and scipy's
+    ``expm``, ``cosm`` or ``sinm`` for the builtin exp, cos and sin.  Raises :class:`EvaluationDomain` for any other function.
     """
     base, directions = _require_operands(base, directions)
     k, n = len(directions), base.shape[0]

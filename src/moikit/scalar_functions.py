@@ -36,6 +36,8 @@ The module also exposes the computable upper bounds attached to these
 representations: the ``sup |f^(k)| / k!`` bound and the moment-based bound
 for atomic Fourier sums.
 
+Each function object's ``is_real`` says whether it is known to be real on
+the reals, which lets a derivative contract half its direction orders.
 Function objects are immutable once constructed and every operation here
 is a pure function, so concurrent use needs no synchronization; reductions
 run left-to-right over sorted inputs for bit-stable results, and the
@@ -111,6 +113,11 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def is_real(self) -> bool:
+        """Whether every coefficient is real, so that ``f`` is real on the reals."""
+        return all(c.imag == 0 for c in self.coeffs)
+
     def __call__(self, x):
         # Horner in place: the steps of numpy's polyval, without a temporary
         # per degree
@@ -159,6 +166,13 @@ class WienerAtomic:
     def max_frequency(self) -> float:
         return max((abs(xi) for xi, _ in self.atoms), default=0.0)
 
+    @property
+    def is_real(self) -> bool:
+        """Whether the atoms pair as ``(xi, c)`` and ``(-xi, conj(c))`` (a
+        zero frequency with a real weight), so that ``f`` is real on the reals."""
+        weights = dict(self.atoms)
+        return all(weights.get(-xi) == c.conjugate() for xi, c in self.atoms)
+
     def __call__(self, x):
         x = np.asarray(x)
         if not self.atoms:
@@ -194,7 +208,11 @@ class CallableFunction:
     evaluator itself must be total on every interval it is queried on.
     ``mp_evaluator``, when supplied, evaluates the function in mpmath
     arithmetic so it can participate in extended-precision stencils.
+    ``is_real`` is false: the evaluator may return complex values on the
+    reals.  Only the builtins of :func:`builtin_function` are marked real.
     """
+
+    is_real = False
 
     def __init__(self, evaluator, derivative_evaluators=(),
                  mp_evaluator=None, name=None):
@@ -231,6 +249,12 @@ class CallableFunction:
     def __repr__(self):
         tag = self.name or "<callable>"
         return f"CallableFunction({tag}, max_order={self.max_order})"
+
+
+class _RealBuiltin(CallableFunction):
+    """A builtin of :func:`builtin_function`, real on the reals."""
+
+    is_real = True
 
 
 def _derivative_or_none(f, order):
@@ -390,7 +414,8 @@ def _homogeneous_sums(nodes, max_degree):
     x_j h_{m-1}(x_0..x_j)``, one running sum over the nodes per degree;
     enumeration of the multi-indices would be binomially large.  ``nodes``
     is one tuple, or an ``(k+1, N)`` array whose columns are N tuples, in
-    which case each ``h[m]`` has length N.
+    which case each ``h[m]`` has length N.  One tuple is cheaper through
+    :func:`_tuple_homogeneous_sums`.
     """
     nodes = np.asarray(nodes, dtype=float)
     prefix = np.ones_like(nodes)   # row j: h_m of the first j + 1 nodes
@@ -400,6 +425,22 @@ def _homogeneous_sums(nodes, max_degree):
         np.multiply(nodes, prefix, out=prefix)
         np.add.accumulate(prefix, axis=0, out=prefix)
         h[m] = prefix[-1]
+    return h
+
+
+def _tuple_homogeneous_sums(nodes: tuple, max_degree) -> list[float]:
+    """:func:`_homogeneous_sums` of one tuple of floats, as a list of floats:
+    the same running sums in the same order, so the same values bit for bit,
+    with no array call per degree."""
+    prefix = [1.0] * len(nodes)
+    h = [1.0]
+    for _ in range(max_degree):
+        total = nodes[0] * prefix[0]
+        prefix[0] = total
+        for j in range(1, len(nodes)):
+            total = total + nodes[j] * prefix[j]
+            prefix[j] = total
+        h.append(total)
     return h
 
 
@@ -413,7 +454,7 @@ def poly_divided_difference(p: Polynomial, nodes) -> complex:
     k = len(nodes) - 1
     if k > p.degree:
         return 0j
-    h = _homogeneous_sums(nodes, p.degree - k)
+    h = _tuple_homogeneous_sums(nodes, p.degree - k)
     return complex(sum(p.coeffs[n] * h[n - k] for n in range(k, p.degree + 1)))
 
 
@@ -948,9 +989,9 @@ def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
         raise ValueError(f"builtin {name!r} {verb} the parameter {mismatch[0]!r}")
     if name in _ANALYTIC:
         cycle = _ANALYTIC[name][0]
-        return CallableFunction(cycle[0],
-                                [cycle[(j + 1) % len(cycle)] for j in range(max_order)],
-                                mp_evaluator=getattr(mp, name), name=name)
+        return _RealBuiltin(cycle[0],
+                            [cycle[(j + 1) % len(cycle)] for j in range(max_order)],
+                            mp_evaluator=getattr(mp, name), name=name)
     s = float(params["exponent"])
     if not math.isfinite(s):
         raise ValueError(f"abs_pow exponent must be finite, got {s!r}")
@@ -966,9 +1007,9 @@ def builtin_function(name: str, params: dict | None = None) -> CallableFunction:
         return deriv
 
     order_cap = min(max_order, max(int(math.floor(s)), 0))
-    return CallableFunction(make(0), [make(j) for j in range(1, order_cap + 1)],
-                            mp_evaluator=lambda x: abs(x) ** mp.mpf(s),
-                            name=f"abs_pow[{s}]")
+    return _RealBuiltin(make(0), [make(j) for j in range(1, order_cap + 1)],
+                        mp_evaluator=lambda x: abs(x) ** mp.mpf(s),
+                        name=f"abs_pow[{s}]")
 
 
 def function_from_spec(spec: dict):

@@ -23,13 +23,19 @@ projections, as it reads the eigenvectors and their Gram matrix.  A scalar
 function of the matrix is ``V diag(f(lam)) V*``.
 
 Decompositions are frozen after construction and safe to share across
-threads.
+threads.  Every decomposition passes through one bounded cache of the
+``DECOMPOSITION_CACHE_ENTRIES`` most recently used: a derivative, a
+remainder form or a perturbation check that meets a base it has just
+decomposed, as when one base serves several functions, reads it back
+instead of solving again.  A cached decomposition's arrays are read-only.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,6 +61,10 @@ JACOBI_SWEEP_BUDGET = 30
 JACOBI_OFFDIAG_FACTOR = 1e-13
 # consecutive eigenvalues at most this times 1 + ||A||_F apart share a group
 CLUSTER_TOL_FACTOR = 1e-7
+# decompositions kept by _decompose, keyed by the exact matrix, least recent first
+DECOMPOSITION_CACHE_ENTRIES = 4
+_decompositions: OrderedDict = OrderedDict()
+_decompositions_lock = threading.Lock()
 
 
 def require_hermitian(A: np.ndarray) -> np.ndarray:
@@ -238,8 +248,10 @@ def hermitian_eigendecompose(A: np.ndarray) -> SpectralDecomposition:
     The eigenvalues are LAPACK's, one per eigenvector, and every result
     built on the decomposition is for ``A`` itself: close or repeated
     eigenvalues are not merged, as the divided-difference table resolves
-    them.  Raises :class:`ConvergenceFailure` when LAPACK's eigensolver does
-    not converge.
+    them.  A matrix equal bit for bit to one of the last few decomposed gets
+    that decomposition back (see :func:`_decompose`); its arrays are
+    read-only.  Raises :class:`ConvergenceFailure` when LAPACK's eigensolver
+    does not converge.
     """
     return _decompose(require_hermitian(A))
 
@@ -247,12 +259,34 @@ def hermitian_eigendecompose(A: np.ndarray) -> SpectralDecomposition:
 def _decompose(A: np.ndarray) -> SpectralDecomposition:
     """:func:`hermitian_eigendecompose` of a matrix that
     :func:`require_hermitian` has already returned, which it would return
-    unchanged."""
+    unchanged.
+
+    The last ``DECOMPOSITION_CACHE_ENTRIES`` decompositions are kept, keyed
+    by the matrix's shape, dtype and bytes, so a matrix equal to a cached
+    one bit for bit gets that decomposition back and any other, even one
+    ulp away, is solved.  A cached decomposition holds its own read-only
+    copy of the matrix and read-only eigenvalues and eigenvectors.  A
+    failed eigensolve raises and caches nothing.
+    """
+    key = (A.shape, A.dtype.str, A.tobytes())
+    with _decompositions_lock:
+        decomp = _decompositions.get(key)
+        if decomp is not None:
+            _decompositions.move_to_end(key)
+            return decomp
     try:
         lam, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(source=A, eigenvalues=lam, vectors=V)
+    lam.flags.writeable = V.flags.writeable = False
+    # the key's bytes are immutable, so the copy they read as is read-only
+    source = np.frombuffer(key[2], dtype=A.dtype).reshape(A.shape)
+    decomp = SpectralDecomposition(source=source, eigenvalues=lam, vectors=V)
+    with _decompositions_lock:
+        _decompositions[key] = decomp
+        while len(_decompositions) > DECOMPOSITION_CACHE_ENTRIES:
+            _decompositions.popitem(last=False)
+    return decomp
 
 
 def functional_calculus(f, decomposition: SpectralDecomposition) -> np.ndarray:

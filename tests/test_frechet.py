@@ -176,6 +176,68 @@ class TestMatrixFunctionDerivative:
             matrix_function_derivative(DerivativeRequest(f, a, (b,), 1, strategy))
 
 
+class TestReversedDirectionOrders:
+    # a real f contracts one order of each reversed pair and adds the adjoint;
+    # the block oracle still sums all k! orders
+    @pytest.fixture
+    def moi_calls(self, monkeypatch):
+        calls, evaluate = [], frechet.moi_evaluate
+
+        def counted(symbol, operands, tensor=None):
+            calls.append(operands.middles)
+            return evaluate(symbol, operands, tensor=tensor)
+
+        monkeypatch.setattr(frechet, "moi_evaluate", counted)
+        return calls
+
+    @staticmethod
+    def case(k, seed):
+        rng = suite_rng(seed, k)
+        a = random_hermitian(rng, 5, norm=0.9)
+        return a, tuple(random_hermitian(rng, 5, norm=1.0) for _ in range(k))
+
+    @staticmethod
+    def block_error(f, a, dirs, value):
+        expected = block_triangular_derivative(f, a, dirs)
+        return np.linalg.norm(value - expected) / (1.0 + np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("f", [
+        builtin_function("exp"), builtin_function("cos"), COS,
+        Polynomial([0.3, -1.0, 0.5, 0.25, -0.125]),
+    ], ids=["exp", "cos", "wiener_cos", "polynomial"])
+    def test_real_function_takes_half_the_orders(self, f, k, moi_calls):
+        a, dirs = self.case(k, 47)
+        value = matrix_function_derivative(DerivativeRequest(f, a, dirs, k, "moi"))
+        assert len(moi_calls) == math.factorial(k) // 2
+        assert np.array_equal(value, value.conj().T)
+        assert self.block_error(f, a, dirs, value) < DEFAULT_TOLERANCES["derivative_block"]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("f", [
+        WienerAtomic([(1.0, 1.0)]), Polynomial([0.3, -1.0j, 0.5, 0.25]),
+    ], ids=["expi", "complex_polynomial"])
+    def test_non_real_function_takes_every_order(self, f, k, moi_calls):
+        a, dirs = self.case(k, 48)
+        value = matrix_function_derivative(DerivativeRequest(f, a, dirs, k, "moi"))
+        assert len(moi_calls) == math.factorial(k)
+        assert self.block_error(f, a, dirs, value) < DEFAULT_TOLERANCES["derivative_block"]
+
+    def test_user_callable_takes_every_order(self, moi_calls):
+        a, dirs = self.case(3, 49)
+        cos = CallableFunction(np.cos, [lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin])
+        value = matrix_function_derivative(DerivativeRequest(cos, a, dirs, 3, "moi"))
+        assert len(moi_calls) == 6
+        expected = matrix_function_derivative(
+            DerivativeRequest(builtin_function("cos"), a, dirs, 3, "moi"))
+        assert np.linalg.norm(value - expected) < 1e-12 * (1.0 + np.linalg.norm(expected))
+
+    def test_first_order_is_one_contraction(self, moi_calls):
+        a, dirs = self.case(1, 50)
+        matrix_function_derivative(DerivativeRequest(COS, a, dirs, 1, "moi"))
+        assert len(moi_calls) == 1
+
+
 class TestAbsPowAtZero:
     # |x|^s at x = 0 takes the limits of its derivatives: 0 below the
     # exponent, s! at an even integer exponent, and no finite value for s < 0

@@ -26,6 +26,7 @@ from moikit import (
 )
 from moikit import scalar_functions
 from moikit.scalar_functions import SERIES_DEGREE, divided_difference_mp
+from moikit.verify import verify_divided_differences
 
 COS = WienerAtomic([(1.0, 0.5), (-1.0, 0.5)])
 
@@ -71,6 +72,31 @@ class TestPolynomial:
         assert type(value) is type(expected)
         assert np.shape(value) == np.shape(expected)
         assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
+class TestRealMarker:
+    @pytest.mark.parametrize("f, real", [
+        (builtin_function("exp"), True),
+        (builtin_function("sin"), True),
+        (builtin_function("cos"), True),
+        (builtin_function("abs_pow", {"exponent": 2.5}), True),
+        (Polynomial([1.0, -2.5, 0.5]), True),
+        (Polynomial([1.0 + 0j, 2.0, 0.5 - 0j]), True),
+        (Polynomial([1.0, 2.0j]), False),
+        (COS, True),
+        (WienerAtomic([(1.0, -0.5j), (-1.0, 0.5j)]), True),
+        (WienerAtomic([(0.0, 2.0), (0.7, 1 + 2j), (-0.7, 1 - 2j)]), True),
+        (WienerAtomic([(0.0, 2.0j)]), False),
+        (WienerAtomic([(1.0, 1.0)]), False),
+        (WienerAtomic([(1.0, 0.5j), (-1.0, 0.5j)]), False),
+        (WienerAtomic([(1.0, 0.5), (-2.0, 0.5)]), False),
+        (CallableFunction(np.cos, [lambda x: -np.sin(x)]), False),
+    ], ids=["exp", "sin", "cos", "abs_pow", "real_polynomial", "zero_imaginary_parts",
+            "complex_polynomial", "paired_cos", "paired_sin", "zero_frequency_and_pair",
+            "zero_frequency_complex", "single_atom", "unconjugated_pair",
+            "unpaired_frequencies", "user_callable"])
+    def test_marker(self, f, real):
+        assert f.is_real is real
 
 
 class TestClosedForm:
@@ -254,6 +280,24 @@ class TestSeriesHelpers:
         assert h.tobytes() == _homogeneous_recurrence(nodes, SERIES_DEGREE).tobytes()
         one = scalar_functions._homogeneous_sums(tuple(nodes[:, 0]), 5)
         assert one.tobytes() == _homogeneous_recurrence(nodes[:, 0], 5).tobytes()
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_tuple_sums_are_the_array_sums_on_the_suite_nodes(self, seed, monkeypatch):
+        # every node tuple the divided-differences suite gives the closed
+        # form, through the plain-float and the array recurrence, bit for bit
+        calls, tuple_sums = [], scalar_functions._tuple_homogeneous_sums
+
+        def recorded(nodes, max_degree):
+            calls.append((nodes, max_degree))
+            return tuple_sums(nodes, max_degree)
+
+        monkeypatch.setattr(scalar_functions, "_tuple_homogeneous_sums", recorded)
+        verify_divided_differences(seed)
+        assert len(calls) > 100
+        for nodes, max_degree in calls:
+            plain = np.array(tuple_sums(nodes, max_degree))
+            column = scalar_functions._homogeneous_sums(np.array(nodes)[:, None], max_degree)
+            assert plain.tobytes() == column[:, 0].tobytes(), nodes
 
     @pytest.mark.parametrize("rows", [1, 13, 1000])
     def test_ascending_product_is_the_recurrence(self, rows):

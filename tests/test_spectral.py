@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -172,6 +174,111 @@ class TestEigendecompose:
             twice = hermitian_eigendecompose(a + b)
             assert np.array_equal(once.eigenvalues, twice.eigenvalues)
             assert np.array_equal(once.vectors, twice.vectors)
+
+
+class TestDecompositionCache:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        """The matrices passed to numpy's eigh, recorded as it runs."""
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(A):
+            calls.append(A)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @staticmethod
+    def matrix(seed, n=4):
+        return spectral.require_hermitian(random_hermitian(np.random.default_rng(seed), n))
+
+    def test_an_equal_matrix_is_decomposed_once(self, eigh_calls):
+        A = self.matrix(1)
+        first = spectral._decompose(A)
+        again = spectral._decompose(A.copy())
+        public = hermitian_eigendecompose(A.copy())
+        assert len(eigh_calls) == 1
+        assert again is first and public is first
+
+    def test_a_matrix_one_ulp_away_misses(self, eigh_calls):
+        A = self.matrix(2)
+        B = A.copy()
+        B[0, 0] = np.nextafter(B[0, 0].real, np.inf)
+        first, second = spectral._decompose(A), spectral._decompose(B)
+        assert len(eigh_calls) == 2
+        assert second is not first
+        assert np.array_equal(second.source, B)
+
+    def test_the_cache_keeps_the_most_recent_within_its_bound(self, eigh_calls):
+        bound = spectral.DECOMPOSITION_CACHE_ENTRIES
+        matrices = [self.matrix(seed) for seed in range(bound + 2)]
+        for A in matrices:
+            spectral._decompose(A)
+            assert len(spectral._decompositions) <= bound
+        assert len(spectral._decompositions) == bound
+        # the last `bound` hit; the first was evicted and is solved again
+        for A in matrices[2:]:
+            spectral._decompose(A)
+        assert len(eigh_calls) == bound + 2
+        spectral._decompose(matrices[0])
+        assert len(eigh_calls) == bound + 3
+        assert len(spectral._decompositions) == bound
+
+    def test_cached_arrays_are_read_only(self):
+        A = self.matrix(3)
+        decomp = spectral._decompose(A)
+        for array in (decomp.source, decomp.eigenvalues, decomp.vectors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # the source is the cache's own copy: the caller's matrix stays writable
+        A[0, 0] += 1.0
+        assert spectral._decompose(A) is not decomp
+        assert not np.array_equal(decomp.source, A)
+
+    def test_a_convergence_failure_is_not_cached(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def no_convergence(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        A = self.matrix(4)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(ConvergenceFailure):
+            spectral._decompose(A)
+        assert not spectral._decompositions
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        decomp = spectral._decompose(A)
+        assert np.array_equal(decomp.eigenvalues, np.linalg.eigh(A)[0])
+
+
+    def test_threads_share_the_cache(self):
+        # more threads than entries and cores, switching often: every
+        # decomposition is the right one and the cache stays within its bound
+        matrices = [self.matrix(seed) for seed in range(2 * spectral.DECOMPOSITION_CACHE_ENTRIES)]
+        expected = [np.linalg.eigh(A)[0] for A in matrices]
+        wrong = []
+
+        def work(offset):
+            for i in range(200):
+                j = (i + offset) % len(matrices)
+                if not np.array_equal(spectral._decompose(matrices[j]).eigenvalues, expected[j]):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(spectral._decompositions) == spectral.DECOMPOSITION_CACHE_ENTRIES
 
 
 def _conjugated(rng, eigenvalues):
