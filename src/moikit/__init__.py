@@ -24,6 +24,7 @@ from .errors import (
 from .frechet import (
     DerivativeRequest,
     block_triangular_derivative,
+    block_triangular_integral,
     finite_difference_derivative,
     matrix_function_derivative,
     moi_schatten_check,
@@ -40,9 +41,7 @@ from .moi import (
     moi_evaluate,
     moi_opnorm_bound_check,
     moi_perturbation,
-    moi_polynomial,
     moi_separated,
-    moi_wiener,
 )
 from .report import Check, VerificationReport
 from .scalar_functions import (

@@ -9,13 +9,17 @@ matrices with no eigensolver, and a tensor central-difference stencil in
 double precision (Jacobi at each point) or in 30 digits (``mp.eighe`` at
 each point).  It also holds the three equivalent Taylor-remainder forms
 and the one Hölder-Schatten estimate for operator integrals, which bounds
-the remainder written as a single mixed-base integral.
+the remainder written as a single mixed-base integral.  The block identity
+takes any bases: it is the exact oracle of every operator integral of
+``f^[k]`` for an ``f`` with a matrix form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,10 +34,7 @@ from .errors import (
 from .moi import (
     MoiOperands,
     MoiSymbol,
-    _matrix_powers,
-    _power_chain,
     _require_operands,
-    _require_power,
     _require_shape,
     moi_evaluate,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "matrix_function_derivative",
     "finite_difference_derivative",
     "block_triangular_derivative",
+    "block_triangular_integral",
     "taylor_remainder_direct",
     "taylor_remainder_moi",
     "taylor_remainder_integral",
@@ -83,6 +85,8 @@ class DerivativeRequest:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
+        if not isinstance(self.order, numbers.Integral) or isinstance(self.order, bool):
+            raise ValueError(f"order must be an int, got {self.order!r}")
         if self.order != len(self.directions) or self.order < 1:
             raise ValueError("order must equal the number of directions (>= 1)")
         base, dirs = _require_operands(self.base, self.directions)
@@ -90,26 +94,44 @@ class DerivativeRequest:
         object.__setattr__(self, "directions", dirs)
 
 
+@functools.cache
+def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Nonnegative integer tuples of the given length summing to ``total >= 0``,
+    lexicographically ascending and built once per argument pair."""
+    if parts == 1:
+        return ((total,),)
+    return tuple((head,) + rest for head in range(total + 1)
+                 for rest in _compositions(total - head, parts - 1))
+
+
 def power_map_derivative(power: int, base: np.ndarray, directions) -> np.ndarray:
     """k-th derivative of ``a -> a^m``: permuted exponent-splitting products.
 
-    Valid in any matrix algebra (no Hermiticity needed); the zero matrix
-    when the order exceeds the power, and ``ValueError`` unless the power is
-    a nonnegative integer.
+    For each of the k! direction orders, adds ``a^g_0 b_1 a^g_1 .. b_k a^g_k``
+    over every splitting ``|g| = m - k`` in ascending order, from one list
+    of powers.  Valid in any matrix algebra (no Hermiticity needed); the
+    zero matrix when the order exceeds the power, and ``ValueError`` unless
+    the power is a nonnegative integer.
     """
     directions = [np.asarray(b, dtype=complex) for b in directions]
     k = len(directions)
     if k < 1:
         raise ValueError("at least one direction required")
-    _require_power(power)
+    if not isinstance(power, numbers.Integral) or power < 0:
+        raise ValueError(f"power must be a nonnegative integer, got {power!r}")
     a = np.asarray(base, dtype=complex)
     _require_shape(a, directions)
     out = np.zeros(a.shape, dtype=complex)
     if power >= k:
-        # every slot is the base: one power list serves all k! orders
-        powers = [_matrix_powers(a, power - k)] * (k + 1)
+        # [I, a, .., a^(m-k)], each by one product with the last
+        powers = list(itertools.accumulate([a] * (power - k), np.matmul,
+                                           initial=np.eye(a.shape[0], dtype=complex)))
         for middles in itertools.permutations(directions):
-            _power_chain(out, powers, middles)
+            for gamma in _compositions(power - k, k + 1):
+                term = powers[gamma[0]]
+                for b, g in zip(middles, gamma[1:]):
+                    term = term @ b @ powers[g]
+                out += term
     return out
 
 
@@ -231,31 +253,48 @@ def finite_difference_derivative(f, base, directions) -> np.ndarray:
     return (4.0 * fine - coarse) / 3.0
 
 
-def block_triangular_derivative(f, base, directions) -> np.ndarray:
-    """k-th derivative from the block upper-triangular identity, with no
-    eigensolver.
+def _block_integral(form, bases, middles) -> np.ndarray:
+    """The ordered operator integral of ``f^[k]`` over the spectra of the
+    bases ``A_0 .. A_k`` against the middles ``b_1 .. b_k``, with no
+    eigensolver: the top-right ``n x n`` block of ``form`` (``f`` of a
+    matrix) at the ``(k+1) n`` block upper-bidiagonal matrix with the bases
+    on the diagonal and the middles above it (Mathias, SIMAX 1996; Higham
+    and Relton, SIMAX 2014)."""
+    k, n = len(middles), bases[0].shape[0]
+    X = np.zeros(((k + 1) * n,) * 2, dtype=complex)
+    for j, a in enumerate(bases):
+        X[j * n:(j + 1) * n, j * n:(j + 1) * n] = a
+    for j, b in enumerate(middles):
+        X[j * n:(j + 1) * n, (j + 1) * n:(j + 2) * n] = b
+    return form(X)[:n, k * n:]
 
-    ``f`` of the ``(k+1) n`` block upper-bidiagonal matrix with ``base`` on
-    the diagonal and the directions ``b_1 .. b_k`` above it holds, in its
-    top-right ``n x n`` block, the ordered operator integral of ``f^[k]``
-    against ``b_1 .. b_k`` (Mathias, SIMAX 1996; Higham and Relton, SIMAX
-    2014); the sum of that block over the k! orders of the directions is the
-    derivative.  All k! orders are evaluated, for a real ``f`` too, so the
-    oracle checks the halving of :func:`matrix_function_derivative`.  ``f``
-    is applied to the block matrix by its matrix form: Horner for a
-    polynomial, matrix exponentials for an atomic Fourier sum, and scipy's
-    ``expm``, ``cosm`` or ``sinm`` for the builtin exp, cos and sin.  Raises :class:`EvaluationDomain` for any other function.
+
+def block_triangular_integral(f, operands: MoiOperands) -> np.ndarray:
+    """The operator integral of ``f^[k]`` on ``operands`` by the block
+    upper-triangular identity.
+
+    It reads the decomposed matrices and the middles, never an eigenvalue
+    or eigenvector, so it checks :func:`moi_evaluate` on any bases, the
+    eigensolver included.  ``f`` is applied by its matrix form: Horner for
+    a polynomial, matrix exponentials for an atomic Fourier sum, and
+    scipy's ``expm``, ``cosm`` or ``sinm`` for the builtin exp, cos and
+    sin; :class:`EvaluationDomain` for any other function.
     """
+    return _block_integral(_matrix_form(f), [d.source for d in operands.decomps],
+                           operands.middles)
+
+
+def block_triangular_derivative(f, base, directions) -> np.ndarray:
+    """k-th derivative from the block upper-triangular identity: the integral
+    of :func:`block_triangular_integral` with ``base`` in every slot, summed
+    over the k! orders of the directions.  All k! orders are evaluated, for
+    a real ``f`` too, so the oracle checks the halving of
+    :func:`matrix_function_derivative`."""
     base, directions = _require_operands(base, directions)
-    k, n = len(directions), base.shape[0]
     form = _matrix_form(f)
-    X = np.kron(np.eye(k + 1), base)
-    out = np.zeros((n, n), dtype=complex)
-    for middles in itertools.permutations(directions):
-        for j, b in enumerate(middles):
-            X[j * n:(j + 1) * n, (j + 1) * n:(j + 2) * n] = b
-        out += form(X)[:n, k * n:]
-    return out
+    bases = (base,) * (len(directions) + 1)
+    return sum(_block_integral(form, bases, middles)
+               for middles in itertools.permutations(directions))
 
 
 # ---------------------------------------------------------------------------

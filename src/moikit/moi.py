@@ -8,16 +8,15 @@ is tabulated once as a tensor over the eigenvalues of each slot, one per
 eigenvector, ties included, and contracted against the directions rotated
 into the eigenbases (``V_{j-1}* b_j V_j``).
 The contraction runs on a fixed path and involves no randomness, so outputs
-are bit-stable run to run.  The separated, monomial and oscillatory-sum
-evaluations are kept as independent oracles.
+are bit-stable run to run.  The separated evaluation is kept as an oracle
+for symbols with no matrix form; every divided-difference integral of a
+function with one is checked against the block upper-triangular identity
+(:func:`moikit.frechet.block_triangular_integral`).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ from .scalar_functions import (
     Polynomial,
     WienerAtomic,
     divided_difference_grid,
-    simplex_rule,
     wiener_iptp_bound,
 )
 from .spectral import (
@@ -44,21 +42,9 @@ __all__ = [
     "MoiOperands",
     "moi_evaluate",
     "moi_separated",
-    "moi_polynomial",
-    "moi_wiener",
     "moi_perturbation",
     "moi_opnorm_bound_check",
 ]
-
-
-@functools.cache
-def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """Nonnegative integer tuples of the given length summing to ``total >= 0``,
-    lexicographically ascending and built once per argument pair."""
-    if parts == 1:
-        return ((total,),)
-    return tuple((head,) + rest for head in range(total + 1)
-                 for rest in _compositions(total - head, parts - 1))
 
 
 def _require_shape(base, matrices) -> None:
@@ -124,8 +110,11 @@ class MoiSymbol:
         :func:`divided_difference_grid`.  For atomic Fourier sums the
         certified bound ``moment(k)/k!`` is attached; for polynomials the
         coefficient bound on the cube of the given radius is attached when a
-        radius is supplied.
+        radius is supplied; ``ValueError`` unless that radius is finite and
+        nonnegative.
         """
+        if radius is not None and not 0.0 <= radius < math.inf:
+            raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
         bound = None
         if isinstance(f, WienerAtomic):
             bound = wiener_iptp_bound(f, order)
@@ -231,73 +220,6 @@ def moi_separated(factors, weights, operands: MoiOperands) -> np.ndarray:
             acc = acc @ operands.middles[j]
             acc = acc @ functional_calculus(term[j + 1], operands.decomps[j + 1])
         out += complex(weight) * acc
-    return out
-
-
-def _require_power(power) -> None:
-    """``ValueError`` unless ``power`` is a nonnegative integer."""
-    if not isinstance(power, numbers.Integral) or power < 0:
-        raise ValueError(f"power must be a nonnegative integer, got {power!r}")
-
-
-def _matrix_powers(a: np.ndarray, top: int) -> list[np.ndarray]:
-    """``[I, a, a^2, .., a^top]``, each by one product with the last."""
-    return list(itertools.accumulate([a] * top, np.matmul,
-                                     initial=np.eye(a.shape[0], dtype=complex)))
-
-
-def _power_chain(out: np.ndarray, powers, middles) -> None:
-    """Add ``P_0[g_0] b_1 P_1[g_1] .. b_k P_k[g_k]`` into ``out`` for every
-    splitting ``|g| = len(P_j) - 1`` in ascending order, ``P_j = powers[j]``."""
-    for gamma in _compositions(len(powers[0]) - 1, len(powers)):
-        term = powers[0][gamma[0]]
-        for j, b in enumerate(middles):
-            term = term @ b
-            term = term @ powers[j + 1][gamma[j + 1]]
-        out += term
-
-
-def moi_polynomial(power: int, operands: MoiOperands) -> np.ndarray:
-    """Monomial-symbol integral in closed form.
-
-    For the power-map symbol of order k this is the sum over exponent
-    splittings ``|gamma| = power - k`` of ``a_0^g0 b_1 a_1^g1 ... b_k a_k^gk``,
-    from one power list per slot; the zero matrix when ``0 <= power < k``.
-    """
-    _require_power(power)
-    k, n = operands.order, operands.dimension
-    out = np.zeros((n, n), dtype=complex)
-    if power >= k:
-        _power_chain(out, [_matrix_powers(d.source, power - k) for d in operands.decomps],
-                     operands.middles)
-    return out
-
-
-def moi_wiener(f: WienerAtomic, operands: MoiOperands) -> np.ndarray:
-    """Oscillatory-sum symbol evaluated through the Fourier-side formula.
-
-    For each atom and node ``t`` of the 16-point :func:`simplex_rule`,
-    multiplies unitary factors ``exp(i t_j xi A_j)`` across the slots with
-    the middles in between; the atom weight carries ``(i xi)^k``.  Agrees
-    with the direct spectral sum of the divided-difference symbol up to
-    quadrature accuracy.
-    """
-    k = operands.order
-    n = operands.dimension
-    nodes, weights = simplex_rule(k)
-    out = np.zeros((n, n), dtype=complex)
-    for xi, c in f.atoms:
-        # factors[q] = exp(i t_{q,j} xi A_j) = V_j diag(phases[q]) V_j*
-        prod = None
-        for j, decomp in enumerate(operands.decomps):
-            V = decomp.vectors
-            phases = np.exp(1j * xi * np.outer(nodes[:, j], decomp.eigenvalues))    # (Q, n)
-            factors = (V * phases[:, None]) @ V.conj().T                            # (Q, n, n)
-            prod = factors if prod is None else prod @ factors
-            if j < k:
-                prod = prod @ operands.middles[j]
-        weighted = np.tensordot(weights, prod, axes=(0, 0))
-        out += c * (1j * xi) ** k * weighted
     return out
 
 

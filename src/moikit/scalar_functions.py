@@ -888,8 +888,9 @@ def divided_difference_sup_bound(f, order: int, radius: float) -> float:
     """Estimate of ``sup |f^(k)| / k!`` on ``[-radius, radius]``, over 4001 grid points.
 
     Dominates ``|f^[k]|`` on the cube ``[-radius, radius]^(k+1)`` up to the
-    grid resolution error.
+    grid resolution error.  ``ValueError`` for a negative order.
     """
+    _require_order(order)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     dk = _derivative_or_none(f, order) if order else f
@@ -929,7 +930,10 @@ class TaylorTruncation:
     def tail_bound(self, radius: float) -> float:
         """``total_mass * sum_{m > n} x^m / m! = total_mass e^x P(n + 1, x)``, ``P``
         the regularized lower incomplete gamma function, at ``x = radius *
-        max_frequency`` and the degree ``n``; 30 digits whatever ``mp.dps`` is."""
+        max_frequency`` and the degree ``n``; 30 digits whatever ``mp.dps`` is.
+        ``ValueError`` unless the radius is finite and nonnegative."""
+        if not 0.0 <= radius < math.inf:
+            raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
         x = radius * self.max_frequency
         with mp.workdps(30):
             tail = mp.exp(x) * mp.gammainc(self.degree + 1, 0, x, regularized=True)

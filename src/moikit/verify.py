@@ -15,6 +15,7 @@ import numpy as np
 from .frechet import (
     DerivativeRequest,
     block_triangular_derivative,
+    block_triangular_integral,
     finite_difference_derivative,
     matrix_function_derivative,
     moi_schatten_check,
@@ -25,7 +26,7 @@ from .frechet import (
     taylor_remainder_integral,
     taylor_remainder_moi,
 )
-from .moi import MoiOperands, MoiSymbol, moi_opnorm_bound_check, moi_perturbation
+from .moi import MoiOperands, MoiSymbol, moi_evaluate, moi_opnorm_bound_check, moi_perturbation
 from .report import VerificationReport, equality_check, inequality_check
 from .scalar_functions import (
     Polynomial,
@@ -439,7 +440,8 @@ def verify_derivatives(seed: int, tolerances=None):
 
 
 def verify_remainders(seed: int, tolerances=None):
-    """Agreement of the three Taylor-remainder forms."""
+    """Agreement of the three Taylor-remainder forms, and of a mixed-base
+    integral with the block-triangular oracle."""
     tols = _tols(tolerances)
     rng = suite_rng(seed, 6)
     report = VerificationReport("taylor-remainders")
@@ -468,6 +470,26 @@ def verify_remainders(seed: int, tolerances=None):
         "direct vs line-integral form (32 nodes)",
         "the remainder equals k int_0^1 (1-t)^(k-1) (I[f^[k]] at a+tb)[b..b] dt",
         residual=worst_int, tolerance=tols["remainder_integral"]))
+
+    # k+1 separate bases, drawn after the cases above so that they keep
+    # their inputs
+    worst_block = 0.0
+    for k in (1, 2, 3):
+        functions = [_random_polynomial(rng, 6), _two_atoms(rng),
+                     builtin_function("exp"), builtin_function("cos")]
+        for f in functions:
+            n = int(rng.integers(3, 7))
+            bases = [random_hermitian(rng, n) for _ in range(k + 1)]
+            middles = [random_hermitian(rng, n) for _ in range(k)]
+            operands = MoiOperands.from_matrices(bases, middles)
+            via_moi = moi_evaluate(MoiSymbol.from_function(f, k), operands)
+            worst_block = max(worst_block, _scaled_gap(
+                via_moi, block_triangular_integral(f, operands)))
+    report.add(equality_check(
+        "mixed-base integral vs block-triangular oracle (k <= 3)",
+        "the integral of f^[k] over k+1 bases matches the top-right block of f "
+        "on the block-bidiagonal matrix of the bases and middles",
+        residual=worst_block, tolerance=tols["derivative_block"]))
     return report
 
 

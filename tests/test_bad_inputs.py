@@ -26,6 +26,7 @@ from moikit import (
     SpectralDecomposition,
     WienerAtomic,
     block_triangular_derivative,
+    block_triangular_integral,
     builtin_function,
     divided_difference,
     divided_difference_batch,
@@ -39,7 +40,6 @@ from moikit import (
     matrix_function_derivative,
     moi_evaluate,
     moi_opnorm_bound_check,
-    moi_polynomial,
     moi_schatten_check,
     moi_separated,
     poly_divided_difference,
@@ -73,6 +73,12 @@ BAD_INPUTS = {
         (ValueError, lambda: finite_difference_derivative(COS, A, [])),
     "block_triangular_no_directions":
         (ValueError, lambda: block_triangular_derivative(COS, A, [])),
+    "derivative_order_float": (ValueError, lambda: DerivativeRequest(
+        Polynomial([1, 2, 3]), A, (B,), 1.0)),
+    "derivative_order_bool": (ValueError, lambda: DerivativeRequest(
+        Polynomial([1, 2, 3]), A, (B,), True)),
+    "block_integral_without_matrix_form": (EvaluationDomain, lambda: block_triangular_integral(
+        CallableFunction(np.tanh), operands())),
     "power_closed_form_non_polynomial": (ValueError, lambda: matrix_function_derivative(
         DerivativeRequest(COS, A, (B,), 1, "power"))),
     "schatten_slot_exponent_below_one":
@@ -88,15 +94,22 @@ BAD_INPUTS = {
     "separated_term_length":
         (ArityMismatch, lambda: moi_separated([(COS,)], [1.0], operands())),
     "opnorm_zero_probes": (ValueError, lambda: moi_opnorm_bound_check(SYMBOL, operands(), 0)),
-    "polynomial_negative_power": (ValueError, lambda: moi_polynomial(-2, operands())),
-    "polynomial_fractional_power": (ValueError, lambda: moi_polynomial(2.5, operands())),
+    "symbol_radius_negative": (ValueError, lambda: MoiSymbol.from_function(
+        Polynomial([1, 2, 3]), 1, radius=-1)),
+    "symbol_radius_nan": (ValueError, lambda: MoiSymbol.from_function(
+        Polynomial([1, 2, 3]), 1, radius=math.nan)),
     # scalar_functions
     "empty_node_list": (ValueError, lambda: poly_divided_difference(Polynomial([1.0]), [])),
     "sup_bound_radius": (ValueError, lambda: divided_difference_sup_bound(COS, 1, 0.0)),
     "sup_bound_radius_nan": (ValueError, lambda: divided_difference_sup_bound(COS, 1, math.nan)),
     "sup_bound_radius_inf": (ValueError, lambda: divided_difference_sup_bound(COS, 1, math.inf)),
+    "sup_bound_negative_order": (ValueError, lambda: divided_difference_sup_bound(COS, -1, 1.0)),
     "simplex_rule_negative_order": (ValueError, lambda: simplex_rule(-1)),
     "truncation_degree": (ValueError, lambda: wiener_taylor_truncate(COS, -1)),
+    "tail_bound_radius_negative":
+        (ValueError, lambda: wiener_taylor_truncate(WienerAtomic([(1, 1)]), 2).tail_bound(-1)),
+    "tail_bound_radius_nan":
+        (ValueError, lambda: wiener_taylor_truncate(WienerAtomic([(1, 1)]), 2).tail_bound(math.nan)),
     "unknown_builtin": (ValueError, lambda: builtin_function("tan")),
     # finite inputs whose first derivative overflows, read at a repeated node
     "polynomial_derivative_overflow": (EvaluationDomain, lambda: divided_difference(

@@ -8,12 +8,11 @@ from moikit import (
     MoiSymbol,
     Polynomial,
     WienerAtomic,
+    block_triangular_integral,
     moi_evaluate,
     moi_opnorm_bound_check,
     moi_perturbation,
-    moi_polynomial,
     moi_separated,
-    moi_wiener,
 )
 from moikit.verify import (
     random_hermitian,
@@ -129,55 +128,61 @@ class TestSeparated:
             separated, A1 @ ops.middles[0] + ops.middles[0] @ A2, atol=1e-9)
 
 
-class TestMoiPolynomial:
+def monomial(power):
+    return Polynomial([0] * power + [1])
+
+
+class TestBlockIntegralOfMonomials:
     def test_square_order_one(self):
         rng = suite_rng(10, 0)
         A = random_hermitian(rng, 4)
         B = random_hermitian(rng, 4)
         ops = MoiOperands.from_matrices([A, A], [B])
-        np.testing.assert_allclose(moi_polynomial(2, ops), A @ B + B @ A, atol=1e-12)
+        np.testing.assert_allclose(block_triangular_integral(monomial(2), ops),
+                                   A @ B + B @ A, atol=1e-12)
 
     def test_power_equal_to_order(self):
         rng = suite_rng(11, 0)
         ops = operands_for(rng, 3, 2)
-        np.testing.assert_allclose(moi_polynomial(2, ops),
+        np.testing.assert_allclose(block_triangular_integral(monomial(2), ops),
                                    ops.middles[0] @ ops.middles[1], atol=1e-12)
 
     def test_power_below_order_is_zero(self):
         rng = suite_rng(12, 0)
         ops = operands_for(rng, 3, 2)
-        np.testing.assert_allclose(moi_polynomial(1, ops), np.zeros((3, 3)))
+        np.testing.assert_allclose(block_triangular_integral(monomial(1), ops),
+                                   np.zeros((3, 3)))
 
     def test_matches_direct_sum(self):
         rng = suite_rng(13, 0)
         for k in (1, 2, 3):
             ops = operands_for(rng, 4, k)
             for power in (k, k + 2, 6):
-                symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
+                symbol = MoiSymbol.from_function(monomial(power), k)
                 direct = moi_evaluate(symbol, ops)
-                closed = moi_polynomial(power, ops)
+                closed = block_triangular_integral(monomial(power), ops)
                 scale = 1 + np.linalg.norm(closed)
-                assert np.linalg.norm(direct - closed) / scale < 1e-8
+                assert np.linalg.norm(direct - closed) / scale < 1e-12
 
 
-class TestMoiWiener:
+class TestBlockIntegralOfAtoms:
     def test_empty_atoms_zero(self):
         rng = suite_rng(14, 0)
         ops = operands_for(rng, 3, 1)
-        np.testing.assert_allclose(moi_wiener(WienerAtomic([]), ops),
+        np.testing.assert_allclose(block_triangular_integral(WienerAtomic([]), ops),
                                    np.zeros((3, 3)))
 
     def test_zero_frequency_atom_zero(self):
         rng = suite_rng(15, 0)
         ops = operands_for(rng, 3, 2)
-        np.testing.assert_allclose(moi_wiener(WienerAtomic([(0.0, 2.0)]), ops),
+        np.testing.assert_allclose(block_triangular_integral(WienerAtomic([(0.0, 2.0)]), ops),
                                    np.zeros((3, 3)), atol=1e-14)
 
     def test_cos_entrywise_value(self):
         A = np.diag([0.0, np.pi])
         B = np.ones((2, 2))
         ops = MoiOperands.from_matrices([A, A], [B])
-        value = moi_wiener(COS, ops)
+        value = block_triangular_integral(COS, ops)
         assert value[0, 1] == pytest.approx(-2 / np.pi, abs=1e-9)
 
     def test_matches_direct_sum(self):
@@ -185,10 +190,10 @@ class TestMoiWiener:
         for k in (1, 2):
             ops = operands_for(rng, 4, k)
             f = WienerAtomic([(0.9, 0.4 + 0.1j), (-1.4, 0.8)])
-            osc = moi_wiener(f, ops)
+            block = block_triangular_integral(f, ops)
             direct = moi_evaluate(MoiSymbol.from_function(f, k), ops)
             scale = 1 + np.linalg.norm(direct)
-            assert np.linalg.norm(osc - direct) / scale < 1e-8
+            assert np.linalg.norm(block - direct) / scale < 1e-12
 
 
 class TestPerturbation:

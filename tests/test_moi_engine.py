@@ -5,9 +5,9 @@ The batched table and the symbol tensor must agree with the extended-
 precision recursion on adversarial node sets (exact repeats, gaps down to
 the coincidence tolerance, spans either side of the confluent span), and
 the contracted integral must agree with the projection-sandwich sum it
-replaces and with the separated, oscillatory and monomial evaluations, on
-spectra with exact repeats, gaps at the clustering threshold, n = 1 and
-mixed bases.
+replaces, with the separated evaluation and with the block upper-triangular
+identity, on spectra with exact repeats, gaps at the clustering threshold,
+n = 1 and mixed bases.
 """
 
 import itertools
@@ -24,6 +24,7 @@ from moikit import (
     MoiSymbol,
     Polynomial,
     WienerAtomic,
+    block_triangular_integral,
     builtin_function,
     divided_difference,
     divided_difference_batch,
@@ -33,9 +34,7 @@ from moikit import (
     hermitian_eigendecompose,
     matrix_function_derivative,
     moi_evaluate,
-    moi_polynomial,
     moi_separated,
-    moi_wiener,
     poly_divided_difference,
     wiener_divided_difference,
 )
@@ -577,8 +576,9 @@ class TestEngineAgainstOracles:
             symbol = MoiSymbol.from_function(f, k)
             assert rel(moi_evaluate(symbol, ops), projection_sum(symbol, ops)) < 1e-13
         for power in (k, k + 2, 6):
-            symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
-            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, ops)) < 1e-10
+            p = Polynomial([0] * power + [1])
+            symbol = MoiSymbol.from_function(p, k)
+            assert rel(moi_evaluate(symbol, ops), block_triangular_integral(p, ops)) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_polynomial_oracle(self, k):
@@ -586,8 +586,9 @@ class TestEngineAgainstOracles:
         ops = mixed_operands(suite_rng(110 + k, 0), 16, k, pair=2.0)
         assert len(ops.decomps[1].eigenvalues) == 16
         for power in (k, k + 2, 6):
-            symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
-            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, ops)) < 1e-10
+            p = Polynomial([0] * power + [1])
+            symbol = MoiSymbol.from_function(p, k)
+            assert rel(moi_evaluate(symbol, ops), block_triangular_integral(p, ops)) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_grouped_pair_is_exact_for_the_source_matrices(self, k):
@@ -598,15 +599,16 @@ class TestEngineAgainstOracles:
         grouped = ops.decomps[1]
         assert len(grouped.eigenvalues) == 16 and len(grouped.clusters[0]) == 2
         for power in (k, k + 2, 6):
-            symbol = MoiSymbol.from_function(Polynomial([0] * power + [1]), k)
-            assert rel(moi_evaluate(symbol, ops), moi_polynomial(power, ops)) < 1e-12
+            p = Polynomial([0] * power + [1])
+            symbol = MoiSymbol.from_function(p, k)
+            assert rel(moi_evaluate(symbol, ops), block_triangular_integral(p, ops)) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_wiener_oracle(self, k):
         ops = mixed_operands(suite_rng(120 + k, 0), 16, k)
         f = WienerAtomic([(0.9, 0.4 + 0.1j), (-1.4, 0.8)])
         direct = moi_evaluate(MoiSymbol.from_function(f, k), ops)
-        assert rel(direct, moi_wiener(f, ops)) < 1e-8
+        assert rel(direct, block_triangular_integral(f, ops)) < 1e-12
 
     def test_separated_oracle_on_an_arithmetic_symbol(self):
         ops = mixed_operands(suite_rng(130, 0), 16, 2)
